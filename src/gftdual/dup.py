@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (IterationCapExceeded, NonFiniteEntryError,
                      NonOrthogonalInputError, NumericalBreakdown,
                      SizeMismatchError)
-from .lp import LESS_EQUAL, OPTIMAL, LinearProgram, solve_lp
+from .lp import GREATER_EQUAL, OPTIMAL, LinearProgram, solve_lp
 from .rng import derive_stream
 from .spectral import jacobi_eigh
 
@@ -169,24 +169,16 @@ def _mixing_dual(w, stream):
 
 
 def _solve_master(cuts, rhs, m):
-    """Master LP: min 1'nu s.t. sum_i v_i^2 nu_i >= v'Wv per cut, nu >= 0.
-
-    Solved through its LP dual (max b'mu s.t. sum_j mu_j v_j^2 <= 1,
-    mu >= 0), which needs no artificial variables; nu is recovered from
-    the shadow prices of the unit-capacity rows.
-    """
+    """Master LP: min 1'nu s.t. sum_i v_i^2 nu_i >= v'Wv per cut, nu >= 0."""
     if not cuts:
         return 0.0, np.zeros(m)
-    squares = np.array([np.square(v) for v in cuts])
-    constraints = tuple(
-        (squares[:, i], LESS_EQUAL, 1.0) for i in range(m))
-    program = LinearProgram(objective=-np.asarray(rhs, dtype=float),
-                            constraints=constraints)
-    result = solve_lp(program)
+    constraints = tuple((np.square(v), GREATER_EQUAL, b)
+                        for v, b in zip(cuts, rhs))
+    result = solve_lp(LinearProgram(objective=np.ones(m),
+                                    constraints=constraints))
     if result.status != OPTIMAL:
         raise NumericalBreakdown("master LP returned status %s" % result.status)
-    nu = np.maximum(0.0, -np.asarray(result.duals))
-    return -result.objective, nu
+    return result.objective, result.y
 
 
 def _oracle(nu, w):

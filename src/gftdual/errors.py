@@ -48,7 +48,7 @@ class SizeMismatchError(GftDualError):
 
 
 class ConvergenceFailure(GftDualError):
-    """An iterative eigenvalue sweep did not reach its threshold."""
+    """The LAPACK symmetric eigensolver did not converge."""
 
 
 class NotSquareError(GftDualError):
@@ -64,7 +64,8 @@ class TooLargeError(GftDualError):
 
 
 class NumericalBreakdown(GftDualError):
-    """A pivot or recovery step lost too much precision to continue."""
+    """The LP solver stopped without an answer, or the bound's feasibility
+    repair could not certify its iterate."""
 
 
 class NonOrthogonalInputError(GftDualError):

@@ -1,19 +1,15 @@
-"""Dense two-phase simplex solver with Bland's anti-cycling rule.
+"""Linear programs solved by HiGHS through scipy.optimize.linprog.
 
 Solves  minimize c.y  subject to rows (a, relation, b) with relation in
-{<=, >=, =} and per-variable bounds.  Free variables are split into
-positive and negative parts; finite lower/upper bounds are handled by
-shifting (x = l + t) or reflection (x = u - t), with an extra slack row
-when both bounds are finite.  Default bound is (0, None).
-
-Duals follow the shadow-price convention: duals[i] is the derivative of
-the optimal objective with respect to constraint i's right-hand side.
+{<=, >=, =} and per-variable bounds (lower, upper), either of which may be
+None.  Default bound is (0, None).
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .errors import NumericalBreakdown, SizeMismatchError
 
@@ -26,10 +22,8 @@ GREATER_EQUAL = ">="
 EQUAL = "="
 _RELATIONS = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
 
-FEASIBILITY_TOL = 1e-8
-PIVOT_TOL = 1e-11
-_REDUCED_COST_TOL = 1e-11
-_MAX_PIVOTS = 200000
+# linprog status codes with a meaning here; any other is a solver failure
+_STATUSES = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 @dataclass(frozen=True)
@@ -85,255 +79,52 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpResult:
+    """status is OPTIMAL, INFEASIBLE or UNBOUNDED; y and objective are the
+    optimal point and value when OPTIMAL, None otherwise."""
+
     status: str
     y: Optional[np.ndarray]
     objective: Optional[float]
-    duals: Optional[np.ndarray]
-    phase1_residual: float
 
 
-def _bland_pivot_column(z_row, allowed):
-    for j in allowed:
-        if z_row[j] < -_REDUCED_COST_TOL:
-            return j
-    return None
-
-
-def _bland_pivot_row(tableau, basis, col):
-    """Minimum-ratio row for the entering column, Bland tie-break.
-
-    Returns (row, gray) where gray means only sub-tolerance positive
-    pivots exist.
-    """
-    best_row = None
-    best_ratio = None
-    gray = False
-    column = tableau[:, col]
-    rhs = tableau[:, -1]
-    for r in range(tableau.shape[0]):
-        a = column[r]
-        if a > PIVOT_TOL:
-            ratio = rhs[r] / a
-            if (best_ratio is None or ratio < best_ratio - 1e-12 or
-                    (abs(ratio - best_ratio) <= 1e-12 and basis[r] < basis[best_row])):
-                best_ratio = ratio
-                best_row = r
-        elif a > PIVOT_TOL * 1e-2:
-            gray = True
-    return best_row, gray
-
-
-def _pivot(tableau, z_row, basis, row, col):
-    piv = tableau[row, col]
-    tableau[row] /= piv
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    if abs(z_row[col]) > 0.0:
-        z_row -= z_row[col] * tableau[row]
-    basis[row] = col
-
-
-def _run_simplex(tableau, z_row, basis, allowed, phase):
-    pivots = 0
-    while True:
-        col = _bland_pivot_column(z_row, allowed)
-        if col is None:
-            return None
-        row, gray = _bland_pivot_row(tableau, basis, col)
-        if row is None:
-            if gray:
-                raise NumericalBreakdown(
-                    "pivot below %g with no alternative (phase %d)"
-                    % (PIVOT_TOL, phase))
-            return col
-        _pivot(tableau, z_row, basis, row, col)
-        pivots += 1
-        if pivots > _MAX_PIVOTS:
-            raise NumericalBreakdown(
-                "simplex exceeded %d pivots (phase %d)" % (_MAX_PIVOTS, phase))
+def _matrix(rows):
+    if not rows:
+        return None, None
+    return np.array([a for a, _ in rows]), np.array([b for _, b in rows])
 
 
 def solve_lp(program: LinearProgram) -> LpResult:
-    """Two-phase simplex solve of the given program."""
-    m = program.num_variables
-    bounds = program.bounds
-    if bounds is None:
-        bounds = tuple((0.0, None) for _ in range(m))
+    """Solve the program with HiGHS.
 
-    # transform every variable to a non-negative t-variable
-    var_map = []
-    nt = 0
-    extra_rows = []
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None:
-            var_map.append(("shift", nt, lo))
-            if hi is not None:
-                extra_rows.append((nt, hi - lo))
-            nt += 1
-        elif hi is not None:
-            var_map.append(("reflect", nt, hi))
-            nt += 1
-        else:
-            var_map.append(("split", nt, nt + 1))
-            nt += 2
-
-    def to_t_row(a):
-        row = np.zeros(nt)
-        shift = 0.0
-        for j in range(m):
-            kind = var_map[j]
-            if kind[0] == "shift":
-                row[kind[1]] += a[j]
-                shift += a[j] * kind[2]
-            elif kind[0] == "reflect":
-                row[kind[1]] -= a[j]
-                shift += a[j] * kind[2]
-            else:
-                row[kind[1]] += a[j]
-                row[kind[2]] -= a[j]
-        return row, shift
-
-    rows = []        # (t_row, relation, rhs, orig_index, sign)
-    for i, (a, rel, b) in enumerate(program.constraints):
-        t_row, shift = to_t_row(a)
-        rows.append([t_row, rel, b - shift, i, 1.0])
-    for t_index, ub in extra_rows:
-        t_row = np.zeros(nt)
-        t_row[t_index] = 1.0
-        rows.append([t_row, LESS_EQUAL, ub, None, 1.0])
-
-    for row in rows:
-        if row[2] < 0.0:
-            row[0] = -row[0]
-            row[2] = -row[2]
-            row[1] = {LESS_EQUAL: GREATER_EQUAL,
-                      GREATER_EQUAL: LESS_EQUAL,
-                      EQUAL: EQUAL}[row[1]]
-            row[4] = -1.0
-        if row[1] == GREATER_EQUAL and row[2] == 0.0:
-            row[0] = -row[0]
-            row[1] = LESS_EQUAL
-            row[4] = -row[4]
-
-    n_rows = len(rows)
-    n_slack = sum(1 for r in rows if r[1] != EQUAL)
-    n_art = sum(1 for r in rows if r[1] != LESS_EQUAL)
-    width = nt + n_slack + n_art + 1
-
-    tableau = np.zeros((n_rows, width))
-    basis = [0] * n_rows
-    aux_info = {}    # orig constraint index -> (column, kind, sign)
-    slack_at = nt
-    art_at = nt + n_slack
-    art_cols = []
-    for r, (t_row, rel, rhs, orig, sign) in enumerate(rows):
-        tableau[r, :nt] = t_row
-        tableau[r, -1] = rhs
+    Raises NumericalBreakdown when HiGHS stops without an answer (iteration
+    limit, numerical trouble, or "infeasible or unbounded" undecided).
+    """
+    if program.num_variables == 0:
+        # linprog rejects an empty objective; every row reads 0 rel b
+        holds = {LESS_EQUAL: lambda b: b >= 0.0,
+                 GREATER_EQUAL: lambda b: b <= 0.0,
+                 EQUAL: lambda b: b == 0.0}
+        if all(holds[rel](b) for _, rel, b in program.constraints):
+            return LpResult(OPTIMAL, np.zeros(0), 0.0)
+        return LpResult(INFEASIBLE, None, None)
+    upper, equal = [], []
+    for a, rel, b in program.constraints:
         if rel == LESS_EQUAL:
-            tableau[r, slack_at] = 1.0
-            basis[r] = slack_at
-            if orig is not None:
-                aux_info[orig] = (slack_at, "slack", sign)
-            slack_at += 1
+            upper.append((a, b))
         elif rel == GREATER_EQUAL:
-            tableau[r, slack_at] = -1.0
-            if orig is not None:
-                aux_info[orig] = (slack_at, "surplus", sign)
-            slack_at += 1
-            tableau[r, art_at] = 1.0
-            basis[r] = art_at
-            art_cols.append(art_at)
-            art_at += 1
+            upper.append((-a, -b))
         else:
-            tableau[r, art_at] = 1.0
-            basis[r] = art_at
-            art_cols.append(art_at)
-            art_at += 1
-            if orig is not None:
-                aux_info[orig] = (basis[r], "artificial", sign)
-    art_set = set(art_cols)
-
-    # phase 1: minimize the sum of artificials
-    z_row = np.zeros(width)
-    for col in art_cols:
-        z_row[col] = 1.0
-    for r in range(n_rows):
-        if z_row[basis[r]] != 0.0:
-            z_row -= z_row[basis[r]] * tableau[r]
-    allowed = [j for j in range(width - 1)]
-    if art_cols:
-        result = _run_simplex(tableau, z_row, basis, allowed, phase=1)
-        if result is not None:
-            raise NumericalBreakdown("phase-1 objective reported unbounded")
-    phase1_residual = float(-z_row[-1])
-    if phase1_residual > FEASIBILITY_TOL:
-        return LpResult(INFEASIBLE, None, None, None, phase1_residual)
-
-    # drive leftover artificials out of the basis; drop redundant rows
-    keep = np.ones(n_rows, dtype=bool)
-    for r in range(n_rows):
-        if basis[r] in art_set:
-            target = None
-            for j in range(nt + n_slack):
-                if abs(tableau[r, j]) > PIVOT_TOL:
-                    target = j
-                    break
-            if target is None:
-                keep[r] = False
-            else:
-                _pivot(tableau, z_row, basis, r, target)
-    if not keep.all():
-        tableau = tableau[keep]
-        basis = [b for b, k in zip(basis, keep) if k]
-        dropped = {rows[r][3] for r in range(n_rows) if not keep[r]
-                   and rows[r][3] is not None}
-        n_rows = tableau.shape[0]
-    else:
-        dropped = set()
-
-    # phase 2: original costs over t-variables, artificials locked out
-    c_t = np.zeros(width)
-    for j in range(m):
-        kind = var_map[j]
-        cj = program.objective[j]
-        if kind[0] == "shift":
-            c_t[kind[1]] += cj
-        elif kind[0] == "reflect":
-            c_t[kind[1]] -= cj
-        else:
-            c_t[kind[1]] += cj
-            c_t[kind[2]] -= cj
-    z_row = c_t.copy()
-    for r in range(n_rows):
-        if z_row[basis[r]] != 0.0:
-            z_row -= z_row[basis[r]] * tableau[r]
-    allowed = [j for j in range(width - 1) if j not in art_set]
-    unbounded_col = _run_simplex(tableau, z_row, basis, allowed, phase=2)
-    if unbounded_col is not None:
-        return LpResult(UNBOUNDED, None, None, None, phase1_residual)
-
-    t_values = np.zeros(width - 1)
-    for r in range(n_rows):
-        t_values[basis[r]] = tableau[r, -1]
-    y = np.zeros(m)
-    for j in range(m):
-        kind = var_map[j]
-        if kind[0] == "shift":
-            y[j] = kind[2] + t_values[kind[1]]
-        elif kind[0] == "reflect":
-            y[j] = kind[2] - t_values[kind[1]]
-        else:
-            y[j] = t_values[kind[1]] - t_values[kind[2]]
-    objective = float(np.dot(program.objective, y))
-
-    duals = np.zeros(len(program.constraints))
-    for i in range(len(program.constraints)):
-        if i in dropped or i not in aux_info:
-            continue
-        col, kind, sign = aux_info[i]
-        if kind == "surplus":
-            duals[i] = sign * z_row[col]
-        else:
-            duals[i] = -sign * z_row[col]
-    return LpResult(OPTIMAL, y, objective, duals, phase1_residual)
+            equal.append((a, b))
+    a_ub, b_ub = _matrix(upper)
+    a_eq, b_eq = _matrix(equal)
+    bounds = (0, None) if program.bounds is None else program.bounds
+    result = linprog(program.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
+                     b_eq=b_eq, bounds=bounds, method="highs")
+    status = _STATUSES.get(result.status)
+    if status is None:
+        raise NumericalBreakdown(
+            "HiGHS status %d: %s" % (result.status, result.message))
+    if status != OPTIMAL:
+        return LpResult(status, None, None)
+    y = np.asarray(result.x, dtype=float)
+    return LpResult(OPTIMAL, y, float(np.dot(program.objective, y)))

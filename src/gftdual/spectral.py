@@ -1,9 +1,8 @@
 """Adjacency eigendecompositions and the graph Fourier transform.
 
-The eigensolver is a cyclic Jacobi rotation sweep on the dense symmetric
-matrix. It is dependency-free, accurate at the sizes this library targets
-(n up to ~100) and fully deterministic: two calls on the same matrix return
-bit-identical output.
+Eigenpairs come from LAPACK's symmetric eigensolver through
+numpy.linalg.eigh. Two calls on the same matrix give the same output on
+one machine and numpy build; other builds may differ in the last bits.
 
 Column convention: eigenvalues ascending; each eigenvector is scaled so its
 largest-magnitude entry is positive, ties broken by the lowest row index.
@@ -16,30 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotSquareError, SizeMismatchError
+from .errors import (ConvergenceFailure, NonFiniteEntryError, NotSquareError,
+                     SizeMismatchError)
 from .graphs import Graph
 
-_MAX_SWEEPS = 100
-_OFF_DIAGONAL_TOL = 1e-12  # relative to the Frobenius norm of the input
 
-
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def jacobi_eigh(matrix: np.ndarray, warm_start: np.ndarray | None = None):
-    """Eigenpairs of a dense symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigh(matrix: np.ndarray):
+    """Eigenpairs of a dense symmetric matrix (LAPACK, via numpy.linalg.eigh).
 
     Parameters
     ----------
     matrix:
-        Symmetric (n, n) array. Not modified.
-    warm_start:
-        Optional orthogonal matrix Q close to an eigenbasis; the sweep then
-        runs on Q.T @ matrix @ Q, which converges in very few rotations when
-        Q came from a nearby matrix. The result is still exact for `matrix`.
+        Symmetric (n, n) array of finite entries. Not modified; only its
+        lower triangle is read.
 
     Returns
     -------
@@ -50,57 +38,13 @@ def jacobi_eigh(matrix: np.ndarray, warm_start: np.ndarray | None = None):
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquareError("jacobi_eigh needs a square matrix")
-    n = a.shape[0]
-    scale = float(np.linalg.norm(a))
-    threshold = _OFF_DIAGONAL_TOL * scale
-    if warm_start is None:
-        m = a.copy()
-        v = np.eye(n)
-    else:
-        v = np.array(warm_start, dtype=float)
-        m = v.T @ a @ v
-        m = 0.5 * (m + m.T)
-    # Entries at or below skip_tol cannot push the off-diagonal norm past
-    # the threshold even if all n^2 of them survive.
-    skip_tol = threshold / max(1, 4 * n)
-    converged = _off_diagonal_norm(m) <= threshold
-    for _ in range(_MAX_SWEEPS):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= skip_tol:
-                    continue
-                tau = (m[q, q] - m[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = m[:, p].copy()
-                col_q = m[:, q].copy()
-                m[:, p] = c * col_p - s * col_q
-                m[:, q] = s * col_p + c * col_q
-                row_p = m[p, :].copy()
-                row_q = m[q, :].copy()
-                m[p, :] = c * row_p - s * row_q
-                m[q, :] = s * row_p + c * row_q
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-        converged = _off_diagonal_norm(m) <= threshold
-    if not converged:
-        raise ConvergenceFailure(
-            f"Jacobi sweep did not reach {threshold:.3e} in {_MAX_SWEEPS} sweeps"
-        )
-    eigenvalues = np.diagonal(m).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], v[:, order]
+    if not np.isfinite(a).all():
+        raise NonFiniteEntryError("jacobi_eigh needs finite entries")
+    try:
+        eigenvalues, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as error:
+        raise ConvergenceFailure("LAPACK eigh: %s" % error) from error
+    return eigenvalues, vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +74,7 @@ def eigendecompose(graph: Graph) -> SpectralDecomposition:
 
     Eigenvalues ascending; each eigenvector column is flipped, if needed,
     so that its largest-magnitude entry (lowest row index on ties) is
-    positive. Deterministic: repeat calls are bit-identical.
+    positive. Deterministic: repeat calls on one build are bit-identical.
     """
     w, v = jacobi_eigh(graph.adjacency)
     for k in range(v.shape[1]):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gftdual import dup
 from gftdual.alignment import CD, SolverConfig, multistart, trace_objective
 from gftdual.dup import BoundResult, CouplingMatrix, build_coupling, dup_bound
 from gftdual.errors import (NonFiniteEntryError, NonOrthogonalInputError,
@@ -136,6 +137,30 @@ def test_bound_is_deterministic():
     assert np.array_equal(first.nu, second.nu)
     assert first.cuts == second.cuts
     assert first.master_history == second.master_history
+
+
+def test_master_lp_primal_form(monkeypatch):
+    calls = []
+    solve_master = dup._solve_master
+
+    def recording(cuts, rhs, m):
+        value, nu = solve_master(cuts, rhs, m)
+        calls.append((list(cuts), m, value, nu))
+        return value, nu
+
+    monkeypatch.setattr(dup, "_solve_master", recording)
+    for seed in (0, 10, 20):
+        v1, v2 = _pair(seed=seed)
+        coupling = build_coupling(v1, v2)
+        del calls[:]
+        dup_bound(coupling)
+        cuts, m, value, nu = calls[-1]
+        assert cuts
+        assert nu.shape == (m,)
+        assert abs(value - float(np.sum(nu))) <= 1e-9
+        assert np.all(nu >= 0.0)
+        for v in cuts:
+            assert np.square(v) @ nu >= v @ coupling.w @ v - 1e-9
 
 
 def test_coupling_validation():

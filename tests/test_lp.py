@@ -1,4 +1,4 @@
-"""Simplex solver tests against a vertex-enumeration oracle.
+"""LP solver tests against a vertex-enumeration oracle.
 
 Every bounded LP attains its optimum at a vertex, i.e. an intersection
 of n tight hyperplanes (constraint rows or bound faces), so for small
@@ -93,65 +93,15 @@ def test_random_instances_match_vertex_oracle():
                                         bounds=bounds))
         if expected is None:
             assert result.status == INFEASIBLE
-            assert result.phase1_residual > 1e-8
             infeasible_seen += 1
         else:
             assert result.status == OPTIMAL
             assert abs(result.objective - expected) <= 1e-6
             assert _feasible(result.y, rows, bounds)
-            assert result.phase1_residual <= 1e-8
             optimal_seen += 1
     # the generator must exercise both outcomes to mean anything
     assert optimal_seen >= 20
     assert infeasible_seen >= 20
-
-
-def test_strong_duality_and_complementary_slackness():
-    rng = np.random.default_rng(101)
-    checked = 0
-    while checked < 25:
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(2, 5))
-        c = rng.integers(0, 5, size=n).astype(float)
-        rows = []
-        for _ in range(m):
-            a = rng.integers(-2, 4, size=n).astype(float)
-            if not np.any(a):
-                a[0] = 1.0
-            rel = (LESS_EQUAL, GREATER_EQUAL)[int(rng.integers(0, 2))]
-            rows.append((a, rel, float(rng.integers(-2, 4))))
-        # default bounds (0, None): standard form, so b'y equals c'x
-        result = solve_lp(LinearProgram(objective=c, constraints=tuple(rows)))
-        if result.status != OPTIMAL:
-            continue
-        dual_value = sum(float(y) * b for y, (_, _, b) in zip(result.duals, rows))
-        assert abs(dual_value - result.objective) <= 1e-7
-        for y_i, (a, rel, b) in zip(result.duals, rows):
-            slack = abs(float(np.dot(a, result.y)) - b)
-            if slack > 1e-6:
-                assert abs(y_i) <= 1e-7
-            if rel == LESS_EQUAL:
-                assert y_i <= 1e-9
-            else:
-                assert y_i >= -1e-9
-        checked += 1
-
-
-def test_shadow_price_signs_by_finite_difference():
-    # nondegenerate program: min 3x + 2y, x + y >= 2, x - y <= 1, x,y >= 0
-    c = np.array([3.0, 2.0])
-    rows = [(np.array([1.0, 1.0]), GREATER_EQUAL, 2.0),
-            (np.array([1.0, -1.0]), LESS_EQUAL, 1.0)]
-    base = solve_lp(LinearProgram(objective=c, constraints=tuple(rows)))
-    assert base.status == OPTIMAL
-    delta = 1e-3
-    for i in range(len(rows)):
-        bumped = list(rows)
-        a, rel, b = bumped[i]
-        bumped[i] = (a, rel, b + delta)
-        res = solve_lp(LinearProgram(objective=c, constraints=tuple(bumped)))
-        fd = (res.objective - base.objective) / delta
-        assert abs(fd - base.duals[i]) <= 1e-6
 
 
 def test_equality_program():
@@ -174,7 +124,6 @@ def test_redundant_equality_rows():
     result = solve_lp(program)
     assert result.status == OPTIMAL
     assert abs(result.objective - 2.0) <= 1e-8
-    assert len(result.duals) == 3
 
 
 def test_unbounded_detection():
@@ -195,7 +144,6 @@ def test_infeasible_detection():
                      (np.array([1.0]), LESS_EQUAL, 2.0)))
     result = solve_lp(program)
     assert result.status == INFEASIBLE
-    assert result.phase1_residual > 0.5
 
 
 def test_free_and_bounded_variables():
@@ -234,8 +182,6 @@ def test_row_scaling_invariance():
                      (np.array([2.0, 1.0]), GREATER_EQUAL, 2.0))))
     assert abs(base.objective - scaled.objective) <= 1e-9
     assert np.allclose(base.y, scaled.y, atol=1e-9)
-    # scaled row's shadow price scales inversely
-    assert abs(base.duals[0] - 10.0 * scaled.duals[0]) <= 1e-9
 
 
 def test_beale_cycling_example():
@@ -258,6 +204,20 @@ def test_zero_objective_feasibility_mode():
     result = solve_lp(program)
     assert result.status == OPTIMAL
     assert result.objective == 0.0
+
+
+def test_program_without_variables():
+    program = LinearProgram(
+        objective=np.zeros(0),
+        constraints=((np.zeros(0), LESS_EQUAL, 1.0),
+                     (np.zeros(0), EQUAL, 0.0)))
+    result = solve_lp(program)
+    assert result.status == OPTIMAL
+    assert result.y.shape == (0,)
+    program = LinearProgram(
+        objective=np.zeros(0),
+        constraints=((np.zeros(0), GREATER_EQUAL, 1.0),))
+    assert solve_lp(program).status == INFEASIBLE
 
 
 def test_validation_errors():

@@ -1,9 +1,10 @@
-"""Eigensolver tests with numpy.linalg.eigh as the independent oracle."""
+"""Eigensolver conventions, GFT and DFT tests."""
 
 import numpy as np
 import pytest
 
-from gftdual.errors import NotSquareError, SizeMismatchError
+from gftdual.errors import (NonFiniteEntryError, NotSquareError,
+                            SizeMismatchError)
 from gftdual.graphs import circulant, erdos_renyi, new_graph
 from gftdual.spectral import (SpectralDecomposition, dft_matrix,
                               eigendecompose, gft, has_distinct_eigenvalues,
@@ -43,20 +44,17 @@ def test_eigenvalues_ascending():
         assert np.all(np.diff(w) >= 0.0)
 
 
-def test_warm_start_correct_on_perturbed_matrix():
-    rng = np.random.default_rng(4)
-    a = _random_symmetric(rng, 20)
-    w0, v0 = jacobi_eigh(a)
-    b = a + 1e-6 * _random_symmetric(rng, 20)
-    w1, v1 = jacobi_eigh(b, warm_start=v0)
-    oracle = np.linalg.eigvalsh(b)
-    assert np.max(np.abs(w1 - oracle)) <= 1e-10 * max(1.0, float(np.linalg.norm(b)))
-    assert np.linalg.norm(v1.T @ v1 - np.eye(20)) <= 1e-11 * 20
-
-
 def test_jacobi_rejects_non_square():
     with pytest.raises(NotSquareError):
         jacobi_eigh(np.zeros((2, 3)))
+
+
+def test_jacobi_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.eye(4)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(NonFiniteEntryError):
+            jacobi_eigh(a)
 
 
 def test_jacobi_deterministic():
