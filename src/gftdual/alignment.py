@@ -89,8 +89,41 @@ def _check_phases(d, n, name):
     return d
 
 
+def _check_phase_stack(d, n, name):
+    """One start, shape (n,), or a stack of starts, shape (R, n), as (R, n)."""
+    d = np.asarray(d, dtype=complex)
+    stack = d[None] if d.ndim == 1 else d
+    if stack.ndim != 2 or stack.shape[1] != n or stack.shape[0] < 1:
+        raise SizeMismatchError("%s must have shape (%d,) or (R, %d), got %s"
+                                % (name, n, n, d.shape))
+    return stack
+
+
+def _check_permutation_stack(p, n, name):
+    p = np.asarray(p)
+    stack = p[None] if p.ndim == 1 else p
+    if stack.ndim != 2 or stack.shape[0] < 1:
+        raise SizeMismatchError("%s must have shape (%d,) or (R, %d), got %s"
+                                % (name, n, n, p.shape))
+    return np.array([check_permutation(row, n) for row in stack])
+
+
+def _check_start_count(stacks):
+    counts = {stack.shape[0] for stack in stacks}
+    if len(counts) != 1:
+        raise SizeMismatchError("init stacks hold different numbers of "
+                                "starts: %s" % sorted(counts))
+
+
 def _dualness_from_objective(n, objective):
     return math.sqrt(max(0.0, 2.0 * n - 2.0 * objective))
+
+
+def _objective(v1, d1, p1, v2, d2, p2):
+    # Re tr(L R) = Re sum(L * R'), with no n^3 product
+    left = (v1 * d1)[:, invert_permutation(p1)]
+    right = (v2 * d2)[:, invert_permutation(p2)]
+    return float(np.real(np.sum(left * right.T)))
 
 
 def trace_objective(v1, d1, p1, v2, d2, p2):
@@ -105,9 +138,18 @@ def trace_objective(v1, d1, p1, v2, d2, p2):
     d2 = _check_phases(d2, n, "d2")
     p1 = check_permutation(p1, n)
     p2 = check_permutation(p2, n)
-    left = (v1 * d1)[:, invert_permutation(p1)]
-    right = (v2 * d2)[:, invert_permutation(p2)]
-    return float(np.real(np.trace(left @ right)))
+    return _objective(v1, d1, p1, v2, d2, p2)
+
+
+def _phases_of_diagonal(diag):
+    """Best unit phases conj(a)/|a| for the entries a of diag (any shape)
+    and the summed value over the last axis; |a| <= 1e-12 gets phase 1
+    and contributes 0."""
+    mag = np.abs(diag)
+    keep = mag > ZERO_DIAGONAL_TOL
+    d = np.where(keep, np.conj(diag) / np.where(keep, mag, 1.0), 1.0 + 0.0j)
+    value = np.sum(np.where(keep, mag, 0.0), axis=-1)
+    return d, value
 
 
 def optimal_phases(a):
@@ -119,49 +161,74 @@ def optimal_phases(a):
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SizeMismatchError("optimal_phases needs a square matrix")
-    diag = np.diagonal(a).astype(complex)
-    mag = np.abs(diag)
-    keep = mag > ZERO_DIAGONAL_TOL
-    d = np.where(keep, np.conj(diag) / np.where(keep, mag, 1.0), 1.0 + 0.0j)
-    value = float(np.sum(np.where(keep, mag, 0.0)))
-    return d, value
+    d, value = _phases_of_diagonal(np.diagonal(a).astype(complex))
+    return d, float(value)
 
 
 def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
              update_permutations, trace=None):
-    """Shared CD/CDPM loop.  Mutates nothing; returns the final state.
+    """Shared CD/CDPM loop over a stack of starts, rows of the (R, n)
+    arrays d1, p1, d2, p2.  Mutates nothing.
 
-    trace, when given, receives the objective after every half-step.
+    Each start stops at its own convergence or at max_iterations and is
+    frozen from then on.  Returns the best start's final state, its
+    objective, iteration count and convergence flag; ties keep the
+    earliest start.  trace, when given (one start only), receives the
+    objective after every half-step.
     """
     d1 = d1.astype(complex)
     d2 = d2.astype(complex)
-    previous = trace_objective(v1, d1, p1, v2, d2, p2)
+    p1 = p1.copy()
+    p2 = p2.copy()
+    count, n = d1.shape
+    columns = np.arange(n)
+
+    def respond(va, vb, da, pa):
+        """Best phases (and permutations) of side b against side a: the
+        objective is Re tr(Pb S Db) = sum_k Re(S[pb(k), k] db[k]) with
+        S = Va Da Pa Vb."""
+        if not update_permutations:
+            # diag(Va Da Vb)_k = sum_j Va[k, j] da[j] Vb[j, k]: one
+            # (R, n) x (n, n) product gives every start's diagonal
+            return _phases_of_diagonal(da @ (va.T * vb)) + (None,)
+        diag = np.empty(da.shape, dtype=complex)
+        pb = np.empty(pa.shape, dtype=np.intp)
+        for i in range(da.shape[0]):
+            s = (va * da[i]) @ vb[pa[i]]
+            pb[i], _ = solve_assignment_max(np.abs(s))
+            diag[i] = s[pb[i], columns]
+        return _phases_of_diagonal(diag) + (pb,)
+
+    previous = np.array([_objective(v1, d1[i], p1[i], v2, d2[i], p2[i])
+                         for i in range(count)])
+    current = previous.copy()
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    active = np.arange(count)
     if trace is not None:
-        trace.append(previous)
-    iterations = 0
-    converged = False
-    current = previous
+        trace.append(float(previous[0]))
     for _ in range(max_iterations):
-        # side 2: objective = Re tr(P2 S2 D2) = sum_k Re(S2[p2(k), k] d2[k])
-        s2 = (v1 * d1)[:, invert_permutation(p1)] @ v2
-        if update_permutations:
-            p2, _ = solve_assignment_max(np.abs(s2))
-        d2, half_value = optimal_phases(s2[p2])
+        d2[active], half_value, pb = respond(v1, v2, d1[active], p1[active])
+        if pb is not None:
+            p2[active] = pb
         if trace is not None:
-            trace.append(half_value)
-        # side 1: objective = Re tr(P1 S1 D1), S1 = V2 D2 P2 V1
-        s1 = (v2 * d2)[:, invert_permutation(p2)] @ v1
-        if update_permutations:
-            p1, _ = solve_assignment_max(np.abs(s1))
-        d1, current = optimal_phases(s1[p1])
+            trace.append(float(half_value[0]))
+        d1[active], value, pb = respond(v2, v1, d2[active], p2[active])
+        if pb is not None:
+            p1[active] = pb
         if trace is not None:
-            trace.append(current)
-        iterations += 1
-        if current - previous < epsilon:
-            converged = True
+            trace.append(float(value[0]))
+        iterations[active] += 1
+        current[active] = value
+        done = value - previous[active] < epsilon
+        converged[active[done]] = True
+        previous[active] = value
+        active = active[~done]
+        if active.size == 0:
             break
-        previous = current
-    return d1, p1, d2, p2, current, iterations, converged
+    best = int(np.argmax(current))
+    return (d1[best], p1[best], d2[best], p2[best], float(current[best]),
+            int(iterations[best]), bool(converged[best]))
 
 
 def _prepare_pair(v1, v2):
@@ -173,56 +240,59 @@ def _prepare_pair(v1, v2):
     return v1, v2, v1.shape[0]
 
 
-def cd_align(v1, v2, config=SolverConfig(), init=None, trace=None):
-    """Coordinate descent on the phases with permutations fixed to identity.
-
-    init is an optional (d1, d2) pair; the default start is all-ones
-    phases.  trace, when a list, receives the objective value after the
-    initialization and after every half-step.
-    """
-    v1, v2, n = _prepare_pair(v1, v2)
-    identity = np.arange(n, dtype=np.intp)
-    if init is None:
-        d1 = np.ones(n, dtype=complex)
-        d2 = np.ones(n, dtype=complex)
-    else:
-        d1 = _check_phases(init[0], n, "init d1")
-        d2 = _check_phases(init[1], n, "init d2")
+def _solve(v1, v2, n, d1, p1, d2, p2, config, update_permutations, trace):
+    if trace is not None and d1.shape[0] != 1:
+        raise ValueError("trace needs a single start, got %d"
+                         % d1.shape[0])
     d1, p1, d2, p2, objective, iterations, converged = _descend(
-        v1, v2, d1, identity, d2, identity,
-        config.epsilon, config.max_iterations, update_permutations=False,
-        trace=trace)
+        v1, v2, d1, p1, d2, p2, config.epsilon, config.max_iterations,
+        update_permutations, trace)
     return AlignmentSolution(d1, d2, p1, p2, objective,
                              _dualness_from_objective(n, objective),
                              iterations, converged)
+
+
+def cd_align(v1, v2, config=SolverConfig(), init=None, trace=None):
+    """Coordinate descent on the phases with permutations fixed to identity.
+
+    init is an optional (d1, d2) pair: phase vectors of length n for one
+    start, or (R, n) stacks for R starts run together, of which the best
+    is returned (ties keep the earliest).  The default start is all-ones
+    phases.  trace, when a list, receives the objective value after the
+    initialization and after every half-step; it needs a single start.
+    """
+    v1, v2, n = _prepare_pair(v1, v2)
+    if init is None:
+        init = (np.ones(n), np.ones(n))
+    d1 = _check_phase_stack(init[0], n, "init d1")
+    d2 = _check_phase_stack(init[1], n, "init d2")
+    _check_start_count((d1, d2))
+    identity = np.tile(np.arange(n, dtype=np.intp), (d1.shape[0], 1))
+    return _solve(v1, v2, n, d1, identity, d2, identity, config,
+                  update_permutations=False, trace=trace)
 
 
 def cdpm_align(v1, v2, config=SolverConfig(), init=None, trace=None):
     """CD extended with per-iteration exact max-assignment permutation updates.
 
-    init is an optional (d1, p1, d2, p2) tuple; the default start is
+    init is an optional (d1, p1, d2, p2) tuple: vectors of length n for
+    one start, or (R, n) stacks for R starts run together, of which the
+    best is returned (ties keep the earliest).  The default start is
     all-ones phases and identity permutations.  trace, when a list,
     receives the objective value after the initialization and after
-    every half-step.
+    every half-step; it needs a single start.
     """
     v1, v2, n = _prepare_pair(v1, v2)
     if init is None:
-        d1 = np.ones(n, dtype=complex)
-        d2 = np.ones(n, dtype=complex)
-        p1 = np.arange(n, dtype=np.intp)
-        p2 = np.arange(n, dtype=np.intp)
-    else:
-        d1 = _check_phases(init[0], n, "init d1")
-        p1 = check_permutation(init[1], n)
-        d2 = _check_phases(init[2], n, "init d2")
-        p2 = check_permutation(init[3], n)
-    d1, p1, d2, p2, objective, iterations, converged = _descend(
-        v1, v2, d1, p1, d2, p2,
-        config.epsilon, config.max_iterations, update_permutations=True,
-        trace=trace)
-    return AlignmentSolution(d1, d2, p1, p2, objective,
-                             _dualness_from_objective(n, objective),
-                             iterations, converged)
+        identity = np.arange(n, dtype=np.intp)
+        init = (np.ones(n), identity, np.ones(n), identity)
+    d1 = _check_phase_stack(init[0], n, "init d1")
+    p1 = _check_permutation_stack(init[1], n, "init p1")
+    d2 = _check_phase_stack(init[2], n, "init d2")
+    p2 = _check_permutation_stack(init[3], n, "init p2")
+    _check_start_count((d1, p1, d2, p2))
+    return _solve(v1, v2, n, d1, p1, d2, p2, config,
+                  update_permutations=True, trace=trace)
 
 
 def _random_init(stream, n, with_permutations):
@@ -239,25 +309,21 @@ def multistart(method, v1, v2, config=SolverConfig()):
     """Best of config.restarts independent seeded runs of CD or CDPM.
 
     Restart r uses the derived stream SplitMix64(seed + r); phases are
-    uniform on the unit circle, permutations uniform.  The best
-    objective wins; ties keep the earliest restart.
+    uniform on the unit circle, permutations uniform.  All restarts run
+    as one stacked descent; the best objective wins and ties keep the
+    earliest restart.
     """
     method = method.upper()
     if method not in (CD, CDPM):
         raise ValueError("method must be CD or CDPM, got %r" % (method,))
     v1, v2, n = _prepare_pair(v1, v2)
-    best = None
-    for r in range(config.restarts):
-        stream = derive_stream(config.seed, r)
-        if method == CD:
-            init = _random_init(stream, n, with_permutations=False)
-            solution = cd_align(v1, v2, config, init)
-        else:
-            init = _random_init(stream, n, with_permutations=True)
-            solution = cdpm_align(v1, v2, config, init)
-        if best is None or solution.objective > best.objective:
-            best = solution
-    return best
+    with_permutations = method == CDPM
+    starts = [_random_init(derive_stream(config.seed, r), n, with_permutations)
+              for r in range(config.restarts)]
+    init = tuple(np.array(part) for part in zip(*starts))
+    if method == CD:
+        return cd_align(v1, v2, config, init)
+    return cdpm_align(v1, v2, config, init)
 
 
 def run_pair(g1: Graph, g2: Graph, method, config=SolverConfig()):

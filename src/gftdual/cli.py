@@ -86,7 +86,7 @@ def _cmd_gen(args):
 def _cmd_dualness(args):
     g1 = read_graph_file(args.graph1)
     g2 = read_graph_file(args.graph2)
-    solution = run_pair(g1, g2, args.method.upper(), _solver_config(args))
+    solution = run_pair(g1, g2, args.method.upper(), args.config)
     sys.stdout.write("objective " + NUMBER_FORMAT % solution.objective + "\n")
     sys.stdout.write("dualness " + NUMBER_FORMAT % solution.dualness + "\n")
     return 0
@@ -127,13 +127,16 @@ def _cmd_circulant_check(args):
     return 0
 
 
-def _cmd_experiment(args):
-    config = ExperimentConfig(
+def _experiment_config(args):
+    return ExperimentConfig(
         n_values=_parse_n_list(args.n), p=args.p, trials=args.trials,
         restarts=args.restarts, epsilon=args.epsilon,
         max_iterations=args.max_iter, seed=args.seed,
         methods=tuple(m.strip().upper() for m in args.methods.split(",")))
-    records = run_experiment(config)
+
+
+def _cmd_experiment(args):
+    records = run_experiment(args.config)
     _emit(write_csv(records), args.output)
     if args.plot is not None:
         _emit(plot_fig1(records), args.plot)
@@ -169,7 +172,7 @@ def _build_parser():
     dualness.add_argument("graph2")
     dualness.add_argument("--method", choices=("cd", "cdpm"), default="cd")
     _add_solver_flags(dualness)
-    dualness.set_defaults(handler=_cmd_dualness)
+    dualness.set_defaults(handler=_cmd_dualness, configure=_solver_config)
 
     bound = commands.add_parser("bound", help="certified upper bound")
     bound.add_argument("graph1")
@@ -200,7 +203,8 @@ def _build_parser():
     experiment.add_argument("--methods", default="cd,cdpm,dup")
     experiment.add_argument("-o", "--output", default=None)
     experiment.add_argument("--plot", default=None)
-    experiment.set_defaults(handler=_cmd_experiment)
+    experiment.set_defaults(handler=_cmd_experiment,
+                            configure=_experiment_config)
 
     plot = commands.add_parser("plot", help="SVG chart from an experiment CSV")
     plot.add_argument("csv")
@@ -213,6 +217,13 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    configure = getattr(args, "configure", None)
+    if configure is not None:
+        # out-of-range option values are usage errors, not solver errors
+        try:
+            args.config = configure(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.handler(args)
     except GftDualError as exc:

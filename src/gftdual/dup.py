@@ -35,7 +35,6 @@ ORTHOGONALITY_TOL = 1e-8
 # coordinate ascent on the low-rank factorization of the relaxation
 _MIXING_SWEEP_CAP = 20000
 _MIXING_STEP_TOL = 1e-13
-_REFRESH_INTERVAL = 40
 _MIXING_SEED = 0x1F2E3D4C
 _MIXING_ATTEMPTS = 3
 _INSURANCE_SLACK = 1e-2
@@ -128,14 +127,34 @@ def _gaussian(stream, rows, cols):
     return z.reshape(rows, cols)
 
 
+def _normalize_rows(g, r):
+    """Replace each row of r by the unit row of g, in place.
+
+    A row of g with norm below 1e-300 leaves its row of r unchanged.
+    Returns the largest row step.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+    dead = norms < 1e-300
+    new = np.where(dead, r, g / np.where(dead, 1.0, norms))
+    diff = new - r
+    r[...] = new
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff),
+                                initial=0.0)))
+
+
 def _mixing_dual(w, stream):
     """Coordinate ascent for max <W, RR'> over unit rows of R.
 
-    The rank exceeds the guaranteed rank of an extreme optimal solution,
-    so stationary points of the ascent are global optima of the
+    W = [[0, B], [B', 0]] is bipartite, so no row of one side couples to
+    another row of the same side and a row-by-row sweep is exactly the
+    two-block update R1 = rownorm(B R2), then R2 = rownorm(B' R1).  The
+    rank exceeds the guaranteed rank of an extreme optimal solution, so
+    second-order critical points of the ascent are global optima of the
     relaxation; the row norms of WR are the matching dual variables.
     """
     m = w.shape[0]
+    n = m // 2
+    b = w[:n, n:]
     rank = int(np.ceil(np.sqrt(2.0 * m))) + 1
     r = _gaussian(stream, m, rank)
     norms = np.linalg.norm(r, axis=1)
@@ -145,27 +164,14 @@ def _mixing_dual(w, stream):
         r[degenerate, 0] = 1.0
         norms[degenerate] = 1.0
     r /= norms[:, None]
-    g = w @ r
-    for sweep in range(_MIXING_SWEEP_CAP):
-        delta = 0.0
-        for i in range(m):
-            gi = g[i]
-            ng = np.linalg.norm(gi)
-            if ng < 1e-300:
-                continue
-            rnew = gi / ng
-            dr = rnew - r[i]
-            step = np.linalg.norm(dr)
-            if step > delta:
-                delta = step
-            g += np.outer(w[:, i], dr)
-            r[i] = rnew
-        if (sweep + 1) % _REFRESH_INTERVAL == 0:
-            g = w @ r
-        if delta <= _MIXING_STEP_TOL:
+    r1 = r[:n]
+    r2 = r[n:]
+    for _ in range(_MIXING_SWEEP_CAP):
+        step = _normalize_rows(b @ r2, r1)
+        step = max(step, _normalize_rows(b.T @ r1, r2))
+        if step <= _MIXING_STEP_TOL:
             break
-    g = w @ r
-    return np.linalg.norm(g, axis=1)
+    return np.linalg.norm(w @ r, axis=1)
 
 
 def _solve_master(cuts, rhs, m):

@@ -7,8 +7,9 @@ from gftdual.alignment import (CD, CDPM, SolverConfig, cd_align, cdpm_align,
                                isomorphism_transport, multistart,
                                optimal_phases, run_pair, trace_objective,
                                verify_circulant_duality)
-from gftdual.errors import (NonOrthogonalInputError, NotCirculantError,
-                            RepeatedEigenvaluesError, SizeMismatchError)
+from gftdual.errors import (IndexOutOfRangeError, NonOrthogonalInputError,
+                            NotCirculantError, RepeatedEigenvaluesError,
+                            SizeMismatchError)
 from gftdual.graphs import (circulant, erdos_renyi, invert_permutation,
                             permutation_matrix)
 from gftdual.rng import derive_stream
@@ -175,6 +176,91 @@ def test_multistart_deterministic_and_matches_manual_restart():
     p2 = stream.permutation(9)
     manual = cdpm_align(v1, v2, SolverConfig(restarts=1, seed=12), (d1, p1, d2, p2))
     assert single.objective == manual.objective
+
+
+def _seeded_starts(method, n, count, seed):
+    """The starts multistart draws: restart r from derive_stream(seed, r)."""
+    starts = []
+    for r in range(count):
+        stream = derive_stream(seed, r)
+        d1 = stream.unit_phases(n)
+        d2 = stream.unit_phases(n)
+        if method == CD:
+            starts.append((d1, d2))
+        else:
+            starts.append((d1, stream.permutation(n), d2, stream.permutation(n)))
+    return starts
+
+
+@pytest.mark.parametrize("method", [CD, CDPM])
+def test_stacked_starts_return_earliest_best_run(method):
+    n = 10
+    v1 = _eigvecs(n, 0.4, 80)
+    v2 = _eigvecs(n, 0.4, 81)
+    align = cd_align if method == CD else cdpm_align
+    config = SolverConfig(max_iterations=3)
+    starts = _seeded_starts(method, n, 6, seed=4)
+    # a start at the best optimum multistart finds converges inside the
+    # cap and wins; the random starts stop at the cap
+    optimum = multistart(method, v1, v2, SolverConfig(restarts=20))
+    at_optimum = ((optimum.d1, optimum.d2) if method == CD else
+                  (optimum.d1, optimum.p1, optimum.d2, optimum.p2))
+    starts.insert(2, at_optimum)
+    single = [align(v1, v2, config, start) for start in starts]
+    assert any(run.converged for run in single)
+    assert not all(run.converged for run in single)
+    stack = tuple(np.array(part) for part in zip(*starts))
+    stacked = align(v1, v2, config, stack)
+    best = single[int(np.argmax([run.objective for run in single]))]
+    assert best.converged and best.iterations < config.max_iterations
+    assert abs(stacked.objective - best.objective) <= 1e-12
+    assert np.max(np.abs(stacked.d1 - best.d1)) <= 1e-12
+    assert np.max(np.abs(stacked.d2 - best.d2)) <= 1e-12
+    assert np.array_equal(stacked.p1, best.p1)
+    assert np.array_equal(stacked.p2, best.p2)
+    assert stacked.iterations == best.iterations
+    assert stacked.converged == best.converged
+    assert stacked.dualness == best.dualness
+
+
+@pytest.mark.parametrize("method", [CD, CDPM])
+def test_multistart_is_one_stacked_call(method):
+    n = 9
+    v1 = _eigvecs(n, 0.4, 90)
+    v2 = _eigvecs(n, 0.4, 91)
+    align = cd_align if method == CD else cdpm_align
+    config = SolverConfig(restarts=12, seed=5)
+    starts = _seeded_starts(method, n, config.restarts, config.seed)
+    stacked = align(v1, v2, config, tuple(np.array(part)
+                                          for part in zip(*starts)))
+    solution = multistart(method, v1, v2, config)
+    assert solution.objective == stacked.objective
+    assert np.array_equal(solution.d1, stacked.d1)
+    assert np.array_equal(solution.d2, stacked.d2)
+    assert np.array_equal(solution.p1, stacked.p1)
+    assert np.array_equal(solution.p2, stacked.p2)
+    assert solution.iterations == stacked.iterations
+
+
+def test_stacked_start_validation():
+    n = 6
+    v1 = _eigvecs(n, 0.5, 20)
+    v2 = _eigvecs(n, 0.5, 21)
+    phases = np.ones((3, n))
+    perms = np.tile(np.arange(n), (3, 1))
+    with pytest.raises(ValueError):
+        cd_align(v1, v2, init=(phases, phases), trace=[])
+    with pytest.raises(ValueError):
+        cdpm_align(v1, v2, init=(phases, perms, phases, perms), trace=[])
+    with pytest.raises(SizeMismatchError):
+        cd_align(v1, v2, init=(phases, phases[:2]))
+    with pytest.raises(SizeMismatchError):
+        cdpm_align(v1, v2, init=(phases, perms[:2], phases, perms))
+    with pytest.raises(SizeMismatchError):
+        cd_align(v1, v2, init=(np.ones((3, n + 1)), np.ones((3, n + 1))))
+    with pytest.raises(IndexOutOfRangeError):
+        cdpm_align(v1, v2, init=(phases, np.zeros((3, n), dtype=int),
+                                 phases, perms))
 
 
 def test_multistart_more_restarts_never_worse():

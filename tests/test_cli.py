@@ -146,3 +146,18 @@ def test_invalid_config_surfaces_as_solver_error(tmp_path, capsys):
         main(["experiment", "--trials", "x"])
     assert info.value.code == 1
     capsys.readouterr()
+    # well-formed but out-of-range values are usage errors too, reported
+    # before any graph file is read
+    missing = [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+    for argv, message in (
+            (["dualness", *missing, "--restarts", "0"], "restarts"),
+            (["dualness", *missing, "--max-iter", "0"], "max_iterations"),
+            (["dualness", *missing, "--epsilon", "0"], "epsilon"),
+            (["experiment", "--n", "10,5"], "ascending"),
+            (["experiment", "--p", "1.5"], "p must"),
+            (["experiment", "--methods", "cd,foo"], "unknown method")):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1, argv
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err, argv

@@ -1,7 +1,11 @@
 """Certified trace-objective upper bound: validity, duality, determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gftdual import dup
 from gftdual.alignment import CD, SolverConfig, multistart, trace_objective
@@ -9,7 +13,7 @@ from gftdual.dup import BoundResult, CouplingMatrix, build_coupling, dup_bound
 from gftdual.errors import (NonFiniteEntryError, NonOrthogonalInputError,
                             SizeMismatchError)
 from gftdual.graphs import erdos_renyi
-from gftdual.rng import SplitMix64
+from gftdual.rng import SplitMix64, derive_stream
 from gftdual.spectral import eigendecompose
 
 
@@ -77,6 +81,25 @@ def test_bound_dominates_all_phase_assignments():
         assert value <= result.bound + 1e-6
     # the sampled phases must come close enough for the check to bite
     assert worst > 0.0
+
+
+def _random_orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diagonal(r))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=1, max_value=5),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_bound_dominates_every_sign_pattern(n, seed):
+    rng = np.random.default_rng(seed)
+    coupling = build_coupling(_random_orthogonal(rng, n),
+                              _random_orthogonal(rng, n))
+    bound = dup_bound(coupling).bound
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=2 * n)))
+    values = np.einsum("ki,ij,kj->k", signs, coupling.w, signs)
+    # lambda_min(diag(nu) - W) >= -DEFAULT_TOL and x'x = 2n for signs
+    assert np.max(values) <= bound + 2 * n * dup.DEFAULT_TOL
 
 
 def test_bound_certificate_is_psd():
@@ -161,6 +184,53 @@ def test_master_lp_primal_form(monkeypatch):
         assert np.all(nu >= 0.0)
         for v in cuts:
             assert np.square(v) @ nu >= v @ coupling.w @ v - 1e-9
+
+
+def _row_sequential_mixing(w, stream):
+    """Reference ascent: one row of R at a time, each from the current WR.
+
+    This is the row-by-row mixing method that the two-block update in
+    dup._mixing_dual replaces; it recomputes WR after every row.
+    """
+    m = w.shape[0]
+    rank = int(np.ceil(np.sqrt(2.0 * m))) + 1
+    r = dup._gaussian(stream, m, rank)
+    r /= np.linalg.norm(r, axis=1)[:, None]
+    for _ in range(dup._MIXING_SWEEP_CAP):
+        delta = 0.0
+        for i in range(m):
+            gi = w[i] @ r
+            ng = np.linalg.norm(gi)
+            if ng < 1e-300:
+                continue
+            rnew = gi / ng
+            delta = max(delta, float(np.linalg.norm(rnew - r[i])))
+            r[i] = rnew
+        if delta <= dup._MIXING_STEP_TOL:
+            break
+    return np.linalg.norm(w @ r, axis=1)
+
+
+@pytest.mark.parametrize("n", [5, 10, 20])
+def test_block_ascent_matches_row_sequential(n):
+    w = build_coupling(*_pair(n=n, seed=n)).w
+    for attempt in range(2):
+        expected = _row_sequential_mixing(w, derive_stream(7, attempt))
+        got = dup._mixing_dual(w, derive_stream(7, attempt))
+        assert np.max(np.abs(got - expected)) <= 1e-10
+
+
+def test_block_ascent_keeps_rows_with_zero_product():
+    # vertex 0 of side 1 couples to nothing, so its product row is zero
+    # and the degenerate-row guard keeps its row of R
+    w = build_coupling(*_pair(n=6, seed=4)).w.copy()
+    w[0, 6:] = 0.0
+    w[6:, 0] = 0.0
+    expected = _row_sequential_mixing(w, derive_stream(3, 0))
+    got = dup._mixing_dual(w, derive_stream(3, 0))
+    assert got[0] == 0.0
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - expected)) <= 1e-10
 
 
 def test_coupling_validation():
