@@ -12,9 +12,10 @@ from .errors import (GftDualError, IndexOutOfRangeError, SelfLoopError,
                      OffsetOutOfRangeError, ParseError, SizeMismatchError,
                      ConvergenceFailure, NotSquareError, NonFiniteEntryError,
                      TooLargeError, NumericalBreakdown,
-                     NonOrthogonalInputError, RepeatedEigenvaluesError,
-                     NotCirculantError, IterationCapExceeded,
-                     ResampleCapExceeded, EmptyInputError)
+                     NonOrthogonalInputError, NonUnitPhaseError,
+                     RepeatedEigenvaluesError, NotCirculantError,
+                     IterationCapExceeded, ResampleCapExceeded,
+                     EmptyInputError)
 from .rng import SplitMix64, derive_stream
 from .graphs import (Graph, new_graph, erdos_renyi, circulant, is_circulant,
                      check_permutation, invert_permutation,
@@ -42,7 +43,7 @@ __all__ = [
     "DuplicateEdgeError", "NonPositiveWeightError", "OffsetOutOfRangeError",
     "ParseError", "SizeMismatchError", "ConvergenceFailure",
     "NotSquareError", "NonFiniteEntryError", "TooLargeError",
-    "NumericalBreakdown", "NonOrthogonalInputError",
+    "NumericalBreakdown", "NonOrthogonalInputError", "NonUnitPhaseError",
     "RepeatedEigenvaluesError", "NotCirculantError", "IterationCapExceeded",
     "ResampleCapExceeded", "EmptyInputError",
     "SplitMix64", "derive_stream",

@@ -16,16 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import solve_assignment_max
-from .errors import (NonOrthogonalInputError, RepeatedEigenvaluesError,
+from .errors import (IndexOutOfRangeError, NonOrthogonalInputError,
+                     NonUnitPhaseError, RepeatedEigenvaluesError,
                      SizeMismatchError, NotCirculantError)
 from .graphs import Graph, check_permutation, invert_permutation, is_circulant
-from .rng import derive_stream
+from .rng import derive_stream, derived_words
 from .spectral import (dft_matrix, eigendecompose, has_distinct_eigenvalues,
                        minimum_eigenvalue_gap)
 
 ZERO_DIAGONAL_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-8
 CIRCULANT_DIAG_TOL = 1e-9
+UNIT_PHASE_TOL = 1e-9
+# CDPM forms the score matrices of at most this many complex entries at
+# once: one GEMM per block, without a full (R, n, n) stack in memory
+_SCORE_BLOCK_ENTRIES = 2 ** 14
 
 CD = "CD"
 CDPM = "CDPM"
@@ -51,6 +56,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class AlignmentSolution:
+    """The best start's phases, permutations, objective and descent, with
+    every start's iteration count and convergence flag in start order
+    (read-only arrays, length 1 for a single start)."""
+
     d1: np.ndarray
     d2: np.ndarray
     p1: np.ndarray
@@ -59,6 +68,8 @@ class AlignmentSolution:
     dualness: float
     iterations: int
     converged: bool
+    restart_iterations: np.ndarray
+    restart_converged: np.ndarray
 
 
 def _check_square(v, name):
@@ -90,22 +101,32 @@ def _check_phases(d, n, name):
 
 
 def _check_phase_stack(d, n, name):
-    """One start, shape (n,), or a stack of starts, shape (R, n), as (R, n)."""
+    """One start, shape (n,), or a stack of starts, shape (R, n), as (R, n);
+    every entry must be finite with modulus 1 within UNIT_PHASE_TOL."""
     d = np.asarray(d, dtype=complex)
     stack = d[None] if d.ndim == 1 else d
     if stack.ndim != 2 or stack.shape[1] != n or stack.shape[0] < 1:
         raise SizeMismatchError("%s must have shape (%d,) or (R, %d), got %s"
                                 % (name, n, n, d.shape))
+    error = np.abs(np.abs(stack) - 1.0)
+    # written so that NaN fails it
+    if not np.all(error <= UNIT_PHASE_TOL):
+        raise NonUnitPhaseError(
+            "%s must hold finite unit-modulus phases, max ||d| - 1| = %.3e"
+            % (name, np.max(error)))
     return stack
 
 
 def _check_permutation_stack(p, n, name):
-    p = np.asarray(p)
+    p = np.asarray(p, dtype=np.intp)
     stack = p[None] if p.ndim == 1 else p
-    if stack.ndim != 2 or stack.shape[0] < 1:
+    if stack.ndim != 2 or stack.shape[1] != n or stack.shape[0] < 1:
         raise SizeMismatchError("%s must have shape (%d,) or (R, %d), got %s"
                                 % (name, n, n, p.shape))
-    return np.array([check_permutation(row, n) for row in stack])
+    if n == 0 or not (np.sort(stack, axis=1) == np.arange(n)).all():
+        raise IndexOutOfRangeError("%s rows must be bijections of 0..%d"
+                                   % (name, n - 1))
+    return stack
 
 
 def _check_start_count(stacks):
@@ -171,10 +192,10 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
     arrays d1, p1, d2, p2.  Mutates nothing.
 
     Each start stops at its own convergence or at max_iterations and is
-    frozen from then on.  Returns the best start's final state, its
-    objective, iteration count and convergence flag; ties keep the
-    earliest start.  trace, when given (one start only), receives the
-    objective after every half-step.
+    frozen from then on.  Returns the best start's index, final state and
+    objective (ties keep the earliest start) and every start's iteration
+    count and convergence flag.  trace, when given (one start only),
+    receives the objective after every half-step.
     """
     d1 = d1.astype(complex)
     d2 = d2.astype(complex)
@@ -182,6 +203,7 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
     p2 = p2.copy()
     count, n = d1.shape
     columns = np.arange(n)
+    block = max(1, _SCORE_BLOCK_ENTRIES // max(1, n * n))
 
     def respond(va, vb, da, pa):
         """Best phases (and permutations) of side b against side a: the
@@ -193,10 +215,16 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
             return _phases_of_diagonal(da @ (va.T * vb)) + (None,)
         diag = np.empty(da.shape, dtype=complex)
         pb = np.empty(pa.shape, dtype=np.intp)
-        for i in range(da.shape[0]):
-            s = (va * da[i]) @ vb[pa[i]]
-            pb[i], _ = solve_assignment_max(np.abs(s))
-            diag[i] = s[pb[i], columns]
+        for lo in range(0, da.shape[0], block):
+            part = slice(lo, lo + block)
+            # S_r = Va Da_r Pa_r Vb for every start r of the block from one
+            # product: S[:, r, :] = Va X[:, r, :], X[l, r, k] = da[r, l]
+            # Vb[pa[r, l], k]
+            m = da[part].shape[0]
+            x = (da[part].T[:, :, None] * vb[pa[part].T]).reshape(n, m * n)
+            s = (va @ x).reshape(n, m, n).transpose(1, 0, 2)
+            pb[part], _ = solve_assignment_max(np.abs(s))
+            diag[part] = s[np.arange(m)[:, None], pb[part], columns]
         return _phases_of_diagonal(diag) + (pb,)
 
     previous = np.array([_objective(v1, d1[i], p1[i], v2, d2[i], p2[i])
@@ -227,8 +255,8 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
         if active.size == 0:
             break
     best = int(np.argmax(current))
-    return (d1[best], p1[best], d2[best], p2[best], float(current[best]),
-            int(iterations[best]), bool(converged[best]))
+    return (best, d1[best], p1[best], d2[best], p2[best],
+            float(current[best]), iterations, converged)
 
 
 def _prepare_pair(v1, v2):
@@ -244,11 +272,14 @@ def _solve(v1, v2, n, d1, p1, d2, p2, config, update_permutations, trace):
     if trace is not None and d1.shape[0] != 1:
         raise ValueError("trace needs a single start, got %d"
                          % d1.shape[0])
-    d1, p1, d2, p2, objective, iterations, converged = _descend(
+    best, d1, p1, d2, p2, objective, iterations, converged = _descend(
         v1, v2, d1, p1, d2, p2, config.epsilon, config.max_iterations,
         update_permutations, trace)
+    iterations.setflags(write=False)
+    converged.setflags(write=False)
     return AlignmentSolution(d1, d2, p1, p2, objective,
                              _dualness_from_objective(n, objective),
+                             int(iterations[best]), bool(converged[best]),
                              iterations, converged)
 
 
@@ -305,22 +336,60 @@ def _random_init(stream, n, with_permutations):
     return d1, p1, d2, p2
 
 
+def _random_starts(seed, count, n, with_permutations):
+    """Starts 0..count-1 as (R, n) stacks; start r equals
+    _random_init(derive_stream(seed, r), n, with_permutations).
+
+    Each stream's words are drawn in one block: 2n phase words, then
+    n - 1 Fisher-Yates words per permutation, swapped for all starts at
+    once.  A start with a word that integer_below would reject draws
+    more words than that and is redrawn by _random_init.
+    """
+    swaps = max(n - 1, 0)
+    words = derived_words(seed, count,
+                          2 * n + (2 * swaps if with_permutations else 0))
+    # SplitMix64.random and unit_phases, elementwise
+    angles = 2.0 * np.pi * ((words[:, :2 * n] >> np.uint64(11)) * 2.0**-53)
+    phases = np.cos(angles) + 1j * np.sin(angles)
+    d1, d2 = phases[:, :n], phases[:, n:]
+    if not with_permutations:
+        return d1, d2
+    # Fisher-Yates position i swaps with integer_below(i + 1), i = n-1..1;
+    # integer_below accepts words below (2**64 // b) * b
+    bounds = range(n, 1, -1)
+    last_accepted = np.array([((1 << 64) // b) * b - 1 for b in bounds],
+                             dtype=np.uint64)
+    words = words[:, 2 * n:].reshape(count, 2, swaps)
+    rejected = np.flatnonzero(np.any(words > last_accepted, axis=(1, 2)))
+    targets = (words % np.array(bounds, dtype=np.uint64)).astype(np.intp)
+    perms = np.tile(np.arange(n, dtype=np.intp), (count, 2, 1))
+    starts = np.arange(count)[:, None]
+    sides = np.arange(2)
+    for t, i in enumerate(range(n - 1, 0, -1)):
+        j = targets[:, :, t]
+        held = perms[starts, sides, j]
+        perms[starts, sides, j] = perms[:, :, i]
+        perms[:, :, i] = held
+    p1, p2 = perms[:, 0], perms[:, 1]
+    for r in rejected:
+        d1[r], p1[r], d2[r], p2[r] = _random_init(derive_stream(seed, r), n,
+                                                  True)
+    return d1, p1, d2, p2
+
+
 def multistart(method, v1, v2, config=SolverConfig()):
     """Best of config.restarts independent seeded runs of CD or CDPM.
 
     Restart r uses the derived stream SplitMix64(seed + r); phases are
-    uniform on the unit circle, permutations uniform.  All restarts run
-    as one stacked descent; the best objective wins and ties keep the
-    earliest restart.
+    uniform on the unit circle, permutations uniform.  All starts are
+    drawn in one block and run as one stacked descent; the best
+    objective wins and ties keep the earliest restart.
     """
     method = method.upper()
     if method not in (CD, CDPM):
         raise ValueError("method must be CD or CDPM, got %r" % (method,))
     v1, v2, n = _prepare_pair(v1, v2)
-    with_permutations = method == CDPM
-    starts = [_random_init(derive_stream(config.seed, r), n, with_permutations)
-              for r in range(config.restarts)]
-    init = tuple(np.array(part) for part in zip(*starts))
+    init = _random_starts(config.seed, config.restarts, n, method == CDPM)
     if method == CD:
         return cd_align(v1, v2, config, init)
     return cdpm_align(v1, v2, config, init)
@@ -388,4 +457,6 @@ def isomorphism_transport(solution: AlignmentSolution, p, side):
         p2 = solution.p2
     return AlignmentSolution(solution.d1, solution.d2, p1, p2,
                              solution.objective, solution.dualness,
-                             solution.iterations, solution.converged)
+                             solution.iterations, solution.converged,
+                             solution.restart_iterations,
+                             solution.restart_converged)

@@ -72,6 +72,10 @@ class NonOrthogonalInputError(GftDualError):
     """A matrix that must be orthogonal fails the orthogonality check."""
 
 
+class NonUnitPhaseError(GftDualError):
+    """A phase vector holds an entry that is not finite or not of modulus 1."""
+
+
 class RepeatedEigenvaluesError(GftDualError):
     """A spectrum is too degenerate for phase/permutation alignment.
 

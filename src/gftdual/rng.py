@@ -8,7 +8,10 @@ bit-identical across platforms and library versions.
 Stream splitting rule: the k-th derived stream of a seed is
 ``SplitMix64((seed + k) mod 2**64)``. Multistart restarts use k = restart
 index; the experiment harness draws sub-seeds from a sequencer stream (see
-experiment.py for the documented draw order).
+experiment.py for the documented draw order). The j-th word (j >= 1) of a
+derived stream depends only on its state ``seed + k + j * GAMMA``, so
+``derived_words`` computes the first words of many streams in one array
+expression.
 """
 
 from __future__ import annotations
@@ -72,3 +75,18 @@ class SplitMix64:
 def derive_stream(seed: int, index: int) -> SplitMix64:
     """The index-th derived stream of a master seed (see module docstring)."""
     return SplitMix64((int(seed) + int(index)) & _MASK64)
+
+
+def derived_words(seed: int, count: int, k: int) -> np.ndarray:
+    """The first k words of derived streams 0..count-1 as a (count, k)
+    uint64 array: row r equals k calls of derive_stream(seed, r).next_uint64().
+    """
+    if count < 0 or k < 0:
+        raise ValueError("count and k must be non-negative")
+    # uint64 array arithmetic wraps mod 2**64, as the scalar masks do
+    starts = np.uint64(int(seed) & _MASK64) + np.arange(count, dtype=np.uint64)
+    steps = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = starts[:, None] + steps[None, :]
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from gftdual.alignment import (CD, CDPM, SolverConfig, cd_align, cdpm_align,
+from gftdual.alignment import (CD, CDPM, SolverConfig, _random_init,
+                               _random_starts, cd_align, cdpm_align,
                                isomorphism_transport, multistart,
                                optimal_phases, run_pair, trace_objective,
                                verify_circulant_duality)
 from gftdual.errors import (IndexOutOfRangeError, NonOrthogonalInputError,
-                            NotCirculantError, RepeatedEigenvaluesError,
-                            SizeMismatchError)
+                            NonUnitPhaseError, NotCirculantError,
+                            RepeatedEigenvaluesError, SizeMismatchError)
 from gftdual.graphs import (circulant, erdos_renyi, invert_permutation,
                             permutation_matrix)
-from gftdual.rng import derive_stream
+from gftdual.rng import derive_stream, derived_words
 from gftdual.spectral import eigendecompose
 
 
@@ -221,6 +222,48 @@ def test_stacked_starts_return_earliest_best_run(method):
     assert stacked.iterations == best.iterations
     assert stacked.converged == best.converged
     assert stacked.dualness == best.dualness
+    # every start's descent, in start order
+    assert np.array_equal(stacked.restart_iterations,
+                          [run.iterations for run in single])
+    assert np.array_equal(stacked.restart_converged,
+                          [run.converged for run in single])
+    assert stacked.restart_iterations.dtype.kind == "i"
+    assert stacked.restart_converged.dtype == bool
+    assert not stacked.restart_iterations.flags.writeable
+    assert not stacked.restart_converged.flags.writeable
+    for run in single:
+        assert np.array_equal(run.restart_iterations, [run.iterations])
+        assert np.array_equal(run.restart_converged, [run.converged])
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_cdpm_score_blocks_match_single_starts(complex_valued):
+    # at n = 40 CDPM forms the score matrices of 10 starts per block, so
+    # 25 starts take three blocks, the last one partial
+    n = 40
+    v1 = _eigvecs(n, 0.4, 94)
+    v2 = _eigvecs(n, 0.4, 95)
+    if complex_valued:
+        # unitary column phases make both bases complex
+        angles = np.random.default_rng(3).uniform(0, 2 * np.pi, (2, n))
+        v1 = v1 * np.exp(1j * angles[0])
+        v2 = v2 * np.exp(1j * angles[1])
+    config = SolverConfig(max_iterations=6)
+    starts = _seeded_starts(CDPM, n, 25, seed=8)
+    stacked = cdpm_align(v1, v2, config,
+                         tuple(np.array(part) for part in zip(*starts)))
+    single = [cdpm_align(v1, v2, config, start) for start in starts]
+    best = single[int(np.argmax([run.objective for run in single]))]
+    assert abs(stacked.objective - best.objective) <= 1e-12
+    assert np.array_equal(stacked.p1, best.p1)
+    assert np.array_equal(stacked.p2, best.p2)
+    recomputed = trace_objective(v1, stacked.d1, stacked.p1,
+                                 v2, stacked.d2, stacked.p2)
+    assert abs(recomputed - stacked.objective) <= 1e-12
+    assert np.array_equal(stacked.restart_iterations,
+                          [run.iterations for run in single])
+    assert np.array_equal(stacked.restart_converged,
+                          [run.converged for run in single])
 
 
 @pytest.mark.parametrize("method", [CD, CDPM])
@@ -261,6 +304,74 @@ def test_stacked_start_validation():
     with pytest.raises(IndexOutOfRangeError):
         cdpm_align(v1, v2, init=(phases, np.zeros((3, n), dtype=int),
                                  phases, perms))
+
+
+@pytest.mark.parametrize("with_permutations", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_block_drawn_starts_equal_scalar_draws(n, with_permutations):
+    count = 25
+    for seed in (0, 12, 2**64 - 10):
+        block = _random_starts(seed, count, n, with_permutations)
+        for r in range(count):
+            scalar = _random_init(derive_stream(seed, r), n, with_permutations)
+            for got, expected in zip(block, scalar):
+                assert got[r].dtype == expected.dtype
+                assert np.array_equal(got[r], expected)
+
+
+def _unmix(word):
+    """The SplitMix64 state whose output is word (the mixer inverted)."""
+    mask = (1 << 64) - 1
+
+    def unshift(y, shift):
+        x = y
+        for _ in range(64 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    z = unshift(word, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    return unshift(z, 30)
+
+
+def test_block_drawn_start_with_rejected_word_is_redrawn():
+    n = 4
+    # words of a CDPM start: 2n phases, then swaps with bounds 4, 3, 2 for
+    # p1; integer_below(3) rejects 2**64 - 1, the word at index 2n + 1,
+    # whose state is seed + r + (2n + 2) * gamma for restart r = 1
+    gamma = 0x9E3779B97F4A7C15
+    state = _unmix((1 << 64) - 1)
+    seed = (state - 1 - (2 * n + 2) * gamma) % (1 << 64)
+    assert derived_words(seed, 2, 2 * n + 2)[1, 2 * n + 1] == (1 << 64) - 1
+    block = _random_starts(seed, 3, n, True)
+    for r in range(3):
+        scalar = _random_init(derive_stream(seed, r), n, True)
+        for got, expected in zip(block, scalar):
+            assert np.array_equal(got[r], expected)
+
+
+def test_init_phases_must_be_finite_unit_modulus():
+    n = 4
+    v1 = _eigvecs(n, 0.5, 20)
+    v2 = _eigvecs(n, 0.5, 21)
+    perm = np.arange(n)
+    ones = np.ones(n, dtype=complex)
+    for bad in (np.full(n, 5.0), np.full(n, 1.0 + 1e-6),
+                np.array([1.0, np.nan, 1.0, 1.0]),
+                np.array([1.0, 1.0, np.inf, 1.0]),
+                np.array([1.0, 1.0, 1.0, 1j * np.nan])):
+        with pytest.raises(NonUnitPhaseError):
+            cd_align(v1, v2, init=(bad, ones))
+        with pytest.raises(NonUnitPhaseError):
+            cd_align(v1, v2, init=(np.array([ones, bad]), np.array([ones, ones])))
+        with pytest.raises(NonUnitPhaseError):
+            cdpm_align(v1, v2, init=(ones, perm, bad, perm))
+    # unit phases within rounding, signs and complex phases are accepted
+    near = np.exp(1j * np.arange(n)) * (1.0 + 1e-12)
+    cd_align(v1, v2, init=(near, -ones))
+    cdpm_align(v1, v2, init=(near, perm, ones, perm))
 
 
 def test_multistart_more_restarts_never_worse():
@@ -318,6 +429,10 @@ def test_isomorphism_transport_preserves_objective():
                                         v2[inv], moved.d2, moved.p2)
         assert abs(objective - solution.objective) <= 1e-12
         assert moved.objective == solution.objective
+        assert np.array_equal(moved.restart_iterations,
+                              solution.restart_iterations)
+        assert np.array_equal(moved.restart_converged,
+                              solution.restart_converged)
     with pytest.raises(ValueError):
         isomorphism_transport(solution, np.arange(n), 3)
 

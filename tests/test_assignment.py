@@ -89,3 +89,61 @@ def test_empty_instance():
     sigma, value = solve_assignment_max(np.zeros((0, 0)))
     assert sigma.shape == (0,)
     assert value == 0.0
+
+
+def test_stack_rows_equal_single_calls():
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 5, 9, 17, 30):
+        stack = np.abs(rng.normal(size=(7, n, n)))
+        # continuous scores plus a tied row to exercise tie-breaking
+        stack[3] = rng.integers(0, 3, size=(n, n))
+        sigmas, values = solve_assignment_max(stack)
+        assert sigmas.shape == (7, n) and sigmas.dtype == np.intp
+        assert values.shape == (7,)
+        for s, sigma, value in zip(stack, sigmas, values):
+            single_sigma, single_value = solve_assignment_max(s)
+            assert np.array_equal(sigma, single_sigma)
+            assert value == single_value
+        # a transposed view gives the same answers as a contiguous copy
+        view = np.swapaxes(np.swapaxes(stack, 1, 2).copy(), 1, 2)
+        view_sigmas, view_values = solve_assignment_max(view)
+        assert np.array_equal(view_sigmas, sigmas)
+        assert np.array_equal(view_values, values)
+
+
+def test_stack_matches_bruteforce():
+    rng = np.random.default_rng(15)
+    for n in range(1, 7):
+        stack = rng.normal(size=(12, n, n))
+        sigmas, values = solve_assignment_max(stack)
+        for s, sigma, value in zip(stack, sigmas, values):
+            sigma_b, value_b = assignment_bruteforce(s)
+            assert value == value_b
+            assert np.array_equal(sigma, sigma_b)
+
+
+def test_stack_errors():
+    stack = np.zeros((3, 4, 4))
+    stack[2, 1, 3] = np.nan
+    with pytest.raises(NonFiniteEntryError):
+        solve_assignment_max(stack)
+    stack[2, 1, 3] = -np.inf
+    with pytest.raises(NonFiniteEntryError):
+        solve_assignment_max(stack)
+    with pytest.raises(NotSquareError):
+        solve_assignment_max(np.zeros((3, 4, 5)))
+    with pytest.raises(NotSquareError):
+        solve_assignment_max(np.zeros((2, 3, 3, 3)))
+    with pytest.raises(NotSquareError):
+        solve_assignment_max(np.zeros(3))
+    with pytest.raises(NotSquareError):
+        assignment_bruteforce(np.zeros((2, 3, 3)))
+
+
+def test_empty_stacks():
+    sigmas, values = solve_assignment_max(np.zeros((0, 5, 5)))
+    assert sigmas.shape == (0, 5) and sigmas.dtype == np.intp
+    assert values.shape == (0,)
+    sigmas, values = solve_assignment_max(np.zeros((3, 0, 0)))
+    assert sigmas.shape == (3, 0) and sigmas.dtype == np.intp
+    assert np.array_equal(values, np.zeros(3))

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gftdual.rng import SplitMix64, derive_stream
+from gftdual.rng import SplitMix64, derive_stream, derived_words
 
 # First outputs of the reference mixer for two seeds, computed from the
 # published algorithm (state += 0x9E3779B97F4A7C15; two xor-multiply
@@ -102,3 +103,26 @@ def test_determinism():
     assert [a.next_uint64() for _ in range(10)] == [b.next_uint64() for _ in range(10)]
     assert np.array_equal(SplitMix64(4).permutation(20), SplitMix64(4).permutation(20))
     assert np.array_equal(SplitMix64(4).unit_phases(20), SplitMix64(4).unit_phases(20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(2**64 - 40, 2**64 - 1),
+                      st.integers(0, 2**64 - 1)),
+       count=st.integers(0, 45), k=st.integers(0, 12))
+def test_derived_words_equal_scalar_streams(seed, count, k):
+    # seeds near 2**64 make seed + r wrap around for some rows
+    words = derived_words(seed, count, k)
+    assert words.shape == (count, k) and words.dtype == np.uint64
+    for r in range(count):
+        stream = derive_stream(seed, r)
+        assert [int(w) for w in words[r]] == [stream.next_uint64()
+                                             for _ in range(k)]
+
+
+def test_derived_words_wraps_and_rejects_negative_sizes():
+    words = derived_words(2**64 - 1, 3, 2)
+    assert [int(w) for w in words[1]] == _reference(0, 2)
+    with pytest.raises(ValueError):
+        derived_words(0, -1, 2)
+    with pytest.raises(ValueError):
+        derived_words(0, 2, -1)
