@@ -140,13 +140,6 @@ def _dualness_from_objective(n, objective):
     return math.sqrt(max(0.0, 2.0 * n - 2.0 * objective))
 
 
-def _objective(v1, d1, p1, v2, d2, p2):
-    # Re tr(L R) = Re sum(L * R'), with no n^3 product
-    left = (v1 * d1)[:, invert_permutation(p1)]
-    right = (v2 * d2)[:, invert_permutation(p2)]
-    return float(np.real(np.sum(left * right.T)))
-
-
 def trace_objective(v1, d1, p1, v2, d2, p2):
     """Re tr(V1 diag(d1) P1 V2 diag(d2) P2)."""
     v1 = _check_orthogonal(v1, "V1")
@@ -159,7 +152,10 @@ def trace_objective(v1, d1, p1, v2, d2, p2):
     d2 = _check_phases(d2, n, "d2")
     p1 = check_permutation(p1, n)
     p2 = check_permutation(p2, n)
-    return _objective(v1, d1, p1, v2, d2, p2)
+    # Re tr(L R) = Re sum(L * R'), with no n^3 product
+    left = (v1 * d1)[:, invert_permutation(p1)]
+    right = (v2 * d2)[:, invert_permutation(p2)]
+    return float(np.real(np.sum(left * right.T)))
 
 
 def _phases_of_diagonal(diag):
@@ -167,6 +163,9 @@ def _phases_of_diagonal(diag):
     and the summed value over the last axis; |a| <= 1e-12 gets phase 1
     and contributes 0."""
     mag = np.abs(diag)
+    # written so that NaN takes the masked path
+    if mag.min(initial=np.inf) > ZERO_DIAGONAL_TOL:
+        return np.conj(diag) / mag, mag.sum(axis=-1)
     keep = mag > ZERO_DIAGONAL_TOL
     d = np.where(keep, np.conj(diag) / np.where(keep, mag, 1.0), 1.0 + 0.0j)
     value = np.sum(np.where(keep, mag, 0.0), axis=-1)
@@ -204,16 +203,26 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
     count, n = d1.shape
     columns = np.arange(n)
     block = max(1, _SCORE_BLOCK_ENTRIES // max(1, n * n))
+    # the fixed operands, complex once here rather than at every product:
+    # CD's diag(Va Da Vb) = da (Va' o Vb), CDPM's Va of S = Va Da Pa Vb
+    if update_permutations:
+        fixed = (v1.astype(complex), v2.astype(complex))
+    else:
+        fixed = ((v1.T * v2).astype(complex), (v2.T * v1).astype(complex))
 
-    def respond(va, vb, da, pa):
-        """Best phases (and permutations) of side b against side a: the
+    def respond(a, vb, da, pa, pb_now=None):
+        """Best phases and permutations of side b against side a: the
         objective is Re tr(Pb S Db) = sum_k Re(S[pb(k), k] db[k]) with
-        S = Va Da Pa Vb."""
+        S = Va Da Pa Vb and a the fixed operand of side a.  Returns the
+        phases, their value, pb (None for CD) and, when pb_now is given,
+        the entries S[pb_now(k), k] that score side b's current state."""
         if not update_permutations:
             # diag(Va Da Vb)_k = sum_j Va[k, j] da[j] Vb[j, k]: one
             # (R, n) x (n, n) product gives every start's diagonal
-            return _phases_of_diagonal(da @ (va.T * vb)) + (None,)
+            diag = da @ a
+            return _phases_of_diagonal(diag) + (None, diag)
         diag = np.empty(da.shape, dtype=complex)
+        now = None if pb_now is None else np.empty(da.shape, dtype=complex)
         pb = np.empty(pa.shape, dtype=np.intp)
         for lo in range(0, da.shape[0], block):
             part = slice(lo, lo + block)
@@ -222,26 +231,35 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
             # Vb[pa[r, l], k]
             m = da[part].shape[0]
             x = (da[part].T[:, :, None] * vb[pa[part].T]).reshape(n, m * n)
-            s = (va @ x).reshape(n, m, n).transpose(1, 0, 2)
+            s = (a @ x).reshape(n, m, n).transpose(1, 0, 2)
             pb[part], _ = solve_assignment_max(np.abs(s))
-            diag[part] = s[np.arange(m)[:, None], pb[part], columns]
-        return _phases_of_diagonal(diag) + (pb,)
+            starts = np.arange(m)[:, None]
+            diag[part] = s[starts, pb[part], columns]
+            if now is not None:
+                now[part] = s[starts, pb_now[part], columns]
+        return _phases_of_diagonal(diag) + (pb, now)
 
-    previous = np.array([_objective(v1, d1[i], p1[i], v2, d2[i], p2[i])
-                         for i in range(count)])
-    current = previous.copy()
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     active = np.arange(count)
-    if trace is not None:
-        trace.append(float(previous[0]))
-    for _ in range(max_iterations):
-        d2[active], half_value, pb = respond(v1, v2, d1[active], p1[active])
+    for it in range(max_iterations):
+        d2_next, half_value, pb, now = respond(
+            fixed[0], v2, d1[active], p1[active],
+            p2[active] if it == 0 else None)
+        if it == 0:
+            # every start is active: the first product also scores the
+            # starts, Re sum_k S[p2(k), k] d2[k]
+            previous = np.real(np.sum(now * d2, axis=1))
+            current = previous.copy()
+            if trace is not None:
+                trace.append(float(previous[0]))
+        d2[active] = d2_next
         if pb is not None:
             p2[active] = pb
         if trace is not None:
             trace.append(float(half_value[0]))
-        d1[active], value, pb = respond(v2, v1, d2[active], p2[active])
+        d1[active], value, pb, _ = respond(fixed[1], v1, d2[active],
+                                           p2[active])
         if pb is not None:
             p1[active] = pb
         if trace is not None:

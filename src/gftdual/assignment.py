@@ -46,10 +46,12 @@ def solve_assignment_max(s):
     s = _checked_scores(s, allow_stack=True)
     stack = s[None] if s.ndim == 2 else s
     count, n = stack.shape[:2]
+    # sum_i s[sigma(i), i] = sum_i s.T[i, sigma(i)]; maximize=True would
+    # negate each s.T into a contiguous copy, so negate the stack once
+    cost = np.negative(stack.transpose(0, 2, 1), order="C")
     sigma = np.empty((count, n), dtype=np.intp)
     for r in range(count):
-        # sum_i s[sigma(i), i] = sum_i s.T[i, sigma(i)]
-        sigma[r] = linear_sum_assignment(stack[r].T, maximize=True)[1]
+        sigma[r] = linear_sum_assignment(cost[r])[1]
     values = _values(stack, sigma)
     if s.ndim == 2:
         return sigma[0], float(values[0])

@@ -11,7 +11,9 @@ from . import __version__
 from .alignment import SolverConfig, run_pair, verify_circulant_duality
 from .dual_construct import FEASIBLE, construct_dual
 from .dup import build_coupling, dup_bound
-from .errors import GftDualError, RepeatedEigenvaluesError
+from .errors import (GftDualError, IndexOutOfRangeError,
+                     NonPositiveWeightError, OffsetOutOfRangeError,
+                     RepeatedEigenvaluesError)
 from .experiment import (ExperimentConfig, plot_fig1, read_csv,
                          run_experiment, write_csv)
 from .graphs import circulant, erdos_renyi, read_graph_file, write_graph
@@ -70,16 +72,28 @@ def _add_solver_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _cmd_gen(args):
+def _generated_graph(args):
+    """The graph gen asks for, or None without exactly one family; a
+    malformed or out-of-range value raises ValueError."""
     if (args.er is None) == (args.circulant is None):
+        return None
+    option, values = (("--er", args.er) if args.er is not None
+                      else ("--circulant", args.circulant))
+    try:
+        if args.er is not None:
+            return erdos_renyi(int(args.er[0]), float(args.er[1]), args.seed)
+        return circulant(int(args.circulant[0]),
+                         _parse_offsets(args.circulant[1]))
+    except (ValueError, IndexOutOfRangeError, NonPositiveWeightError,
+            OffsetOutOfRangeError) as exc:
+        raise ValueError("%s %s: %s"
+                         % (option, " ".join(values), exc)) from exc
+
+
+def _cmd_gen(args):
+    if args.config is None:
         raise GftDualError("gen needs exactly one of --er or --circulant")
-    if args.er is not None:
-        n, p = int(args.er[0]), float(args.er[1])
-        graph = erdos_renyi(n, p, args.seed)
-    else:
-        n = int(args.circulant[0])
-        graph = circulant(n, _parse_offsets(args.circulant[1]))
-    _emit(write_graph(graph), args.output)
+    _emit(write_graph(args.config), args.output)
     return 0
 
 
@@ -164,7 +178,7 @@ def _build_parser():
                      help="circulant on N vertices, OFFSETS like 1:1.0,2:0.5")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", default=None)
-    gen.set_defaults(handler=_cmd_gen)
+    gen.set_defaults(handler=_cmd_gen, configure=_generated_graph)
 
     dualness = commands.add_parser("dualness",
                                    help="multistart dualness of a pair")

@@ -10,9 +10,10 @@ whose dual  minimize 1'nu  subject to  diag(nu) - W PSD  yields a valid
 upper bound from ANY feasible nu.  A low-rank coordinate-ascent pass
 produces a near-optimal dual iterate, and an eigenvalue-oracle
 cutting-plane loop certifies it: the minimum eigenpair of diag(nu) - W
-either confirms feasibility (up to tol, then a diagonal shift repairs
-the residual exactly) or supplies violated cuts for the master linear
-program and a repaired next iterate.
+either confirms feasibility up to tol (a diagonal shift then repairs
+the residual, re-checked up to tol by a fresh eigendecomposition) or
+supplies violated cuts for the master linear program and a repaired
+next iterate.
 """
 
 from dataclasses import dataclass
@@ -34,6 +35,9 @@ ORTHOGONALITY_TOL = 1e-8
 
 # coordinate ascent on the low-rank factorization of the relaxation
 _MIXING_SWEEP_CAP = 20000
+# sweeps per chunk of the ascent: the stop test of a whole chunk is one
+# batched reduction
+_MIXING_CHUNK = 16
 _MIXING_STEP_TOL = 1e-13
 _MIXING_SEED = 0x1F2E3D4C
 _MIXING_ATTEMPTS = 3
@@ -74,7 +78,10 @@ class CouplingMatrix:
 
 @dataclass(frozen=True, eq=False)
 class BoundResult:
-    """Certified bound: nu is feasible for the dual, bound = sum(nu).
+    """Certified bound: bound = sum(nu), with nu feasible for the dual up
+    to DEFAULT_TOL on lambda_min: the smallest floating eigenvalue of
+    diag(nu) - W is at least -tol, not exactly non-negative, so x'Wx <=
+    bound + tol * x'x (tol * 2n for unit-modulus x).
 
     min_eig_residual is the oracle's minimum eigenvalue at the
     terminating iterate, before the final diagonal repair.  cuts counts
@@ -121,8 +128,7 @@ def build_coupling(v1, v2) -> CouplingMatrix:
 
 def _gaussian(stream, rows, cols):
     count = rows * cols
-    u = np.array([stream.random() for _ in range(count)])
-    v = np.array([stream.random() for _ in range(count)])
+    u, v = stream.randoms(2 * count).reshape(2, count)
     z = np.sqrt(-2.0 * np.log1p(-u)) * np.cos(2.0 * np.pi * v)
     return z.reshape(rows, cols)
 
@@ -151,10 +157,9 @@ def _mixing_dual(w, stream):
     rank exceeds the guaranteed rank of an extreme optimal solution, so
     second-order critical points of the ascent are global optima of the
     relaxation; the row norms of WR are the matching dual variables.
+    The sweeps run in chunks (see _ascend).
     """
     m = w.shape[0]
-    n = m // 2
-    b = w[:n, n:]
     rank = int(np.ceil(np.sqrt(2.0 * m))) + 1
     r = _gaussian(stream, m, rank)
     norms = np.linalg.norm(r, axis=1)
@@ -164,14 +169,84 @@ def _mixing_dual(w, stream):
         r[degenerate, 0] = 1.0
         norms[degenerate] = 1.0
     r /= norms[:, None]
-    r1 = r[:n]
-    r2 = r[n:]
-    for _ in range(_MIXING_SWEEP_CAP):
+    _ascend(w[:m // 2, m // 2:], r)
+    return np.linalg.norm(w @ r, axis=1)
+
+
+def _ascend(b, r):
+    """Two-block sweeps on the unit rows r = [R1; R2], in place, until
+    the largest row step of a sweep is at most _MIXING_STEP_TOL or
+    _MIXING_SWEEP_CAP sweeps have run; returns the number of sweeps.
+
+    Sweeps run in chunks of _MIXING_CHUNK (the last one shortened so the
+    cap stays exact), written into preallocated buffers, and a chunk's
+    row steps come from one batched reduction afterwards; the ascent
+    ends on the first sweep that meets the tolerance, the same sweep and
+    the same floats as testing after every sweep.  A chunk with a row
+    norm below 1e-300 or not finite is replayed sweep by sweep through
+    the guarded _normalize_rows, which keeps such rows unchanged.
+    """
+    n, rank = b.shape[0], r.shape[1]
+    # sweep s of a chunk reads R1[s], R2[s] and writes R1[s + 1], R2[s + 1]
+    r1s = np.empty((_MIXING_CHUNK + 1, n, rank))
+    r2s = np.empty((_MIXING_CHUNK + 1, n, rank))
+    r1s[0] = r[:n]
+    r2s[0] = r[n:]
+    norms1 = np.empty((_MIXING_CHUNK, n, 1))
+    norms2 = np.empty((_MIXING_CHUNK, n, 1))
+    g = np.empty((n, rank))
+    sweeps = 0
+    while sweeps < _MIXING_SWEEP_CAP:
+        length = min(_MIXING_CHUNK, _MIXING_SWEEP_CAP - sweeps)
+        # a zero or non-finite norm divides badly here; such a chunk is
+        # replayed below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s in range(length):
+                np.matmul(b, r2s[s], out=g)
+                np.sqrt(np.einsum("ij,ij->i", g, g)[:, None], out=norms1[s])
+                np.divide(g, norms1[s], out=r1s[s + 1])
+                np.matmul(b.T, r1s[s + 1], out=g)
+                np.sqrt(np.einsum("ij,ij->i", g, g)[:, None], out=norms2[s])
+                np.divide(g, norms2[s], out=r2s[s + 1])
+        used = np.concatenate((norms1[:length], norms2[:length]))
+        # written so that NaN fails it
+        if not (used.min() >= 1e-300 and used.max() < np.inf):
+            # sweeps of this chunk again, in place on R1[0], R2[0]
+            stop = _replay_chunk(b, r1s[0], r2s[0], length)
+        else:
+            step = np.maximum(_largest_row_steps(r1s[:length + 1]),
+                              _largest_row_steps(r2s[:length + 1]))
+            hits = np.flatnonzero(step <= _MIXING_STEP_TOL)
+            stop = int(hits[0]) + 1 if hits.size else None
+            last = length if stop is None else stop
+            r1s[0] = r1s[last]
+            r2s[0] = r2s[last]
+        if stop is not None:
+            sweeps += stop
+            break
+        sweeps += length
+    r[:n] = r1s[0]
+    r[n:] = r2s[0]
+    return sweeps
+
+
+def _largest_row_steps(iterates):
+    """max_i ||R[s + 1]_i - R[s]_i|| for each sweep s of a (k + 1, n, rank)
+    stack of iterates, as _normalize_rows measures one sweep's step."""
+    diff = iterates[1:] - iterates[:-1]
+    return np.sqrt(np.max(np.einsum("sij,sij->si", diff, diff), axis=1,
+                          initial=0.0))
+
+
+def _replay_chunk(b, r1, r2, length):
+    """Up to length guarded sweeps on r1, r2 in place; the 1-based sweep
+    that met the step tolerance, or None."""
+    for s in range(length):
         step = _normalize_rows(b @ r2, r1)
         step = max(step, _normalize_rows(b.T @ r1, r2))
         if step <= _MIXING_STEP_TOL:
-            break
-    return np.linalg.norm(w @ r, axis=1)
+            return s + 1
+    return None
 
 
 def _solve_master(cuts, rhs, m):
@@ -196,9 +271,11 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
     """Certified upper bound: min 1'nu over diag(nu) - W PSD, plus repair.
 
     Deterministic: the coordinate-ascent initialization uses fixed
-    internal seeds.  The returned nu is re-verified feasible (within
-    tol) by a fresh eigendecomposition, so bound = sum(nu) dominates
-    x'Wx for every unit-modulus x, real or complex.
+    internal seeds.  The returned nu is re-verified by a fresh
+    eigendecomposition: lambda_min(diag(nu) - W) >= -tol, up to tol
+    (DEFAULT_TOL by default) and not exactly, so bound = sum(nu)
+    dominates x'Wx up to tol * 2n for every unit-modulus x, real or
+    complex.
     """
     if not isinstance(w, CouplingMatrix):
         raise SizeMismatchError("dup_bound expects a CouplingMatrix")

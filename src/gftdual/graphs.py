@@ -109,14 +109,11 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise IndexOutOfRangeError(f"vertex count must be >= 1, got {n}")
     if not (0.0 <= p <= 1.0):
         raise NonPositiveWeightError(f"edge probability must be in [0, 1], got {p}")
-    rng = SplitMix64(seed)
-    a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                a[i, j] = 1.0
-                a[j, i] = 1.0
-    return Graph(a)
+    # triu_indices lists the pairs in the documented row-major order
+    i, j = np.triu_indices(n, 1)
+    upper = np.zeros((n, n))
+    upper[i, j] = SplitMix64(seed).randoms(i.size) < p
+    return Graph(upper + upper.T)
 
 
 def circulant(n: int, offsets) -> Graph:

@@ -44,9 +44,20 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
+    def words(self, k: int) -> np.ndarray:
+        """The next k raw words as a uint64 array; the state advances
+        exactly as k calls of next_uint64 would advance it."""
+        block = derived_words(self._state, 1, k)[0]
+        self._state = (self._state + k * _GAMMA) & _MASK64
+        return block
+
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * 2.0**-53
+
+    def randoms(self, k: int) -> np.ndarray:
+        """The next k random() floats as one array."""
+        return (self.words(k) >> np.uint64(11)) * 2.0**-53
 
     def integer_below(self, bound: int) -> int:
         """Unbiased integer in [0, bound) via rejection sampling."""
@@ -68,7 +79,7 @@ class SplitMix64:
 
     def unit_phases(self, n: int) -> np.ndarray:
         """n complex numbers uniform on the unit circle."""
-        angles = np.array([2.0 * np.pi * self.random() for _ in range(n)])
+        angles = 2.0 * np.pi * self.randoms(n)
         return np.cos(angles) + 1j * np.sin(angles)
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gftdual.alignment import (CD, CDPM, SolverConfig, _random_init,
+from gftdual.alignment import (CD, CDPM, ZERO_DIAGONAL_TOL, SolverConfig,
+                               _phases_of_diagonal, _random_init,
                                _random_starts, cd_align, cdpm_align,
                                isomorphism_transport, multistart,
                                optimal_phases, run_pair, trace_objective,
@@ -55,6 +56,52 @@ def test_optimal_phases_zero_diagonal():
     assert abs(value - abs(a[0, 0])) <= 1e-14
     with pytest.raises(SizeMismatchError):
         optimal_phases(np.zeros((2, 3)))
+
+
+def _masked_phases(diag):
+    """The masked form of _phases_of_diagonal, for every input."""
+    mag = np.abs(diag)
+    keep = mag > ZERO_DIAGONAL_TOL
+    d = np.where(keep, np.conj(diag) / np.where(keep, mag, 1.0), 1.0 + 0.0j)
+    return d, np.sum(np.where(keep, mag, 0.0), axis=-1)
+
+
+def test_phases_of_diagonal_fast_path_equals_masked_path():
+    rng = np.random.default_rng(5)
+    diag = rng.standard_normal((7, 30)) + 1j * rng.standard_normal((7, 30))
+    d, value = _phases_of_diagonal(diag)
+    expected_d, expected_value = _masked_phases(diag)
+    assert np.array_equal(d, expected_d)
+    assert np.array_equal(value, expected_value)
+    # an entry at or below the threshold, or NaN, takes the masked path:
+    # phase 1 and no contribution, where conj(a)/|a| would be NaN
+    for small in (0.0, 1e-13, np.nan):
+        marked = diag.copy()
+        marked[2, 4] = small
+        d, value = _phases_of_diagonal(marked)
+        expected_d, expected_value = _masked_phases(marked)
+        assert d[2, 4] == 1.0
+        assert np.array_equal(d, expected_d)
+        assert np.array_equal(value, expected_value)
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_first_trace_entry_scores_the_start(complex_valued):
+    # the descent scores its starts from the first half-step's product;
+    # that must agree with the objective of the start itself
+    rng = np.random.default_rng(6)
+    n = 11
+    v1 = _random_unitary(rng, n, complex_valued)
+    v2 = _random_unitary(rng, n, complex_valued)
+    for seed in range(4):
+        d1, p1, d2, p2 = _random_init(derive_stream(seed, 0), n, True)
+        for method, init, perms in (
+                (cd_align, (d1, d2), (np.arange(n), np.arange(n))),
+                (cdpm_align, (d1, p1, d2, p2), (p1, p2))):
+            trace = []
+            method(v1, v2, SolverConfig(max_iterations=2), init, trace)
+            expected = trace_objective(v1, d1, perms[0], v2, d2, perms[1])
+            assert abs(trace[0] - expected) <= 1e-12
 
 
 def test_trace_objective_matches_matrix_form():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import linear_sum_assignment
+
 from gftdual.assignment import (BRUTEFORCE_LIMIT, assignment_bruteforce,
                                 solve_assignment_max)
 from gftdual.errors import NonFiniteEntryError, NotSquareError, TooLargeError
@@ -109,6 +111,22 @@ def test_stack_rows_equal_single_calls():
         view_sigmas, view_values = solve_assignment_max(view)
         assert np.array_equal(view_sigmas, sigmas)
         assert np.array_equal(view_values, values)
+
+
+def test_negated_costs_equal_maximize_on_ties():
+    # the stack is negated once and solved as a minimum; scipy's
+    # maximize=True negates each matrix itself, so even the choice among
+    # tied optima must agree
+    rng = np.random.default_rng(16)
+    for n in (2, 3, 6, 12, 30):
+        stack = rng.integers(0, 3, size=(9, n, n)).astype(float)
+        stack[0] = 1.0
+        stack[1] = 0.0
+        sigmas, values = solve_assignment_max(stack)
+        for s, sigma, value in zip(stack, sigmas, values):
+            expected = linear_sum_assignment(s.T, maximize=True)[1]
+            assert np.array_equal(sigma, expected)
+            assert value == s[expected, np.arange(n)].sum()
 
 
 def test_stack_matches_bruteforce():

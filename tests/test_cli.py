@@ -161,3 +161,19 @@ def test_invalid_config_surfaces_as_solver_error(tmp_path, capsys):
         assert info.value.code == 1, argv
         err = capsys.readouterr().err
         assert "usage:" in err and message in err, argv
+
+
+def test_gen_option_values_are_usage_errors(tmp_path, capsys):
+    for argv, message in (
+            (["--er", "abc", "0.4"], "--er abc 0.4"),
+            (["--circulant", "12", "1:x"], "--circulant 12 1:x"),
+            (["--er", "20", "1.5"], "probability"),
+            (["--er", "0", "0.4"], "vertex count"),
+            (["--circulant", "12", "7:1"], "offset 7"),
+            (["--circulant", "12", "2:-1"], "weight")):
+        with pytest.raises(SystemExit) as info:
+            main(["gen", *argv, "-o", str(tmp_path / "g.txt")])
+        assert info.value.code == 1, argv
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err, argv
+    assert not (tmp_path / "g.txt").exists()

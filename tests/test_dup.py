@@ -233,6 +233,102 @@ def test_block_ascent_keeps_rows_with_zero_product():
     assert np.max(np.abs(got - expected)) <= 1e-10
 
 
+def test_gaussian_block_equals_scalar_draws():
+    # all u draws first, then all v draws, as one random() call each
+    stream = derive_stream(dup._MIXING_SEED, 1)
+    u = np.array([stream.random() for _ in range(24)])
+    v = np.array([stream.random() for _ in range(24)])
+    expected = np.sqrt(-2.0 * np.log1p(-u)) * np.cos(2.0 * np.pi * v)
+    got = dup._gaussian(derive_stream(dup._MIXING_SEED, 1), 4, 6)
+    assert np.array_equal(got, expected.reshape(4, 6))
+
+
+def _per_sweep_ascent(b, r):
+    """Reference ascent: the two-block sweep with its stop test after
+    every sweep, as dup._ascend ran before its sweeps were chunked.
+    Updates r in place and returns the number of sweeps run."""
+    n = b.shape[0]
+    r1, r2 = r[:n], r[n:]
+    for sweep in range(1, dup._MIXING_SWEEP_CAP + 1):
+        step = dup._normalize_rows(b @ r2, r1)
+        step = max(step, dup._normalize_rows(b.T @ r1, r2))
+        if step <= dup._MIXING_STEP_TOL:
+            return sweep
+    return dup._MIXING_SWEEP_CAP
+
+
+def _ascent_start(n, seed):
+    """A sweep-sized coupling block and unit starting rows for it."""
+    b = build_coupling(*_pair(n=n, seed=seed)).w[:n, n:]
+    rank = int(np.ceil(np.sqrt(4.0 * n))) + 1
+    r = np.random.default_rng(seed).standard_normal((2 * n, rank))
+    return b, r / np.linalg.norm(r, axis=1)[:, None]
+
+
+def _assert_chunked_ascent_is_exact(b, r):
+    expected = r.copy()
+    sweeps = _per_sweep_ascent(b, expected)
+    got = r.copy()
+    assert dup._ascend(b, got) == sweeps
+    assert np.array_equal(got, expected, equal_nan=True)
+    return sweeps
+
+
+def test_chunked_ascent_stops_inside_a_chunk():
+    sweeps = _assert_chunked_ascent_is_exact(*_ascent_start(6, 0))
+    assert sweeps % dup._MIXING_CHUNK != 0
+    assert sweeps < dup._MIXING_SWEEP_CAP
+
+
+def test_chunked_ascent_stops_on_a_chunk_boundary(monkeypatch):
+    b, r = _ascent_start(10, 3)
+    sweeps = _assert_chunked_ascent_is_exact(b, r)
+    assert sweeps % dup._MIXING_CHUNK == 0
+    # the last sweep of the first chunk, and of a later one
+    for chunk in (sweeps, sweeps // 2):
+        monkeypatch.setattr(dup, "_MIXING_CHUNK", chunk)
+        assert _assert_chunked_ascent_is_exact(b, r) == sweeps
+
+
+def test_chunked_ascent_keeps_a_cap_between_chunks(monkeypatch):
+    b, r = _ascent_start(6, 2)
+    # 37 sweeps: two full chunks of 16 and a shortened one of 5
+    monkeypatch.setattr(dup, "_MIXING_SWEEP_CAP", 2 * dup._MIXING_CHUNK + 5)
+    assert _assert_chunked_ascent_is_exact(b, r) == dup._MIXING_SWEEP_CAP
+
+
+def test_chunked_ascent_replays_dead_and_overflowing_rows():
+    b, r = _ascent_start(6, 4)
+    # row 0 of B R2 is zero in every sweep: the guard keeps that row
+    dead = b.copy()
+    dead[0] = 0.0
+    kept = r.copy()
+    _assert_chunked_ascent_is_exact(dead, kept)
+    dup._ascend(dead, kept)
+    assert np.array_equal(kept[0], r[0])
+    # squared norms overflow to inf: not finite, so replayed as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_chunked_ascent_is_exact(b * 1e200, r)
+    # the zero coupling stops after one replayed sweep
+    assert _assert_chunked_ascent_is_exact(np.zeros((6, 6)), r) == 1
+
+
+def test_chunked_ascent_replays_an_infinite_norm_at_a_chunk_end(monkeypatch):
+    # R1 = 1 is already a fixed point (the row sums of B are 1, 1, 3), and
+    # B' R1 = (inf, -inf, 3) gives NaN rows of R2; the guarded sweep still
+    # stops on R1's zero step, since max(0.0, nan) is 0.0, so a chunk
+    # that ends on this sweep must be replayed to stop there too
+    big = 1e308
+    b = np.array([[big, -big, 1.0], [big, -big, 1.0], [1.0, 1.0, 1.0]])
+    r = np.ones((6, 1))
+    monkeypatch.setattr(dup, "_MIXING_CHUNK", 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _assert_chunked_ascent_is_exact(b, r) == 1
+        ascended = r.copy()
+        dup._ascend(b, ascended)
+    assert np.isnan(ascended[3:5]).all()
+
+
 def test_coupling_validation():
     with pytest.raises(SizeMismatchError):
         CouplingMatrix(w=np.zeros((3, 3)), n=1)

@@ -10,6 +10,7 @@ from gftdual.graphs import (Graph, check_permutation, circulant, erdos_renyi,
                             invert_permutation, is_circulant, new_graph,
                             permutation_matrix, permute_graph, read_graph,
                             read_graph_file, write_graph, write_graph_file)
+from gftdual.rng import SplitMix64
 
 
 def test_new_graph_basic():
@@ -68,6 +69,18 @@ def test_erdos_renyi_determinism_and_extremes():
     assert erdos_renyi(10, 1.0, seed=1).edge_count() == 45
     nz = g1.adjacency[g1.adjacency != 0.0]
     assert np.all(nz == 1.0)
+
+
+def test_erdos_renyi_follows_the_documented_draw_order():
+    # one SplitMix64 draw per pair (i, j), i < j, in row-major order
+    for n, p, seed in ((1, 0.5, 0), (2, 0.5, 3), (17, 0.4, 2**64 - 7)):
+        stream = SplitMix64(seed)
+        expected = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if stream.random() < p:
+                    expected[i, j] = expected[j, i] = 1.0
+        assert np.array_equal(erdos_renyi(n, p, seed).adjacency, expected)
 
 
 def test_erdos_renyi_edge_frequency():

@@ -126,3 +126,30 @@ def test_derived_words_wraps_and_rejects_negative_sizes():
         derived_words(0, -1, 2)
     with pytest.raises(ValueError):
         derived_words(0, 2, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(2**64 - 40, 2**64 - 1),
+                      st.integers(0, 2**64 - 1)),
+       skip=st.integers(0, 3), k=st.integers(0, 40))
+def test_words_equal_scalar_draws(seed, skip, k):
+    # seeds near 2**64 make the state wrap during the block
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(skip):
+        assert block.next_uint64() == scalar.next_uint64()
+    words = block.words(k)
+    assert words.shape == (k,) and words.dtype == np.uint64
+    assert [int(w) for w in words] == [scalar.next_uint64()
+                                       for _ in range(k)]
+    # the state advanced by exactly k words
+    assert block.next_uint64() == scalar.next_uint64()
+
+
+def test_randoms_equal_scalar_draws():
+    block, scalar = SplitMix64(2**64 - 3), SplitMix64(2**64 - 3)
+    floats = block.randoms(50)
+    assert floats.dtype == np.float64
+    assert floats.tolist() == [scalar.random() for _ in range(50)]
+    assert block.next_uint64() == scalar.next_uint64()
+    with pytest.raises(ValueError):
+        SplitMix64(0).words(-1)
