@@ -73,10 +73,10 @@ def _add_solver_flags(parser):
 
 
 def _generated_graph(args):
-    """The graph gen asks for, or None without exactly one family; a
-    malformed or out-of-range value raises ValueError."""
+    """The graph gen asks for; no or both families, or a malformed or
+    out-of-range value, raise ValueError."""
     if (args.er is None) == (args.circulant is None):
-        return None
+        raise ValueError("gen needs exactly one of --er or --circulant")
     option, values = (("--er", args.er) if args.er is not None
                       else ("--circulant", args.circulant))
     try:
@@ -91,8 +91,6 @@ def _generated_graph(args):
 
 
 def _cmd_gen(args):
-    if args.config is None:
-        raise GftDualError("gen needs exactly one of --er or --circulant")
     _emit(write_graph(args.config), args.output)
     return 0
 
@@ -119,6 +117,8 @@ def _cmd_bound(args):
     result = dup_bound(build_coupling(dec1.vectors, dec2.vectors))
     sys.stdout.write("bound " + NUMBER_FORMAT % result.bound + "\n")
     sys.stdout.write("cuts %d\n" % result.cuts)
+    sys.stdout.write("sweeps %d\n" % result.sweeps)
+    sys.stdout.write("gap " + NUMBER_FORMAT % result.gap + "\n")
     return 0
 
 

@@ -8,12 +8,14 @@ the semidefinite program
 
 whose dual  minimize 1'nu  subject to  diag(nu) - W PSD  yields a valid
 upper bound from ANY feasible nu.  A low-rank coordinate-ascent pass
-produces a near-optimal dual iterate, and an eigenvalue-oracle
+runs until its duality gap is at most tol, which gives a dual iterate
+within tol of the relaxation's optimum, and an eigenvalue-oracle
 cutting-plane loop certifies it: the minimum eigenpair of diag(nu) - W
 either confirms feasibility up to tol (a diagonal shift then repairs
 the residual, re-checked up to tol by a fresh eigendecomposition) or
 supplies violated cuts for the master linear program and a repaired
-next iterate.
+next iterate.  The bound is thus within tol of the relaxation's
+optimum, and valid up to tol * 2n for unit-modulus phases.
 """
 
 from dataclasses import dataclass
@@ -35,10 +37,8 @@ ORTHOGONALITY_TOL = 1e-8
 
 # coordinate ascent on the low-rank factorization of the relaxation
 _MIXING_SWEEP_CAP = 20000
-# sweeps per chunk of the ascent: the stop test of a whole chunk is one
-# batched reduction
+# sweeps per chunk of the ascent: the duality gap is tested once a chunk
 _MIXING_CHUNK = 16
-_MIXING_STEP_TOL = 1e-13
 _MIXING_SEED = 0x1F2E3D4C
 _MIXING_ATTEMPTS = 3
 _INSURANCE_SLACK = 1e-2
@@ -87,6 +87,12 @@ class BoundResult:
     terminating iterate, before the final diagonal repair.  cuts counts
     oracle cuts accumulated; master_history records the master linear
     program's value each round (non-decreasing).
+
+    sweeps counts the ascent sweeps of the attempt whose iterate was
+    kept, and gap is bound minus that ascent's primal value <W, RR'>, a
+    lower bound on the relaxation's optimum: when the ascent stopped
+    before its cap, gap is at most tol plus rounding, so the bound is
+    within tol of the optimum.
     """
 
     nu: np.ndarray
@@ -94,6 +100,8 @@ class BoundResult:
     min_eig_residual: float
     cuts: int
     master_history: tuple
+    sweeps: int
+    gap: float
 
 
 def build_coupling(v1, v2) -> CouplingMatrix:
@@ -137,18 +145,13 @@ def _normalize_rows(g, r):
     """Replace each row of r by the unit row of g, in place.
 
     A row of g with norm below 1e-300 leaves its row of r unchanged.
-    Returns the largest row step.
     """
     norms = np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
     dead = norms < 1e-300
-    new = np.where(dead, r, g / np.where(dead, 1.0, norms))
-    diff = new - r
-    r[...] = new
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff),
-                                initial=0.0)))
+    r[...] = np.where(dead, r, g / np.where(dead, 1.0, norms))
 
 
-def _mixing_dual(w, stream):
+def _mixing_dual(w, stream, tol):
     """Coordinate ascent for max <W, RR'> over unit rows of R.
 
     W = [[0, B], [B', 0]] is bipartite, so no row of one side couples to
@@ -157,7 +160,11 @@ def _mixing_dual(w, stream):
     rank exceeds the guaranteed rank of an extreme optimal solution, so
     second-order critical points of the ascent are global optima of the
     relaxation; the row norms of WR are the matching dual variables.
-    The sweeps run in chunks (see _ascend).
+    The ascent stops once its duality gap is at most tol (see _ascend),
+    so <W, RR'> is then within tol of the relaxation's optimum.
+
+    Returns (nu, primal, sweeps): the row norms of WR, <W, RR'> and the
+    number of sweeps run.
     """
     m = w.shape[0]
     rank = int(np.ceil(np.sqrt(2.0 * m))) + 1
@@ -169,84 +176,85 @@ def _mixing_dual(w, stream):
         r[degenerate, 0] = 1.0
         norms[degenerate] = 1.0
     r /= norms[:, None]
-    _ascend(w[:m // 2, m // 2:], r)
-    return np.linalg.norm(w @ r, axis=1)
+    sweeps = _ascend(w[:m // 2, m // 2:], r, tol)
+    wr = w @ r
+    return (np.linalg.norm(wr, axis=1), float(np.einsum("ij,ij->", r, wr)),
+            sweeps)
 
 
-def _ascend(b, r):
+def _ascend(b, r, tol):
     """Two-block sweeps on the unit rows r = [R1; R2], in place, until
-    the largest row step of a sweep is at most _MIXING_STEP_TOL or
+    the duality gap is certified at most tol (_gap_certified) or
     _MIXING_SWEEP_CAP sweeps have run; returns the number of sweeps.
 
     Sweeps run in chunks of _MIXING_CHUNK (the last one shortened so the
-    cap stays exact), written into preallocated buffers, and a chunk's
-    row steps come from one batched reduction afterwards; the ascent
-    ends on the first sweep that meets the tolerance, the same sweep and
-    the same floats as testing after every sweep.  A chunk with a row
-    norm below 1e-300 or not finite is replayed sweep by sweep through
-    the guarded _normalize_rows, which keeps such rows unchanged.
+    cap stays exact) and the gap is tested at the end of each chunk.  A
+    chunk with a row norm below 1e-300 or not finite is replayed from
+    its start, sweep by sweep, through the guarded _normalize_rows,
+    which keeps such rows unchanged.
     """
     n, rank = b.shape[0], r.shape[1]
-    # sweep s of a chunk reads R1[s], R2[s] and writes R1[s + 1], R2[s + 1]
-    r1s = np.empty((_MIXING_CHUNK + 1, n, rank))
-    r2s = np.empty((_MIXING_CHUNK + 1, n, rank))
-    r1s[0] = r[:n]
-    r2s[0] = r[n:]
-    norms1 = np.empty((_MIXING_CHUNK, n, 1))
-    norms2 = np.empty((_MIXING_CHUNK, n, 1))
+    r1, r2 = r[:n], r[n:]
+    start = np.empty_like(r)
+    # norms[2s] and norms[2s + 1] divide R1 and R2 in sweep s of a chunk
+    norms = np.empty((2 * _MIXING_CHUNK, n, 1))
     g = np.empty((n, rank))
     sweeps = 0
     while sweeps < _MIXING_SWEEP_CAP:
         length = min(_MIXING_CHUNK, _MIXING_SWEEP_CAP - sweeps)
+        start[...] = r
         # a zero or non-finite norm divides badly here; such a chunk is
         # replayed below
         with np.errstate(divide="ignore", invalid="ignore"):
             for s in range(length):
-                np.matmul(b, r2s[s], out=g)
-                np.sqrt(np.einsum("ij,ij->i", g, g)[:, None], out=norms1[s])
-                np.divide(g, norms1[s], out=r1s[s + 1])
-                np.matmul(b.T, r1s[s + 1], out=g)
-                np.sqrt(np.einsum("ij,ij->i", g, g)[:, None], out=norms2[s])
-                np.divide(g, norms2[s], out=r2s[s + 1])
-        used = np.concatenate((norms1[:length], norms2[:length]))
+                np.matmul(b, r2, out=g)
+                np.sqrt(np.einsum("ij,ij->i", g, g)[:, None],
+                        out=norms[2 * s])
+                np.divide(g, norms[2 * s], out=r1)
+                np.matmul(b.T, r1, out=g)
+                np.sqrt(np.einsum("ij,ij->i", g, g)[:, None],
+                        out=norms[2 * s + 1])
+                np.divide(g, norms[2 * s + 1], out=r2)
+        used = norms[:2 * length]
         # written so that NaN fails it
         if not (used.min() >= 1e-300 and used.max() < np.inf):
-            # sweeps of this chunk again, in place on R1[0], R2[0]
-            stop = _replay_chunk(b, r1s[0], r2s[0], length)
-        else:
-            step = np.maximum(_largest_row_steps(r1s[:length + 1]),
-                              _largest_row_steps(r2s[:length + 1]))
-            hits = np.flatnonzero(step <= _MIXING_STEP_TOL)
-            stop = int(hits[0]) + 1 if hits.size else None
-            last = length if stop is None else stop
-            r1s[0] = r1s[last]
-            r2s[0] = r2s[last]
-        if stop is not None:
-            sweeps += stop
-            break
+            r[...] = start
+            for _ in range(length):
+                _normalize_rows(b @ r2, r1)
+                _normalize_rows(b.T @ r1, r2)
         sweeps += length
-    r[:n] = r1s[0]
-    r[n:] = r2s[0]
+        if _gap_certified(b, r, tol):
+            break
     return sweeps
 
 
-def _largest_row_steps(iterates):
-    """max_i ||R[s + 1]_i - R[s]_i|| for each sweep s of a (k + 1, n, rank)
-    stack of iterates, as _normalize_rows measures one sweep's step."""
-    diff = iterates[1:] - iterates[:-1]
-    return np.sqrt(np.max(np.einsum("sij,sij->si", diff, diff), axis=1,
-                          initial=0.0))
+def _gap_certified(b, r, tol):
+    """Whether the duality gap at the unit rows r = [R1; R2] is at most tol.
 
-
-def _replay_chunk(b, r1, r2, length):
-    """Up to length guarded sweeps on r1, r2 in place; the 1-based sweep
-    that met the step tolerance, or None."""
-    for s in range(length):
-        step = _normalize_rows(b @ r2, r1)
-        step = max(step, _normalize_rows(b.T @ r1, r2))
-        if step <= _MIXING_STEP_TOL:
-            return s + 1
-    return None
+    With nu the row norms of WR, c = sum(nu) - <W, RR'> is never negative
+    (each unit row r_i has r_i . (WR)_i <= nu_i).  If c < tol and
+    diag(nu) + sI - W with s = (tol - c) / m has a Cholesky factor, then
+    nu + s is dual feasible with value <W, RR'> + tol, so the primal
+    value <W, RR'> and that dual value bracket the relaxation's optimum
+    within tol.  A NaN in c fails the test.  The factorization only
+    decides when to stop; dup_bound certifies its bound separately.
+    """
+    n = b.shape[0]
+    wr = np.concatenate((b @ r[n:], b.T @ r[:n]))
+    nu = np.sqrt(np.einsum("ij,ij->i", wr, wr))
+    c = nu.sum() - np.einsum("ij,ij->", r, wr)
+    if not c < tol:
+        return False
+    m = 2 * n
+    shifted = np.zeros((m, m))
+    shifted[:n, n:] = -b
+    shifted[n:, :n] = -b.T
+    shifted[np.diag_indices(m)] = nu + (tol - c) / m
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _solve_master(cuts, rhs, m):
@@ -271,11 +279,12 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
     """Certified upper bound: min 1'nu over diag(nu) - W PSD, plus repair.
 
     Deterministic: the coordinate-ascent initialization uses fixed
-    internal seeds.  The returned nu is re-verified by a fresh
-    eigendecomposition: lambda_min(diag(nu) - W) >= -tol, up to tol
-    (DEFAULT_TOL by default) and not exactly, so bound = sum(nu)
-    dominates x'Wx up to tol * 2n for every unit-modulus x, real or
-    complex.
+    internal seeds.  The ascent stops once its duality gap is at most
+    tol (DEFAULT_TOL by default), so the bound is within tol of the
+    relaxation's optimum (BoundResult.gap).  The returned nu is
+    re-verified by a fresh eigendecomposition: lambda_min(diag(nu) - W)
+    >= -tol, up to tol and not exactly, so bound = sum(nu) dominates
+    x'Wx up to tol * 2n for every unit-modulus x, real or complex.
     """
     if not isinstance(w, CouplingMatrix):
         raise SizeMismatchError("dup_bound expects a CouplingMatrix")
@@ -285,18 +294,19 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
     m = matrix.shape[0]
     if m == 0:
         return BoundResult(nu=np.zeros(0), bound=0.0, min_eig_residual=0.0,
-                           cuts=0, master_history=(0.0,))
+                           cuts=0, master_history=(0.0,), sweeps=0, gap=0.0)
 
     # stage 1: near-optimal dual iterate from the low-rank ascent; retry
     # with fresh starts only if the feasibility residual is large
     best = None
     for attempt in range(_MIXING_ATTEMPTS):
-        nu_hat = _mixing_dual(matrix, derive_stream(_MIXING_SEED, attempt))
+        nu_hat, primal, sweeps = _mixing_dual(
+            matrix, derive_stream(_MIXING_SEED, attempt), tol)
         eigenvalues, _ = _oracle(nu_hat, matrix)
         deficit = max(0.0, -eigenvalues[0])
         repaired_value = float(nu_hat.sum() + m * deficit)
         if best is None or repaired_value < best[0]:
-            best = (repaired_value, nu_hat, eigenvalues[0])
+            best = (repaired_value, nu_hat, primal, sweeps)
         if m * deficit <= _INSURANCE_SLACK * max(1.0, float(nu_hat.sum())):
             break
     x = best[1]
@@ -340,8 +350,10 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
                     "feasibility repair failed to certify the bound")
             nu = np.asarray(nu, dtype=float)
             nu.setflags(write=False)
-            return BoundResult(nu=nu, bound=float(nu.sum()),
+            bound = float(nu.sum())
+            return BoundResult(nu=nu, bound=bound,
                                min_eig_residual=chosen_lam,
                                cuts=len(cuts),
-                               master_history=tuple(master_history))
+                               master_history=tuple(master_history),
+                               sweeps=best[3], gap=bound - best[2])
         x = x + (-lam_min)

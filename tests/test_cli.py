@@ -23,11 +23,15 @@ def test_gen_writes_parseable_graph(tmp_path, capsys):
 
 
 def test_gen_requires_exactly_one_family(tmp_path, capsys):
-    assert main(["gen"]) == 2
-    assert main(["gen", "--er", "4", "0.5",
-                 "--circulant", "4", "1:1.0"]) == 2
-    err = capsys.readouterr().err
-    assert "exactly one" in err
+    # a usage error, so exit 1 and not the solver-error code 2
+    with pytest.raises(SystemExit) as info:
+        main(["gen"])
+    assert info.value.code == 1
+    assert "exactly one" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--er", "4", "0.5", "--circulant", "4", "1:1.0"])
+    assert info.value.code == 1
+    assert "exactly one" in capsys.readouterr().err
 
 
 def test_dualness_pipeline(tmp_path, capsys):
@@ -58,6 +62,20 @@ def test_bound_pipeline_and_weak_duality(tmp_path, capsys):
     assert main(["dualness", g1, g2, "--restarts", "20"]) == 0
     objective = float(capsys.readouterr().out.splitlines()[0].split()[1])
     assert objective <= bound + 1e-6
+
+
+def test_bound_prints_sweeps_and_gap(tmp_path, capsys):
+    g1 = _gen(tmp_path, "g1.txt", "--er", "10", "0.4", "--seed", "62")
+    g2 = _gen(tmp_path, "g2.txt", "--er", "10", "0.4", "--seed", "63")
+    capsys.readouterr()
+    assert main(["bound", g1, g2]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["bound", "cuts", "sweeps",
+                                                   "gap"]
+    sweeps = int(lines[2].split()[1])
+    gap = float(lines[3].split()[1])
+    assert 0 < sweeps < 20000
+    assert -1e-12 <= gap <= 1e-7 + 1e-12
 
 
 def test_repeated_eigenvalues_exit_code(tmp_path, capsys):

@@ -12,6 +12,7 @@ from gftdual.alignment import CD, SolverConfig, multistart, trace_objective
 from gftdual.dup import BoundResult, CouplingMatrix, build_coupling, dup_bound
 from gftdual.errors import (NonFiniteEntryError, NonOrthogonalInputError,
                             SizeMismatchError)
+from gftdual.experiment import ExperimentConfig, _sample_pair
 from gftdual.graphs import erdos_renyi
 from gftdual.rng import SplitMix64, derive_stream
 from gftdual.spectral import eigendecompose
@@ -162,6 +163,84 @@ def test_bound_is_deterministic():
     assert first.master_history == second.master_history
 
 
+def test_bound_reports_sweeps_and_gap():
+    coupling = build_coupling(*_pair(seed=10))
+    for tol in (dup.DEFAULT_TOL, 1e-4):
+        result = dup_bound(coupling, tol=tol)
+        # the gap is tested at chunk ends, and certified before the cap
+        assert 0 < result.sweeps < dup._MIXING_SWEEP_CAP
+        assert result.sweeps % dup._MIXING_CHUNK == 0
+        assert -1e-12 <= result.gap <= tol + 1e-12
+    empty = dup_bound(CouplingMatrix(w=np.zeros((0, 0)), n=0))
+    assert (empty.sweeps, empty.gap) == (0, 0.0)
+
+
+def test_bound_reports_the_kept_attempt(monkeypatch):
+    # no attempt is good enough to stop the retries, so all of them run
+    # and the one with the smallest repaired value is kept
+    monkeypatch.setattr(dup, "_INSURANCE_SLACK", -1.0)
+    attempts = []
+    mixing_dual = dup._mixing_dual
+
+    def recording(w, stream, tol):
+        attempts.append(mixing_dual(w, stream, tol))
+        return attempts[-1]
+
+    monkeypatch.setattr(dup, "_mixing_dual", recording)
+    coupling = build_coupling(*_pair(seed=10))
+    m = coupling.w.shape[0]
+    result = dup_bound(coupling)
+    assert len(attempts) == dup._MIXING_ATTEMPTS
+    repaired = [nu.sum() + m * max(0.0, -dup._oracle(nu, coupling.w)[0][0])
+                for nu, _, _ in attempts]
+    kept = int(np.argmin(repaired))
+    # here the second attempt is kept, so the first one's figures differ
+    assert kept == 1
+    _, primal, sweeps = attempts[kept]
+    assert result.sweeps == sweeps
+    assert result.gap == result.bound - primal
+
+
+def _sweep_coupling(config, n, trial):
+    """The coupling run_experiment(config) bounds at size n, trial."""
+    sequencer = SplitMix64(config.seed)
+    for size in config.n_values:
+        for t in range(config.trials):
+            pair_seed = sequencer.next_uint64()
+            sequencer.next_uint64()
+            sequencer.next_uint64()
+            if (size, t) == (n, trial):
+                dec1, dec2, _ = _sample_pair(n, config.p, pair_seed)
+                return build_coupling(dec1.vectors, dec2.vectors)
+    raise ValueError("no such cell")
+
+
+def _primal_at_cap(w):
+    """<W, RR'> after _MIXING_SWEEP_CAP plain two-block sweeps."""
+    n = w.shape[0] // 2
+    b = w[:n, n:]
+    rank = int(np.ceil(np.sqrt(4.0 * n))) + 1
+    r = np.random.default_rng(0).standard_normal((2 * n, rank))
+    r2 = r[n:] / np.linalg.norm(r[n:], axis=1)[:, None]
+    for _ in range(dup._MIXING_SWEEP_CAP):
+        r1 = b @ r2
+        r1 /= np.linalg.norm(r1, axis=1)[:, None]
+        r2 = b.T @ r1
+        r2 /= np.linalg.norm(r2, axis=1)[:, None]
+    return 2.0 * float(np.sum(r1 * (b @ r2)))
+
+
+# the two slowest ascents of this sweep, each several thousand sweeps
+@pytest.mark.parametrize("n, trial", [(15, 1), (25, 1)])
+def test_bound_is_within_tol_of_the_relaxation(n, trial):
+    coupling = _sweep_coupling(ExperimentConfig(trials=4, seed=5), n, trial)
+    # any primal value is a lower bound on the relaxation's optimum, and
+    # one at the cap is taken as the optimum itself
+    p = _primal_at_cap(coupling.w)
+    bound = dup_bound(coupling).bound
+    assert p - 1e-9 <= bound <= p + dup.DEFAULT_TOL + 1e-9
+
+
 def test_master_lp_primal_form(monkeypatch):
     calls = []
     solve_master = dup._solve_master
@@ -186,8 +265,9 @@ def test_master_lp_primal_form(monkeypatch):
             assert np.square(v) @ nu >= v @ coupling.w @ v - 1e-9
 
 
-def _row_sequential_mixing(w, stream):
-    """Reference ascent: one row of R at a time, each from the current WR.
+def _row_sequential_mixing(w, stream, sweeps):
+    """Reference ascent: one row of R at a time, each from the current WR,
+    for the given number of sweeps.
 
     This is the row-by-row mixing method that the two-block update in
     dup._mixing_dual replaces; it recomputes WR after every row.
@@ -196,27 +276,27 @@ def _row_sequential_mixing(w, stream):
     rank = int(np.ceil(np.sqrt(2.0 * m))) + 1
     r = dup._gaussian(stream, m, rank)
     r /= np.linalg.norm(r, axis=1)[:, None]
-    for _ in range(dup._MIXING_SWEEP_CAP):
-        delta = 0.0
+    for _ in range(sweeps):
         for i in range(m):
             gi = w[i] @ r
             ng = np.linalg.norm(gi)
             if ng < 1e-300:
                 continue
-            rnew = gi / ng
-            delta = max(delta, float(np.linalg.norm(rnew - r[i])))
-            r[i] = rnew
-        if delta <= dup._MIXING_STEP_TOL:
-            break
+            r[i] = gi / ng
     return np.linalg.norm(w @ r, axis=1)
 
 
 @pytest.mark.parametrize("n", [5, 10, 20])
-def test_block_ascent_matches_row_sequential(n):
+def test_block_ascent_matches_row_sequential(n, monkeypatch):
+    # both ascents run the same 20 sweeps: a chunk and a shortened one,
+    # and the gap stop at sweep 16 fires for none of these couplings
+    monkeypatch.setattr(dup, "_MIXING_SWEEP_CAP", 20)
     w = build_coupling(*_pair(n=n, seed=n)).w
     for attempt in range(2):
-        expected = _row_sequential_mixing(w, derive_stream(7, attempt))
-        got = dup._mixing_dual(w, derive_stream(7, attempt))
+        got, _, sweeps = dup._mixing_dual(w, derive_stream(7, attempt),
+                                          dup.DEFAULT_TOL)
+        assert sweeps == 20
+        expected = _row_sequential_mixing(w, derive_stream(7, attempt), 20)
         assert np.max(np.abs(got - expected)) <= 1e-10
 
 
@@ -226,8 +306,8 @@ def test_block_ascent_keeps_rows_with_zero_product():
     w = build_coupling(*_pair(n=6, seed=4)).w.copy()
     w[0, 6:] = 0.0
     w[6:, 0] = 0.0
-    expected = _row_sequential_mixing(w, derive_stream(3, 0))
-    got = dup._mixing_dual(w, derive_stream(3, 0))
+    got, _, sweeps = dup._mixing_dual(w, derive_stream(3, 0), dup.DEFAULT_TOL)
+    expected = _row_sequential_mixing(w, derive_stream(3, 0), sweeps)
     assert got[0] == 0.0
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - expected)) <= 1e-10
@@ -243,16 +323,42 @@ def test_gaussian_block_equals_scalar_draws():
     assert np.array_equal(got, expected.reshape(4, 6))
 
 
-def _per_sweep_ascent(b, r):
-    """Reference ascent: the two-block sweep with its stop test after
-    every sweep, as dup._ascend ran before its sweeps were chunked.
-    Updates r in place and returns the number of sweeps run."""
+def _dual_readout(b, r):
+    """W = [[0, B], [B', 0]], the row norms nu of WR and
+    c = sum(nu) - <W, RR'>."""
+    n = b.shape[0]
+    w = np.zeros((2 * n, 2 * n))
+    w[:n, n:] = b
+    w[n:, :n] = b.T
+    wr = w @ r
+    nu = np.linalg.norm(wr, axis=1)
+    return w, nu, nu.sum() - np.sum(r * wr)
+
+
+def _gap_at_most(b, r, tol):
+    """The ascent's stop rule, written out on the full coupling: c < tol
+    and diag(nu) + (tol - c) / m I - W has a Cholesky factor."""
+    w, nu, c = _dual_readout(b, r)
+    if not c < tol:
+        return False
+    try:
+        np.linalg.cholesky(np.diag(nu + (tol - c) / w.shape[0]) - w)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _per_sweep_ascent(b, r, every=None):
+    """Reference ascent: one guarded two-block sweep at a time, with the
+    gap stop rule after every `every`-th sweep (dup._MIXING_CHUNK when
+    None).  Updates r in place and returns the number of sweeps run."""
+    every = dup._MIXING_CHUNK if every is None else every
     n = b.shape[0]
     r1, r2 = r[:n], r[n:]
     for sweep in range(1, dup._MIXING_SWEEP_CAP + 1):
-        step = dup._normalize_rows(b @ r2, r1)
-        step = max(step, dup._normalize_rows(b.T @ r1, r2))
-        if step <= dup._MIXING_STEP_TOL:
+        dup._normalize_rows(b @ r2, r1)
+        dup._normalize_rows(b.T @ r1, r2)
+        if sweep % every == 0 and _gap_at_most(b, r, dup.DEFAULT_TOL):
             return sweep
     return dup._MIXING_SWEEP_CAP
 
@@ -269,20 +375,42 @@ def _assert_chunked_ascent_is_exact(b, r):
     expected = r.copy()
     sweeps = _per_sweep_ascent(b, expected)
     got = r.copy()
-    assert dup._ascend(b, got) == sweeps
+    assert dup._ascend(b, got, dup.DEFAULT_TOL) == sweeps
     assert np.array_equal(got, expected, equal_nan=True)
     return sweeps
 
 
+def test_gap_rule_certifies_just_past_its_threshold():
+    # the rule holds iff lambda_min(diag(nu) - W) + (tol - c) / m > 0,
+    # that is iff tol > c - m lambda_min; eight sweeps in, c is about 0.3%
+    # of that threshold, so a shift of tol / m would certify below it
+    b, r = _ascent_start(6, 0)
+    for _ in range(8):
+        dup._normalize_rows(b @ r[6:], r[:6])
+        dup._normalize_rows(b.T @ r[:6], r[6:])
+    w, nu, c = _dual_readout(b, r)
+    threshold = c - 12 * np.linalg.eigvalsh(np.diag(nu) - w)[0]
+    assert c > 1e-3 * threshold
+    assert dup._gap_certified(b, r, threshold * (1.0 + 1e-4))
+    assert not dup._gap_certified(b, r, threshold * (1.0 - 1e-4))
+
+
 def test_chunked_ascent_stops_inside_a_chunk():
-    sweeps = _assert_chunked_ascent_is_exact(*_ascent_start(6, 0))
-    assert sweeps % dup._MIXING_CHUNK != 0
+    # the gap is first certified at sweep 41, inside the third chunk; the
+    # ascent tests it at chunk ends only, so it stops at sweep 48
+    b, r = _ascent_start(6, 0)
+    first = _per_sweep_ascent(b, r.copy(), every=1)
+    assert first % dup._MIXING_CHUNK != 0
+    sweeps = _assert_chunked_ascent_is_exact(b, r)
+    assert sweeps == -(-first // dup._MIXING_CHUNK) * dup._MIXING_CHUNK
     assert sweeps < dup._MIXING_SWEEP_CAP
 
 
 def test_chunked_ascent_stops_on_a_chunk_boundary(monkeypatch):
-    b, r = _ascent_start(10, 3)
+    # the gap is first certified at sweep 112, the end of a chunk
+    b, r = _ascent_start(7, 20)
     sweeps = _assert_chunked_ascent_is_exact(b, r)
+    assert _per_sweep_ascent(b, r.copy(), every=1) == sweeps
     assert sweeps % dup._MIXING_CHUNK == 0
     # the last sweep of the first chunk, and of a later one
     for chunk in (sweeps, sweeps // 2):
@@ -297,35 +425,40 @@ def test_chunked_ascent_keeps_a_cap_between_chunks(monkeypatch):
     assert _assert_chunked_ascent_is_exact(b, r) == dup._MIXING_SWEEP_CAP
 
 
-def test_chunked_ascent_replays_dead_and_overflowing_rows():
+def test_chunked_ascent_replays_dead_and_overflowing_rows(monkeypatch):
     b, r = _ascent_start(6, 4)
     # row 0 of B R2 is zero in every sweep: the guard keeps that row
     dead = b.copy()
     dead[0] = 0.0
     kept = r.copy()
     _assert_chunked_ascent_is_exact(dead, kept)
-    dup._ascend(dead, kept)
+    dup._ascend(dead, kept, dup.DEFAULT_TOL)
     assert np.array_equal(kept[0], r[0])
-    # squared norms overflow to inf: not finite, so replayed as well
+    # squared norms overflow to inf: not finite, so replayed as well; the
+    # gap is infinite, so the ascent runs to the cap
+    monkeypatch.setattr(dup, "_MIXING_SWEEP_CAP", 2 * dup._MIXING_CHUNK + 5)
     with np.errstate(over="ignore", invalid="ignore"):
-        _assert_chunked_ascent_is_exact(b * 1e200, r)
-    # the zero coupling stops after one replayed sweep
-    assert _assert_chunked_ascent_is_exact(np.zeros((6, 6)), r) == 1
+        assert (_assert_chunked_ascent_is_exact(b * 1e200, r)
+                == dup._MIXING_SWEEP_CAP)
+    # the zero coupling keeps every row and stops after one replayed chunk
+    assert (_assert_chunked_ascent_is_exact(np.zeros((6, 6)), r)
+            == dup._MIXING_CHUNK)
 
 
 def test_chunked_ascent_replays_an_infinite_norm_at_a_chunk_end(monkeypatch):
-    # R1 = 1 is already a fixed point (the row sums of B are 1, 1, 3), and
-    # B' R1 = (inf, -inf, 3) gives NaN rows of R2; the guarded sweep still
-    # stops on R1's zero step, since max(0.0, nan) is 0.0, so a chunk
-    # that ends on this sweep must be replayed to stop there too
+    # R1 = 1 is a fixed point (the row sums of B are 1, 1, 3), and
+    # B' R1 = (inf, -inf, 3) gives NaN rows of R2; with chunks of one
+    # sweep every chunk ends on such a norm and is replayed, and the NaN
+    # gap never stops the ascent before the cap
     big = 1e308
     b = np.array([[big, -big, 1.0], [big, -big, 1.0], [1.0, 1.0, 1.0]])
     r = np.ones((6, 1))
     monkeypatch.setattr(dup, "_MIXING_CHUNK", 1)
+    monkeypatch.setattr(dup, "_MIXING_SWEEP_CAP", 5)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _assert_chunked_ascent_is_exact(b, r) == 1
+        assert _assert_chunked_ascent_is_exact(b, r) == 5
         ascended = r.copy()
-        dup._ascend(b, ascended)
+        dup._ascend(b, ascended, dup.DEFAULT_TOL)
     assert np.isnan(ascended[3:5]).all()
 
 

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from gftdual import experiment
 from gftdual.errors import (EmptyInputError, ParseError, ResampleCapExceeded)
 from gftdual.experiment import (CSV_HEADER, DUP, METHODS, PLOT_BOTTOM,
                                 PLOT_LEFT, PLOT_RIGHT, PLOT_TOP,
@@ -78,6 +79,24 @@ def test_csv_round_trip_is_exact():
     assert text.startswith(CSV_HEADER + "\n")
     assert text.endswith("\n")
     assert read_csv(text) == records
+
+
+def test_dup_rows_keep_the_csv_schema(monkeypatch):
+    # the ascent's sweeps and gap are not columns; DUP iterations count cuts
+    bounds = []
+    dup_bound = experiment.dup_bound
+
+    def recording(coupling):
+        bounds.append(dup_bound(coupling))
+        return bounds[-1]
+
+    monkeypatch.setattr(experiment, "dup_bound", recording)
+    records = run_experiment(_small_config(methods=(DUP,)), clock=FakeClock())
+    header = write_csv(records).splitlines()[0]
+    assert header == ("n,p,trial,method,objective,dualness,iterations,"
+                      "restarts_used,resample_count,wall_time_ms")
+    assert [r.iterations for r in records] == [b.cuts for b in bounds]
+    assert [r.objective for r in records] == [b.bound for b in bounds]
 
 
 def test_write_csv_rejects_empty():
