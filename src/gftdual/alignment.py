@@ -207,6 +207,16 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
     # CD's diag(Va Da Vb) = da (Va' o Vb), CDPM's Va of S = Va Da Pa Vb
     if update_permutations:
         fixed = (v1.astype(complex), v2.astype(complex))
+        # CDPM's workspaces, allocated once per descent: respond fills a
+        # prefix of each for every block with out=.  The gathered Vb rows
+        # keep the bases' dtype (a real basis gathers real rows)
+        size = min(count, block) * n * n
+        gathered = np.empty(size, dtype=np.result_type(v1, v2))
+        v1 = v1.astype(gathered.dtype, copy=False)
+        v2 = v2.astype(gathered.dtype, copy=False)
+        products = np.empty(size, dtype=complex)
+        scores = np.empty(size, dtype=complex)
+        magnitudes = np.empty(size)
     else:
         fixed = ((v1.T * v2).astype(complex), (v2.T * v1).astype(complex))
 
@@ -230,9 +240,22 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
             # product: S[:, r, :] = Va X[:, r, :], X[l, r, k] = da[r, l]
             # Vb[pa[r, l], k]
             m = da[part].shape[0]
-            x = (da[part].T[:, :, None] * vb[pa[part].T]).reshape(n, m * n)
-            s = (a @ x).reshape(n, m, n).transpose(1, 0, 2)
-            pb[part], _ = solve_assignment_max(np.abs(s))
+            used = m * n * n
+            # the permutation checks and LSAP keep pa in range, so clip
+            # never clips (and, unlike raise, does not buffer out)
+            rows = np.take(vb, pa[part].T, axis=0, mode="clip",
+                           out=gathered[:used].reshape(n, m, n))
+            x = np.multiply(da[part].T[:, :, None], rows,
+                            out=products[:used].reshape(n, m, n))
+            s = np.matmul(a, x.reshape(n, m * n),
+                          out=scores[:used].reshape(n, m * n))
+            s = s.reshape(n, m, n).transpose(1, 0, 2)
+            # |S| in (start, column, row) order, so that the negated cost
+            # solve_assignment_max builds from its transpose is one
+            # contiguous pass
+            magnitude = np.abs(s.transpose(0, 2, 1),
+                               out=magnitudes[:used].reshape(m, n, n))
+            pb[part], _ = solve_assignment_max(magnitude.transpose(0, 2, 1))
             starts = np.arange(m)[:, None]
             diag[part] = s[starts, pb[part], columns]
             if now is not None:

@@ -1,8 +1,8 @@
 """Command-line surface: graph generation, dualness, bounds, experiments.
 
 Exit codes: 0 on success (including an INFEASIBLE construction result,
-which is an answer, not an error), 1 on usage errors, 2 on solver
-errors."""
+which is an answer, not an error), 1 on usage and file errors (a file
+that is missing or does not parse), 2 on solver errors."""
 
 import argparse
 import sys
@@ -13,7 +13,7 @@ from .dual_construct import FEASIBLE, construct_dual
 from .dup import build_coupling, dup_bound
 from .errors import (GftDualError, IndexOutOfRangeError,
                      NonPositiveWeightError, OffsetOutOfRangeError,
-                     RepeatedEigenvaluesError)
+                     ParseError, RepeatedEigenvaluesError)
 from .experiment import (ExperimentConfig, plot_fig1, read_csv,
                          run_experiment, write_csv)
 from .graphs import circulant, erdos_renyi, read_graph_file, write_graph
@@ -240,12 +240,14 @@ def main(argv=None) -> int:
             parser.error(str(exc))
     try:
         return args.handler(args)
+    except (OSError, ParseError) as exc:
+        # a missing or malformed input file is a file error, not a
+        # solver error
+        sys.stderr.write("error: %s\n" % exc)
+        return 1
     except GftDualError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except OSError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gftdual.alignment import (CD, CDPM, ZERO_DIAGONAL_TOL, SolverConfig,
                                _phases_of_diagonal, _random_init,
@@ -149,6 +151,30 @@ def test_descent_is_monotone_and_consistent(method):
     assert abs(recomputed - solution.objective) <= 1e-12
     expected_dualness = np.sqrt(max(0.0, 24.0 - 2.0 * solution.objective))
     assert abs(solution.dualness - expected_dualness) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=2, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       complex_bases=st.tuples(st.booleans(), st.booleans()),
+       method=st.sampled_from([CD, CDPM]))
+def test_descent_trace_is_monotone_from_any_start(n, seed, complex_bases,
+                                                  method):
+    # every half-step maximizes over its side exactly, so the objective
+    # never falls by more than rounding; real, complex and mixed bases
+    rng = np.random.default_rng(seed)
+    v1 = _random_unitary(rng, n, complex_bases[0])
+    v2 = _random_unitary(rng, n, complex_bases[1])
+    d1, p1, d2, p2 = _random_init(derive_stream(seed, 0), n, True)
+    trace = []
+    if method == CD:
+        solution = cd_align(v1, v2, init=(d1, d2), trace=trace)
+    else:
+        solution = cdpm_align(v1, v2, init=(d1, p1, d2, p2), trace=trace)
+    assert len(trace) == 1 + 2 * solution.iterations
+    for a, b in zip(trace, trace[1:]):
+        assert b >= a - 1e-12 * n
+    assert trace[-1] == solution.objective
 
 
 def test_cd_keeps_identity_permutations():

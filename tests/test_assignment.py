@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
 from gftdual.assignment import (BRUTEFORCE_LIMIT, assignment_bruteforce,
@@ -138,6 +140,44 @@ def test_stack_matches_bruteforce():
             sigma_b, value_b = assignment_bruteforce(s)
             assert value == value_b
             assert np.array_equal(sigma, sigma_b)
+
+
+# small integers give tied optima, bounded floats the general case
+_SCORES = st.one_of(st.integers(min_value=-3, max_value=3).map(float),
+                    st.floats(min_value=-100.0, max_value=100.0))
+
+
+def _score_stacks(max_n):
+    return st.tuples(st.integers(min_value=1, max_value=4),
+                     st.integers(min_value=1, max_value=max_n)).flatmap(
+        lambda shape: hnp.arrays(float, (shape[0], shape[1], shape[1]),
+                                 elements=_SCORES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=_score_stacks(max_n=6))
+def test_stack_matches_bruteforce_value_property(stack):
+    sigmas, values = solve_assignment_max(stack)
+    n = stack.shape[1]
+    for s, sigma, value in zip(stack, sigmas, values):
+        check_permutation(sigma, n)
+        assert value == s[sigma, np.arange(n)].sum()
+        # equal optima by different permutations may round differently;
+        # scores are at most 100 in magnitude
+        assert abs(value - assignment_bruteforce(s)[1]) <= 1e-10 * n
+
+
+@settings(max_examples=40, deadline=None)
+@given(stack=_score_stacks(max_n=9))
+def test_non_contiguous_stacks_solve_like_their_copies_property(stack):
+    sigmas, values = solve_assignment_max(stack)
+    # the transposed view of a (start, column, row) buffer, as CDPM
+    # passes it, and a view of a (row, start, column) buffer
+    for view in (np.swapaxes(np.swapaxes(stack, 1, 2).copy(), 1, 2),
+                 np.swapaxes(np.swapaxes(stack, 0, 1).copy(), 0, 1)):
+        view_sigmas, view_values = solve_assignment_max(view)
+        assert np.array_equal(view_sigmas, sigmas)
+        assert np.array_equal(view_values, values)
 
 
 def test_stack_errors():

@@ -137,6 +137,27 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_graph_file_exits_one(tmp_path, capsys):
+    # a file error like a missing file, not the solver-error code 2
+    good = _gen(tmp_path, "g1.txt", "--er", "8", "0.5", "--seed", "3")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("8\n0 1 x\n")
+    capsys.readouterr()
+    for argv in (["dualness", good, str(bad)], ["bound", good, str(bad)],
+                 ["dual-construct", str(bad)]):
+        assert main(argv) == 1, argv
+        assert "error: line 2:" in capsys.readouterr().err, argv
+
+
+def test_malformed_csv_exits_one(tmp_path, capsys):
+    csv_path = tmp_path / "runs.csv"
+    csv_path.write_text("n,p,trial\n")
+    assert main(["plot", str(csv_path),
+                 "-o", str(tmp_path / "fig.svg")]) == 1
+    assert "error: line 1: unexpected CSV header" in capsys.readouterr().err
+    assert not (tmp_path / "fig.svg").exists()
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
