@@ -16,16 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import solve_assignment_max
-from .errors import (IndexOutOfRangeError, NonOrthogonalInputError,
-                     NonUnitPhaseError, RepeatedEigenvaluesError,
+from .errors import (IndexOutOfRangeError, NonUnitPhaseError,
                      SizeMismatchError, NotCirculantError)
 from .graphs import Graph, check_permutation, invert_permutation, is_circulant
 from .rng import derive_stream, derived_words
-from .spectral import (dft_matrix, eigendecompose, has_distinct_eigenvalues,
-                       minimum_eigenvalue_gap)
+from .spectral import check_basis_pair, decompose_pair, dft_matrix
 
 ZERO_DIAGONAL_TOL = 1e-12
-ORTHOGONALITY_TOL = 1e-8
 CIRCULANT_DIAG_TOL = 1e-9
 UNIT_PHASE_TOL = 1e-9
 # CDPM forms the score matrices of at most this many complex entries at
@@ -72,27 +69,6 @@ class AlignmentSolution:
     restart_converged: np.ndarray
 
 
-def _check_square(v, name):
-    v = np.asarray(v)
-    if np.iscomplexobj(v):
-        v = v.astype(complex)
-    else:
-        v = v.astype(float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise SizeMismatchError("%s must be square, got shape %s" % (name, v.shape))
-    return v
-
-
-def _check_orthogonal(v, name):
-    v = _check_square(v, name)
-    n = v.shape[0]
-    residual = np.max(np.abs(v.conj().T @ v - np.eye(n))) if n else 0.0
-    if residual > ORTHOGONALITY_TOL:
-        raise NonOrthogonalInputError(
-            "%s is not orthogonal: max |V*V - I| = %.3e" % (name, residual))
-    return v
-
-
 def _check_phases(d, n, name):
     d = np.asarray(d, dtype=complex)
     if d.shape != (n,):
@@ -136,18 +112,14 @@ def _check_start_count(stacks):
                                 "starts: %s" % sorted(counts))
 
 
-def _dualness_from_objective(n, objective):
+def dualness_from_objective(n, objective):
+    """sqrt(max(0, 2n - 2 objective))."""
     return math.sqrt(max(0.0, 2.0 * n - 2.0 * objective))
 
 
 def trace_objective(v1, d1, p1, v2, d2, p2):
     """Re tr(V1 diag(d1) P1 V2 diag(d2) P2)."""
-    v1 = _check_orthogonal(v1, "V1")
-    v2 = _check_orthogonal(v2, "V2")
-    n = v1.shape[0]
-    if v2.shape[0] != n:
-        raise SizeMismatchError("V1 is %dx%d but V2 is %dx%d"
-                                % (n, n, v2.shape[0], v2.shape[0]))
+    v1, v2, n = check_basis_pair(v1, v2)
     d1 = _check_phases(d1, n, "d1")
     d2 = _check_phases(d2, n, "d2")
     p1 = check_permutation(p1, n)
@@ -300,15 +272,6 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
             float(current[best]), iterations, converged)
 
 
-def _prepare_pair(v1, v2):
-    v1 = _check_orthogonal(v1, "V1")
-    v2 = _check_orthogonal(v2, "V2")
-    if v1.shape != v2.shape:
-        raise SizeMismatchError("V1 and V2 sizes differ: %s vs %s"
-                                % (v1.shape, v2.shape))
-    return v1, v2, v1.shape[0]
-
-
 def _solve(v1, v2, n, d1, p1, d2, p2, config, update_permutations, trace):
     if trace is not None and d1.shape[0] != 1:
         raise ValueError("trace needs a single start, got %d"
@@ -319,7 +282,7 @@ def _solve(v1, v2, n, d1, p1, d2, p2, config, update_permutations, trace):
     iterations.setflags(write=False)
     converged.setflags(write=False)
     return AlignmentSolution(d1, d2, p1, p2, objective,
-                             _dualness_from_objective(n, objective),
+                             dualness_from_objective(n, objective),
                              int(iterations[best]), bool(converged[best]),
                              iterations, converged)
 
@@ -333,7 +296,7 @@ def cd_align(v1, v2, config=SolverConfig(), init=None, trace=None):
     phases.  trace, when a list, receives the objective value after the
     initialization and after every half-step; it needs a single start.
     """
-    v1, v2, n = _prepare_pair(v1, v2)
+    v1, v2, n = check_basis_pair(v1, v2)
     if init is None:
         init = (np.ones(n), np.ones(n))
     d1 = _check_phase_stack(init[0], n, "init d1")
@@ -354,7 +317,7 @@ def cdpm_align(v1, v2, config=SolverConfig(), init=None, trace=None):
     receives the objective value after the initialization and after
     every half-step; it needs a single start.
     """
-    v1, v2, n = _prepare_pair(v1, v2)
+    v1, v2, n = check_basis_pair(v1, v2)
     if init is None:
         identity = np.arange(n, dtype=np.intp)
         init = (np.ones(n), identity, np.ones(n), identity)
@@ -429,7 +392,7 @@ def multistart(method, v1, v2, config=SolverConfig()):
     method = method.upper()
     if method not in (CD, CDPM):
         raise ValueError("method must be CD or CDPM, got %r" % (method,))
-    v1, v2, n = _prepare_pair(v1, v2)
+    v1, v2, n = check_basis_pair(v1, v2)
     init = _random_starts(config.seed, config.restarts, n, method == CDPM)
     if method == CD:
         return cd_align(v1, v2, config, init)
@@ -438,17 +401,7 @@ def multistart(method, v1, v2, config=SolverConfig()):
 
 def run_pair(g1: Graph, g2: Graph, method, config=SolverConfig()):
     """Eigendecompose a graph pair and run the multistart optimizer."""
-    if g1.n != g2.n:
-        raise SizeMismatchError("graphs have different sizes: %d vs %d"
-                                % (g1.n, g2.n))
-    dec1 = eigendecompose(g1)
-    dec2 = eigendecompose(g2)
-    for which, dec in (("first", dec1), ("second", dec2)):
-        if not has_distinct_eigenvalues(dec):
-            gap = minimum_eigenvalue_gap(dec)
-            raise RepeatedEigenvaluesError(
-                "%s graph has repeated eigenvalues (min gap %.3e)"
-                % (which, gap), min_gap=gap)
+    dec1, dec2 = decompose_pair(g1, g2)
     return multistart(method, dec1.vectors, dec2.vectors, config)
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (including an INFEASIBLE construction result,
 which is an answer, not an error), 1 on usage and file errors (a file
-that is missing or does not parse), 2 on solver errors."""
+that is missing, not UTF-8, does not parse or names a bad edge), 2 on
+solver errors."""
 
 import argparse
 import sys
@@ -12,13 +13,11 @@ from .alignment import SolverConfig, run_pair, verify_circulant_duality
 from .dual_construct import FEASIBLE, construct_dual
 from .dup import build_coupling, dup_bound
 from .errors import (GftDualError, IndexOutOfRangeError,
-                     NonPositiveWeightError, OffsetOutOfRangeError,
-                     ParseError, RepeatedEigenvaluesError)
+                     NonPositiveWeightError, OffsetOutOfRangeError)
 from .experiment import (ExperimentConfig, plot_fig1, read_csv,
                          run_experiment, write_csv)
 from .graphs import circulant, erdos_renyi, read_graph_file, write_graph
-from .spectral import (eigendecompose, has_distinct_eigenvalues,
-                       minimum_eigenvalue_gap)
+from .spectral import decompose_pair
 
 NUMBER_FORMAT = "%.12g"
 
@@ -65,8 +64,8 @@ def _solver_config(args):
                         seed=args.seed)
 
 
-def _add_solver_flags(parser):
-    parser.add_argument("--restarts", type=int, default=200)
+def _add_solver_flags(parser, restarts):
+    parser.add_argument("--restarts", type=int, default=restarts)
     parser.add_argument("--epsilon", type=float, default=1e-8)
     parser.add_argument("--max-iter", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
@@ -105,15 +104,8 @@ def _cmd_dualness(args):
 
 
 def _cmd_bound(args):
-    g1 = read_graph_file(args.graph1)
-    g2 = read_graph_file(args.graph2)
-    dec1 = eigendecompose(g1)
-    dec2 = eigendecompose(g2)
-    for name, dec in (("first", dec1), ("second", dec2)):
-        if not has_distinct_eigenvalues(dec):
-            raise RepeatedEigenvaluesError(
-                "%s graph has repeated eigenvalues" % name,
-                min_gap=minimum_eigenvalue_gap(dec))
+    dec1, dec2 = decompose_pair(read_graph_file(args.graph1),
+                                read_graph_file(args.graph2))
     result = dup_bound(build_coupling(dec1.vectors, dec2.vectors))
     sys.stdout.write("bound " + NUMBER_FORMAT % result.bound + "\n")
     sys.stdout.write("cuts %d\n" % result.cuts)
@@ -158,7 +150,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_plot(args):
-    with open(args.csv) as handle:
+    with open(args.csv, encoding="utf-8") as handle:
         records = read_csv(handle.read())
     _emit(plot_fig1(records), args.output)
     return 0
@@ -185,7 +177,7 @@ def _build_parser():
     dualness.add_argument("graph1")
     dualness.add_argument("graph2")
     dualness.add_argument("--method", choices=("cd", "cdpm"), default="cd")
-    _add_solver_flags(dualness)
+    _add_solver_flags(dualness, restarts=200)
     dualness.set_defaults(handler=_cmd_dualness, configure=_solver_config)
 
     bound = commands.add_parser("bound", help="certified upper bound")
@@ -210,10 +202,7 @@ def _build_parser():
                             help="comma-separated sizes")
     experiment.add_argument("--p", type=float, default=0.4)
     experiment.add_argument("--trials", type=int, default=20)
-    experiment.add_argument("--restarts", type=int, default=50)
-    experiment.add_argument("--epsilon", type=float, default=1e-8)
-    experiment.add_argument("--max-iter", type=int, default=500)
-    experiment.add_argument("--seed", type=int, default=0)
+    _add_solver_flags(experiment, restarts=50)
     experiment.add_argument("--methods", default="cd,cdpm,dup")
     experiment.add_argument("-o", "--output", default=None)
     experiment.add_argument("--plot", default=None)
@@ -240,14 +229,15 @@ def main(argv=None) -> int:
             parser.error(str(exc))
     try:
         return args.handler(args)
-    except (OSError, ParseError) as exc:
-        # a missing or malformed input file is a file error, not a
+    except (OSError, UnicodeDecodeError) as exc:
+        # a missing or non-UTF-8 input file is a file error, not a
         # solver error
         sys.stderr.write("error: %s\n" % exc)
         return 1
     except GftDualError as exc:
         sys.stderr.write("error: %s\n" % exc)
-        return 2
+        # an error at a line of an input file is a file error too
+        return 2 if exc.line_number is None else 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import numpy as np
 from . import lp
 from .errors import SizeMismatchError
 from .graphs import Graph
-from .spectral import eigendecompose
+from .spectral import check_square, eigendecompose
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -57,10 +57,8 @@ def _assemble(v):
 
 def candidate_adjacency(v, lam):
     """A(L) = V' diag(lam) V assembled from the rows of V."""
-    v = np.asarray(v, dtype=float)
+    v = check_square(v, "V")
     lam = np.asarray(lam, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise SizeMismatchError("V must be square, got shape %s" % (v.shape,))
     if lam.shape != (v.shape[0],):
         raise SizeMismatchError("lambda must have length %d" % v.shape[0])
     return v.T @ (lam[:, None] * v)
@@ -68,9 +66,7 @@ def candidate_adjacency(v, lam):
 
 def construct_dual_from_vectors(v) -> DualConstructionResult:
     """Diagnostic entry point taking the eigenvector matrix directly."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise SizeMismatchError("V must be square, got shape %s" % (v.shape,))
+    v = check_square(v, "V")
     result = lp.solve_lp(_assemble(v))
     if result.status != lp.OPTIMAL:
         return DualConstructionResult(status=INFEASIBLE, lambda_=None,

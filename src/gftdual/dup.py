@@ -23,25 +23,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (IterationCapExceeded, NonFiniteEntryError,
-                     NonOrthogonalInputError, NumericalBreakdown,
-                     SizeMismatchError)
+                     NumericalBreakdown, SizeMismatchError)
 from .lp import GREATER_EQUAL, OPTIMAL, LinearProgram, solve_lp
 from .rng import derive_stream
-from .spectral import jacobi_eigh
+from .spectral import check_basis_pair, jacobi_eigh
 
 DEFAULT_TOL = 1e-7
 CUT_BUDGET = 2000
 DUPLICATE_COSINE = 1.0 - 1e-10
 SYMMETRY_TOL = 1e-12
-ORTHOGONALITY_TOL = 1e-8
 
 # coordinate ascent on the low-rank factorization of the relaxation
 _MIXING_SWEEP_CAP = 20000
 # sweeps per chunk of the ascent: the duality gap is tested once a chunk
 _MIXING_CHUNK = 16
 _MIXING_SEED = 0x1F2E3D4C
-_MIXING_ATTEMPTS = 3
-_INSURANCE_SLACK = 1e-2
 
 # eigenvalues this close to the bottom of the spectrum become cuts
 _NEAR_NULL_FLOOR = 1e-3
@@ -88,11 +84,10 @@ class BoundResult:
     oracle cuts accumulated; master_history records the master linear
     program's value each round (non-decreasing).
 
-    sweeps counts the ascent sweeps of the attempt whose iterate was
-    kept, and gap is bound minus that ascent's primal value <W, RR'>, a
-    lower bound on the relaxation's optimum: when the ascent stopped
-    before its cap, gap is at most tol plus rounding, so the bound is
-    within tol of the optimum.
+    sweeps counts the sweeps of the coordinate ascent, and gap is bound
+    minus the ascent's primal value <W, RR'>, a lower bound on the
+    relaxation's optimum: when the ascent stopped before its cap, gap is
+    at most tol plus rounding, so the bound is within tol of the optimum.
     """
 
     nu: np.ndarray
@@ -114,19 +109,7 @@ def build_coupling(v1, v2) -> CouplingMatrix:
     v2 = np.asarray(v2)
     if np.iscomplexobj(v1) or np.iscomplexobj(v2):
         raise SizeMismatchError("coupling inputs must be real matrices")
-    v1 = v1.astype(float)
-    v2 = v2.astype(float)
-    if v1.ndim != 2 or v1.shape[0] != v1.shape[1]:
-        raise SizeMismatchError("V1 must be square, got shape %s" % (v1.shape,))
-    if v2.shape != v1.shape:
-        raise SizeMismatchError("V1 and V2 sizes differ: %s vs %s"
-                                % (v1.shape, v2.shape))
-    n = v1.shape[0]
-    for name, v in (("V1", v1), ("V2", v2)):
-        residual = np.max(np.abs(v.T @ v - np.eye(n))) if n else 0.0
-        if residual > ORTHOGONALITY_TOL:
-            raise NonOrthogonalInputError(
-                "%s is not orthogonal: max |V'V - I| = %.3e" % (name, residual))
+    v1, v2, n = check_basis_pair(v1, v2)
     block = 0.5 * (v1.T * v2)
     w = np.zeros((2 * n, 2 * n))
     w[:n, n:] = block
@@ -278,8 +261,8 @@ def _oracle(nu, w):
 def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
     """Certified upper bound: min 1'nu over diag(nu) - W PSD, plus repair.
 
-    Deterministic: the coordinate-ascent initialization uses fixed
-    internal seeds.  The ascent stops once its duality gap is at most
+    Deterministic: the coordinate-ascent initialization uses a fixed
+    internal seed.  The ascent stops once its duality gap is at most
     tol (DEFAULT_TOL by default), so the bound is within tol of the
     relaxation's optimum (BoundResult.gap).  The returned nu is
     re-verified by a fresh eigendecomposition: lambda_min(diag(nu) - W)
@@ -296,20 +279,9 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
         return BoundResult(nu=np.zeros(0), bound=0.0, min_eig_residual=0.0,
                            cuts=0, master_history=(0.0,), sweeps=0, gap=0.0)
 
-    # stage 1: near-optimal dual iterate from the low-rank ascent; retry
-    # with fresh starts only if the feasibility residual is large
-    best = None
-    for attempt in range(_MIXING_ATTEMPTS):
-        nu_hat, primal, sweeps = _mixing_dual(
-            matrix, derive_stream(_MIXING_SEED, attempt), tol)
-        eigenvalues, _ = _oracle(nu_hat, matrix)
-        deficit = max(0.0, -eigenvalues[0])
-        repaired_value = float(nu_hat.sum() + m * deficit)
-        if best is None or repaired_value < best[0]:
-            best = (repaired_value, nu_hat, primal, sweeps)
-        if m * deficit <= _INSURANCE_SLACK * max(1.0, float(nu_hat.sum())):
-            break
-    x = best[1]
+    # stage 1: near-optimal dual iterate from the low-rank ascent
+    x, primal, sweeps = _mixing_dual(matrix, derive_stream(_MIXING_SEED, 0),
+                                     tol)
 
     cuts = []
     rhs = []
@@ -355,5 +327,5 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
                                min_eig_residual=chosen_lam,
                                cuts=len(cuts),
                                master_history=tuple(master_history),
-                               sweeps=best[3], gap=bound - best[2])
+                               sweeps=sweeps, gap=bound - primal)
         x = x + (-lam_min)

@@ -6,7 +6,13 @@ CLI) can distinguish library failures from programming mistakes.
 
 
 class GftDualError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    line_number is the 1-based line of the input text at fault, or None
+    when the error does not come from a line of an input file.
+    """
+
+    line_number = None
 
 
 # ---------------------------------------------------------------- graphs

@@ -7,13 +7,13 @@ is sequenced so a given method's records do not depend on which other
 methods were requested.
 """
 
-import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .alignment import CD, CDPM, SolverConfig, multistart
+from .alignment import (CD, CDPM, SolverConfig, dualness_from_objective,
+                        multistart)
 from .dup import build_coupling, dup_bound
 from .errors import EmptyInputError, ParseError, ResampleCapExceeded
 from .graphs import erdos_renyi
@@ -62,12 +62,7 @@ class ExperimentConfig:
             raise ValueError("p must lie in [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        self._solver_config()
         methods = tuple(str(m).upper() for m in self.methods)
         if not methods:
             raise ValueError("methods must be non-empty")
@@ -77,6 +72,13 @@ class ExperimentConfig:
         if len(set(methods)) != len(methods):
             raise ValueError("duplicate method in %r" % (methods,))
         object.__setattr__(self, "methods", methods)
+
+    def _solver_config(self):
+        """The CD/CDPM settings of this sweep, seed 0; raises ValueError
+        on an out-of-range epsilon, max_iterations or restarts."""
+        return SolverConfig(epsilon=self.epsilon,
+                            max_iterations=self.max_iterations,
+                            restarts=self.restarts)
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,7 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic):
     returned sorted by (n, trial, method).
     """
     records = []
+    solver = config._solver_config()
     sequencer = SplitMix64(config.seed)
     for n in config.n_values:
         for trial in range(config.trials):
@@ -136,16 +139,13 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic):
                     result = dup_bound(build_coupling(dec1.vectors,
                                                       dec2.vectors))
                     objective = result.bound
-                    dualness = math.sqrt(max(0.0, 2.0 * n - 2.0 * objective))
+                    dualness = dualness_from_objective(n, objective)
                     iterations = result.cuts
                     restarts_used = 0
                 else:
-                    solver = SolverConfig(epsilon=config.epsilon,
-                                          max_iterations=config.max_iterations,
-                                          restarts=config.restarts,
-                                          seed=method_seeds[method])
-                    solution = multistart(method, dec1.vectors, dec2.vectors,
-                                          solver)
+                    solution = multistart(
+                        method, dec1.vectors, dec2.vectors,
+                        replace(solver, seed=method_seeds[method]))
                     objective = solution.objective
                     dualness = solution.dualness
                     iterations = solution.iterations

@@ -80,22 +80,30 @@ def new_graph(n: int, edges) -> Graph:
     if n < 1:
         raise IndexOutOfRangeError(f"vertex count must be >= 1, got {n}")
     a = np.zeros((n, n))
-    seen: set[tuple[int, int]] = set()
     for i, j, w in edges:
-        i, j = int(i), int(j)
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRangeError(f"edge ({i}, {j}) outside 0..{n - 1}")
-        if i == j:
-            raise SelfLoopError(f"self loop at vertex {i}")
-        if not (float(w) > 0.0):
-            raise NonPositiveWeightError(f"edge ({i}, {j}) has weight {w}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge {key}")
-        seen.add(key)
-        a[i, j] = float(w)
-        a[j, i] = float(w)
+        _add_edge(a, i, j, w)
     return Graph(a)
+
+
+def _add_edge(a, i, j, w) -> None:
+    """Join i and j with weight w in the adjacency a, in place.
+
+    Raises IndexOutOfRangeError, SelfLoopError, NonPositiveWeightError
+    (also for a weight that is not finite) or DuplicateEdgeError.
+    """
+    n = a.shape[0]
+    i, j = int(i), int(j)
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexOutOfRangeError(f"edge ({i}, {j}) outside 0..{n - 1}")
+    if i == j:
+        raise SelfLoopError(f"self loop at vertex {i}")
+    if not (0.0 < float(w) < np.inf):
+        raise NonPositiveWeightError(f"edge ({i}, {j}) has weight {w}")
+    # every stored weight is positive, so a non-zero entry is an edge
+    if a[i, j] != 0.0:
+        raise DuplicateEdgeError(f"duplicate edge {(min(i, j), max(i, j))}")
+    a[i, j] = float(w)
+    a[j, i] = float(w)
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -207,15 +215,19 @@ def write_graph(graph: Graph) -> str:
 
 
 def read_graph(text: str) -> Graph:
-    """Parse the text format. Raises ParseError with the offending line."""
-    n = None
-    edges = []
+    """Parse the text format.
+
+    Raises ParseError for a line that does not parse, and new_graph's
+    errors for an edge it rejects; either error's line_number is the
+    offending line, and its message starts with it.
+    """
+    a = None
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if n is None:
+        if a is None:
             if len(tokens) != 1:
                 raise ParseError("expected a single vertex count", line_number)
             try:
@@ -224,6 +236,7 @@ def read_graph(text: str) -> Graph:
                 raise ParseError(f"bad vertex count {tokens[0]!r}", line_number) from None
             if n < 1:
                 raise ParseError(f"vertex count must be >= 1, got {n}", line_number)
+            a = np.zeros((n, n))
             continue
         if len(tokens) != 3:
             raise ParseError("expected 'i j w'", line_number)
@@ -232,11 +245,16 @@ def read_graph(text: str) -> Graph:
             w = float(tokens[2])
         except ValueError:
             raise ParseError(f"bad edge line {line!r}", line_number) from None
-        edges.append((i, j, w, line_number))
-    if n is None:
+        try:
+            _add_edge(a, i, j, w)
+        except (IndexOutOfRangeError, SelfLoopError, NonPositiveWeightError,
+                DuplicateEdgeError) as exc:
+            error = type(exc)(f"line {line_number}: {exc}")
+            error.line_number = line_number
+            raise error from None
+    if a is None:
         raise ParseError("missing vertex count", 1)
-    # Semantic validation (ranges, loops, duplicates, weights) is new_graph's.
-    return new_graph(n, [(i, j, w) for i, j, w, _ in edges])
+    return Graph(a)
 
 
 def read_graph_file(path: str) -> Graph:

@@ -15,9 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, NonFiniteEntryError, NotSquareError,
-                     SizeMismatchError)
+from .errors import (ConvergenceFailure, NonFiniteEntryError,
+                     NonOrthogonalInputError, NotSquareError,
+                     RepeatedEigenvaluesError, SizeMismatchError)
 from .graphs import Graph
+
+ORTHOGONALITY_TOL = 1e-8
 
 
 def jacobi_eigh(matrix: np.ndarray):
@@ -103,6 +106,50 @@ def _gap_scale(decomposition: SpectralDecomposition) -> float:
     if w.shape[0] == 0:
         return 1.0
     return max(1.0, float(np.max(np.abs(w))))
+
+
+def decompose_pair(g1: Graph, g2: Graph):
+    """Eigendecompositions of two graphs of one size, each of which must
+    have distinct eigenvalues (RepeatedEigenvaluesError otherwise)."""
+    if g1.n != g2.n:
+        raise SizeMismatchError("graphs have different sizes: %d vs %d"
+                                % (g1.n, g2.n))
+    decompositions = (eigendecompose(g1), eigendecompose(g2))
+    for which, dec in zip(("first", "second"), decompositions):
+        if not has_distinct_eigenvalues(dec):
+            gap = minimum_eigenvalue_gap(dec)
+            raise RepeatedEigenvaluesError(
+                "%s graph has repeated eigenvalues (min gap %.3e)"
+                % (which, gap), min_gap=gap)
+    return decompositions
+
+
+def check_square(v, name):
+    """v as a square array: complex if v is complex, float otherwise."""
+    v = np.asarray(v)
+    v = v.astype(complex if np.iscomplexobj(v) else float)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise SizeMismatchError("%s must be square, got shape %s" % (name, v.shape))
+    return v
+
+
+def check_basis_pair(v1, v2):
+    """Two orthogonal (unitary, if complex) bases of one size, as
+    check_square returns them, and that size."""
+    pair = []
+    for name, v in (("V1", v1), ("V2", v2)):
+        v = check_square(v, name)
+        n = v.shape[0]
+        residual = np.max(np.abs(v.conj().T @ v - np.eye(n))) if n else 0.0
+        if residual > ORTHOGONALITY_TOL:
+            raise NonOrthogonalInputError(
+                "%s is not orthogonal: max |V*V - I| = %.3e" % (name, residual))
+        pair.append(v)
+    v1, v2 = pair
+    if v1.shape != v2.shape:
+        raise SizeMismatchError("V1 and V2 sizes differ: %s vs %s"
+                                % (v1.shape, v2.shape))
+    return v1, v2, v1.shape[0]
 
 
 def gft(decomposition: SpectralDecomposition, signal: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from gftdual.alignment import (CD, CDPM, ZERO_DIAGONAL_TOL, SolverConfig,
                                isomorphism_transport, multistart,
                                optimal_phases, run_pair, trace_objective,
                                verify_circulant_duality)
+from gftdual.dup import build_coupling
 from gftdual.errors import (IndexOutOfRangeError, NonOrthogonalInputError,
                             NonUnitPhaseError, NotCirculantError,
                             RepeatedEigenvaluesError, SizeMismatchError)
@@ -484,14 +485,18 @@ def test_run_pair_smoke_and_repeated_eigenvalues():
         run_pair(erdos_renyi(4, 0.5, 0), erdos_renyi(5, 0.5, 0), CD)
 
 
-def test_isomorphism_transport_preserves_objective():
-    rng = np.random.default_rng(9)
-    n = 10
-    v1 = _eigvecs(n, 0.4, 70)
-    v2 = _eigvecs(n, 0.4, 71)
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       complex_bases=st.booleans(), data=st.data())
+def test_isomorphism_transport_preserves_objective(n, seed, complex_bases,
+                                                   data):
+    rng = np.random.default_rng(seed)
+    v1 = _random_unitary(rng, n, complex_bases)
+    v2 = _random_unitary(rng, n, complex_bases)
     solution = cdpm_align(v1, v2)
     for side in (1, 2):
-        p = rng.permutation(n)
+        p = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
         moved = isomorphism_transport(solution, p, side)
         inv = invert_permutation(p)
         if side == 1:
@@ -535,6 +540,24 @@ def test_input_validation():
     with pytest.raises(SizeMismatchError):
         trace_objective(np.eye(3), np.ones(3), np.arange(3),
                         np.eye(3), np.ones(4), np.arange(3))
+
+
+@pytest.mark.parametrize("v1, v2, error", [
+    (np.zeros((2, 3)), np.eye(3), SizeMismatchError),
+    (np.eye(3), np.eye(4), SizeMismatchError),
+    (np.eye(3), np.eye(3) * 2.0, NonOrthogonalInputError),
+])
+def test_basis_pair_is_checked_alike_everywhere(v1, v2, error):
+    # every entry point taking a pair of bases runs the same check
+    messages = set()
+    for solve in (build_coupling, cd_align, cdpm_align,
+                  lambda a, b: multistart(CD, a, b),
+                  lambda a, b: multistart(CDPM, a, b)):
+        with pytest.raises(error) as info:
+            solve(v1, v2)
+        assert type(info.value) is error
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 def test_solver_config_validation():

@@ -79,12 +79,27 @@ def test_bound_prints_sweeps_and_gap(tmp_path, capsys):
 
 
 def test_repeated_eigenvalues_exit_code(tmp_path, capsys):
-    complete = _gen(tmp_path, "k4.txt", "--er", "4", "1.0")
+    complete = _gen(tmp_path, "k10.txt", "--er", "10", "1.0")
+    sparse = _gen(tmp_path, "g10.txt", "--er", "10", "0.4", "--seed", "62")
     capsys.readouterr()
-    assert main(["dualness", complete, complete]) == 2
-    assert main(["bound", complete, complete]) == 2
-    err = capsys.readouterr().err
-    assert "repeated eigenvalues" in err
+    for pair, which in (([complete, sparse], "first"),
+                        ([sparse, complete], "second")):
+        assert main(["dualness", *pair]) == 2
+        dualness_err = capsys.readouterr().err
+        assert main(["bound", *pair]) == 2
+        # both commands check the pair the same way
+        assert capsys.readouterr().err == dualness_err
+        assert dualness_err.startswith(
+            "error: %s graph has repeated eigenvalues (min gap " % which)
+
+
+def test_bound_rejects_graphs_of_different_sizes(tmp_path, capsys):
+    g1 = _gen(tmp_path, "g1.txt", "--er", "10", "0.4", "--seed", "62")
+    g2 = _gen(tmp_path, "g2.txt", "--er", "8", "0.4", "--seed", "63")
+    capsys.readouterr()
+    assert main(["bound", g1, g2]) == 2
+    assert capsys.readouterr().err == (
+        "error: graphs have different sizes: 10 vs 8\n")
 
 
 def test_dual_construct_both_statuses(tmp_path, capsys):
@@ -147,6 +162,30 @@ def test_malformed_graph_file_exits_one(tmp_path, capsys):
                  ["dual-construct", str(bad)]):
         assert main(argv) == 1, argv
         assert "error: line 2:" in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("text, message", [
+    ("8\n0 9 1.0\n", "line 2: edge (0, 9) outside 0..7"),
+    ("8\n3 3 1.0\n", "line 2: self loop at vertex 3"),
+    ("8\n0 1 -2.5\n", "line 2: edge (0, 1) has weight -2.5"),
+    ("8\n0 1 1.0\n1 0 1.0\n", "line 3: duplicate edge (0, 1)"),
+])
+def test_bad_edge_in_graph_file_exits_one(tmp_path, capsys, text, message):
+    # a graph file that parses but names a bad edge is a file error too
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["dual-construct", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_non_utf8_input_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00")
+    for argv in (["dual-construct", str(bad)],
+                 ["plot", str(bad), "-o", str(tmp_path / "fig.svg")]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec"), argv
+    assert not (tmp_path / "fig.svg").exists()
 
 
 def test_malformed_csv_exits_one(tmp_path, capsys):

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gftdual import experiment
 from gftdual.errors import (EmptyInputError, ParseError, ResampleCapExceeded)
@@ -73,8 +75,19 @@ def test_method_subset_gets_identical_records():
     assert only_cdpm == [r for r in full if r.method == "CDPM"]
 
 
-def test_csv_round_trip_is_exact():
-    records = run_experiment(_small_config(), clock=FakeClock())
+# every finite or infinite float: subnormals, -0.0, the largest double
+_floats = st.floats(allow_nan=False)
+_counts = st.integers(min_value=0, max_value=2**63 - 1)
+_records = st.builds(ExperimentRecord, n=_counts, p=_floats, trial=_counts,
+                     method=st.sampled_from(METHODS), objective=_floats,
+                     dualness=_floats, iterations=_counts,
+                     restarts_used=_counts, resample_count=_counts,
+                     wall_time_ms=_counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=st.lists(_records, min_size=1, max_size=5))
+def test_csv_round_trip_is_exact(records):
     text = write_csv(records)
     assert text.startswith(CSV_HEADER + "\n")
     assert text.endswith("\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gftdual.errors import (DuplicateEdgeError, IndexOutOfRangeError,
                             NonPositiveWeightError, OffsetOutOfRangeError,
@@ -170,8 +172,28 @@ def test_permute_graph_relation():
             assert h.adjacency[p[i], p[j]] == g.adjacency[i, j]
 
 
-def test_write_read_round_trip():
-    g = new_graph(5, [(0, 1, 1.0), (2, 4, 0.1), (1, 3, 7.25)])
+@st.composite
+def _weighted_graphs(draw):
+    """Graphs on up to 8 vertices with any positive finite weights:
+    subnormal, huge, and decimals with no short binary form."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    weight = st.one_of(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.sampled_from([5e-324, 2.2250738585072014e-308, 0.1, 1 / 3,
+                         1.7976931348623157e308]))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = draw(st.one_of(st.none(), weight))
+            if w is not None:
+                # either endpoint order names the same edge
+                edges.append((j, i, w) if draw(st.booleans()) else (i, j, w))
+    return new_graph(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_weighted_graphs())
+def test_write_read_round_trip(g):
     text = write_graph(g)
     back = read_graph(text)
     assert back.n == g.n
@@ -202,6 +224,21 @@ def test_read_graph_errors_carry_line_numbers():
         read_graph("0\n")
     with pytest.raises(DuplicateEdgeError):
         read_graph("3\n0 1 1.0\n1 0 1.0\n")
+
+
+@pytest.mark.parametrize("text, error, line_number", [
+    ("8\n0 9 1.0\n", IndexOutOfRangeError, 2),
+    ("# header\n8\n\n3 3 1.0\n", SelfLoopError, 4),
+    ("8\n0 1 0.0\n", NonPositiveWeightError, 2),
+    ("8\n0 1 inf\n", NonPositiveWeightError, 2),
+    ("8\n0 1 1.0\n1 0 1.0\n", DuplicateEdgeError, 3),
+])
+def test_read_graph_bad_edges_keep_their_type_and_line(text, error,
+                                                       line_number):
+    with pytest.raises(error) as info:
+        read_graph(text)
+    assert info.value.line_number == line_number
+    assert str(info.value).startswith("line %d: " % line_number)
 
 
 def test_file_round_trip(tmp_path):
