@@ -20,7 +20,8 @@ from .errors import (IndexOutOfRangeError, NonUnitPhaseError,
                      SizeMismatchError, NotCirculantError)
 from .graphs import Graph, check_permutation, invert_permutation, is_circulant
 from .rng import derive_stream, derived_words
-from .spectral import check_basis_pair, decompose_pair, dft_matrix
+from .spectral import (check_basis_pair, check_same_size, decompose_pair,
+                       dft_matrix)
 
 ZERO_DIAGONAL_TOL = 1e-12
 CIRCULANT_DIAG_TOL = 1e-9
@@ -412,9 +413,7 @@ def verify_circulant_duality(g1: Graph, g2: Graph):
     adjacencies, and returns ||V1 V2 - I||_F (0 for any circulant pair).
     This bypasses the distinct-eigenvalue restriction entirely.
     """
-    if g1.n != g2.n:
-        raise SizeMismatchError("graphs have different sizes: %d vs %d"
-                                % (g1.n, g2.n))
+    check_same_size(g1, g2)
     for which, g in (("first", g1), ("second", g2)):
         if not is_circulant(g):
             raise NotCirculantError("%s graph is not circulant" % which)

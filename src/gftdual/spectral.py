@@ -108,12 +108,17 @@ def _gap_scale(decomposition: SpectralDecomposition) -> float:
     return max(1.0, float(np.max(np.abs(w))))
 
 
-def decompose_pair(g1: Graph, g2: Graph):
-    """Eigendecompositions of two graphs of one size, each of which must
-    have distinct eigenvalues (RepeatedEigenvaluesError otherwise)."""
+def check_same_size(g1: Graph, g2: Graph):
+    """Raise SizeMismatchError unless the two graphs have one size."""
     if g1.n != g2.n:
         raise SizeMismatchError("graphs have different sizes: %d vs %d"
                                 % (g1.n, g2.n))
+
+
+def decompose_pair(g1: Graph, g2: Graph):
+    """Eigendecompositions of two graphs of one size, each of which must
+    have distinct eigenvalues (RepeatedEigenvaluesError otherwise)."""
+    check_same_size(g1, g2)
     decompositions = (eigendecompose(g1), eigendecompose(g2))
     for which, dec in zip(("first", "second"), decompositions):
         if not has_distinct_eigenvalues(dec):

@@ -18,7 +18,7 @@ from gftdual.errors import (IndexOutOfRangeError, NonOrthogonalInputError,
 from gftdual.graphs import (circulant, erdos_renyi, invert_permutation,
                             permutation_matrix)
 from gftdual.rng import derive_stream, derived_words
-from gftdual.spectral import eigendecompose
+from gftdual.spectral import decompose_pair, eigendecompose
 
 
 def _random_unitary(rng, n, complex_valued=False):
@@ -527,6 +527,16 @@ def test_verify_circulant_duality():
         verify_circulant_duality(tree, ring)
     with pytest.raises(SizeMismatchError):
         verify_circulant_duality(circulant(4, [(1, 1.0)]), circulant(6, [(1, 1.0)]))
+
+
+def test_graph_pair_size_check_is_shared():
+    g4, g6 = circulant(4, [(1, 1.0)]), circulant(6, [(1, 1.0)])
+    messages = []
+    for check in (verify_circulant_duality, decompose_pair):
+        with pytest.raises(SizeMismatchError) as caught:
+            check(g4, g6)
+        messages.append(str(caught.value))
+    assert messages == ["graphs have different sizes: 4 vs 6"] * 2
 
 
 def test_input_validation():

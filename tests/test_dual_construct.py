@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from gftdual import dual_construct
 from gftdual.dual_construct import (FEASIBLE, INFEASIBLE,
                                     DualConstructionResult,
                                     candidate_adjacency, construct_dual,
@@ -10,8 +14,30 @@ from gftdual.dual_construct import (FEASIBLE, INFEASIBLE,
                                     verify_dual_witness)
 from gftdual.errors import SizeMismatchError
 from gftdual.graphs import circulant, erdos_renyi, new_graph, permute_graph
+from gftdual.spectral import dft_matrix, eigendecompose
 
 WITNESS_TOL = 1e-7
+
+
+def _full_status(v):
+    """Status of the program in all n entries of lambda, with the n
+    diagonal equality rows kept, solved by HiGHS."""
+    n = v.shape[0]
+    upper, lower = np.triu_indices(n, k=1)
+    signs = v[:, upper] * v[:, lower]
+    row_sums = v * v.sum(axis=1)[:, None]
+    result = linprog(np.zeros(n), A_ub=-np.hstack([signs, row_sums]).T,
+                     b_ub=np.concatenate([np.zeros(upper.size), -np.ones(n)]),
+                     A_eq=(v * v).T, b_eq=np.zeros(n), bounds=(None, None),
+                     method="highs")
+    assert result.status in (0, 2), result.message
+    return FEASIBLE if result.status == 0 else INFEASIBLE
+
+
+def _weighted(g, rng):
+    i, j = np.nonzero(np.triu(g.adjacency))
+    return new_graph(g.n, [(a, b, w) for a, b, w in
+                           zip(i, j, rng.uniform(0.1, 3.0, i.size))])
 
 
 def _single_edge_pair():
@@ -132,3 +158,57 @@ def test_result_dataclass_frozen():
                                     adjacency=None)
     with pytest.raises(AttributeError):
         result.status = FEASIBLE
+
+
+def test_complex_or_non_finite_vectors_are_rejected():
+    v = dft_matrix(4)
+    with pytest.raises(SizeMismatchError, match="real"):
+        construct_dual_from_vectors(v)
+    with pytest.raises(SizeMismatchError, match="real"):
+        candidate_adjacency(v, np.ones(4))
+    for bad in (np.nan, np.inf):
+        v = np.eye(3)
+        v[1, 2] = bad
+        with pytest.raises(SizeMismatchError, match="non-finite"):
+            construct_dual_from_vectors(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=10),
+       p=st.floats(min_value=0.0, max_value=1.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       weighted=st.booleans())
+def test_status_matches_the_full_program(n, p, seed, weighted):
+    g = erdos_renyi(n, p, seed)
+    if weighted:
+        g = _weighted(g, np.random.default_rng(seed))
+    result = construct_dual(g)
+    assert result.status == _full_status(eigendecompose(g).vectors)
+    if result.status == FEASIBLE:
+        assert max(verify_dual_witness(g, result.lambda_)) <= WITNESS_TOL
+
+
+def test_own_spectrum_zeroes_every_diagonal_row():
+    # E' mu = diag(A) = 0 for the spectrum mu, so E is singular and the
+    # program in lambda = N t keeps at least one variable
+    rng = np.random.default_rng(9)
+    for seed in range(6):
+        g = _weighted(erdos_renyi(12, 0.5, seed), rng)
+        decomposition = eigendecompose(g)
+        v, mu = decomposition.vectors, decomposition.eigenvalues
+        assert np.max(np.abs((v * v) @ mu)) <= 1e-12 * np.max(np.abs(mu))
+        basis = dual_construct._null_basis(v)
+        assert basis.shape[1] >= 1
+        assert np.max(np.abs((v * v).T @ basis)) <= 1e-12
+        assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-12
+
+
+def test_singular_values_clear_the_null_space_cutoff():
+    # E is doubly stochastic, so its largest singular value is 1, and the
+    # cutoff sits orders of magnitude from both sides of the gap
+    assert 1e-13 < dual_construct.NULL_SPACE_RTOL < 1e-8
+    for seed in range(50):
+        v = eigendecompose(erdos_renyi(20, 0.5, 7000 + seed)).vectors
+        s = np.linalg.svd((v * v).T, compute_uv=False)
+        assert abs(s[0] - 1.0) <= 1e-12
+        assert np.all((s <= 1e-13) | (s >= 1e-8))

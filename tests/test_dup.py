@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gftdual import dup
-from gftdual.alignment import CD, SolverConfig, multistart, trace_objective
+from gftdual.alignment import (CD, SolverConfig, cd_align, multistart,
+                               trace_objective)
 from gftdual.dup import BoundResult, CouplingMatrix, build_coupling, dup_bound
 from gftdual.errors import (NonFiniteEntryError, NonOrthogonalInputError,
                             SizeMismatchError)
@@ -101,6 +102,20 @@ def test_bound_dominates_every_sign_pattern(n, seed):
     values = np.einsum("ki,ij,kj->k", signs, coupling.w, signs)
     # lambda_min(diag(nu) - W) >= -DEFAULT_TOL and x'x = 2n for signs
     assert np.max(values) <= bound + 2 * n * dup.DEFAULT_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_bound_dominates_cd_from_random_starts(n, seed):
+    rng = np.random.default_rng(seed)
+    v1, v2 = _random_orthogonal(rng, n), _random_orthogonal(rng, n)
+    bound = dup_bound(build_coupling(v1, v2)).bound
+    # six unit-phase starts per side, the first of them signs
+    starts = np.exp(2j * np.pi * rng.random((2, 6, n)))
+    starts[:, 0] = rng.choice((-1.0, 1.0), size=(2, n))
+    solution = cd_align(v1, v2, init=(starts[0], starts[1]))
+    assert bound + dup.DEFAULT_TOL * 2 * n >= solution.objective
 
 
 def test_bound_certificate_is_psd():
