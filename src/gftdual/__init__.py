@@ -25,7 +25,6 @@ from .spectral import (SpectralDecomposition, jacobi_eigh, eigendecompose,
                        has_distinct_eigenvalues, minimum_eigenvalue_gap,
                        gft, igft, dft_matrix)
 from .assignment import solve_assignment_max, assignment_bruteforce
-from .lp import LinearProgram, LpResult, solve_lp
 from .alignment import (CD, CDPM, SolverConfig, AlignmentSolution,
                         trace_objective, optimal_phases, cd_align, cdpm_align,
                         multistart, run_pair, verify_circulant_duality,
@@ -55,7 +54,6 @@ __all__ = [
     "has_distinct_eigenvalues", "minimum_eigenvalue_gap", "gft", "igft",
     "dft_matrix",
     "solve_assignment_max", "assignment_bruteforce",
-    "LinearProgram", "LpResult", "solve_lp",
     "CD", "CDPM", "SolverConfig", "AlignmentSolution", "trace_objective",
     "optimal_phases", "cd_align", "cdpm_align", "multistart", "run_pair",
     "verify_circulant_duality", "isomorphism_transport",

@@ -59,17 +59,18 @@ def _null_basis(v):
 
 
 def _assemble(v, basis):
-    """The program in t, lambda = basis @ t: n(n-1)/2 off-diagonal sign
-    rows, then n row-sum rows; the diagonal rows hold for every t."""
+    """The program in free t, lambda = basis @ t: n(n-1)/2 off-diagonal
+    sign rows >= 0, then n row-sum rows >= 1; the diagonal rows hold for
+    every t."""
     n = v.shape[0]
     upper, lower = np.triu_indices(n, k=1)
     signs = (v[:, upper] * v[:, lower]).T @ basis
     row_sums = (v * v.sum(axis=1)[:, None]).T @ basis
-    constraints = tuple((a, lp.GREATER_EQUAL, 0.0) for a in signs) + tuple(
-        (a, lp.GREATER_EQUAL, 1.0) for a in row_sums)
-    k = basis.shape[1]
-    return lp.LinearProgram(objective=np.zeros(k), constraints=constraints,
-                            bounds=((None, None),) * k)
+    return lp.LinearProgram(
+        objective=np.zeros(basis.shape[1]),
+        constraints=np.concatenate((signs, row_sums)),
+        rhs=np.concatenate((np.zeros(len(signs)), np.ones(n))),
+        nonnegative=False)
 
 
 def _check_real_square(v):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (IterationCapExceeded, NonFiniteEntryError,
                      NumericalBreakdown, SizeMismatchError)
-from .lp import GREATER_EQUAL, OPTIMAL, LinearProgram, solve_lp
+from .lp import OPTIMAL, LinearProgram, solve_lp
 from .rng import derive_stream
 from .spectral import check_basis_pair, jacobi_eigh
 
@@ -244,10 +244,8 @@ def _solve_master(cuts, rhs, m):
     """Master LP: min 1'nu s.t. sum_i v_i^2 nu_i >= v'Wv per cut, nu >= 0."""
     if not cuts:
         return 0.0, np.zeros(m)
-    constraints = tuple((np.square(v), GREATER_EQUAL, b)
-                        for v, b in zip(cuts, rhs))
     result = solve_lp(LinearProgram(objective=np.ones(m),
-                                    constraints=constraints))
+                                    constraints=np.square(cuts), rhs=rhs))
     if result.status != OPTIMAL:
         raise NumericalBreakdown("master LP returned status %s" % result.status)
     return result.objective, result.y

@@ -181,6 +181,8 @@ def read_csv(text) -> list:
         raise ParseError("empty CSV", line_number=1)
     if lines[0] != CSV_HEADER:
         raise ParseError("unexpected CSV header %r" % lines[0], line_number=1)
+    if len(lines) == 1:
+        raise ParseError("no records after the header", line_number=2)
     records = []
     for index, line in enumerate(lines[1:], start=2):
         parts = line.split(",")

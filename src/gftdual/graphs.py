@@ -236,7 +236,10 @@ def read_graph(text: str) -> Graph:
                 raise ParseError(f"bad vertex count {tokens[0]!r}", line_number) from None
             if n < 1:
                 raise ParseError(f"vertex count must be >= 1, got {n}", line_number)
-            a = np.zeros((n, n))
+            try:
+                a = np.zeros((n, n))
+            except (ValueError, MemoryError):
+                raise ParseError(f"vertex count {n} is too large", line_number) from None
             continue
         if len(tokens) != 3:
             raise ParseError("expected 'i j w'", line_number)

@@ -1,8 +1,9 @@
 """Linear programs solved by HiGHS through scipy.optimize.linprog.
 
-Solves  minimize c.y  subject to rows (a, relation, b) with relation in
-{<=, >=, =} and per-variable bounds (lower, upper), either of which may be
-None.  Default bound is (0, None).
+Solves  minimize c.y  subject to  A y >= b,  with y >= 0 (nonnegative,
+the default) or y free.  A is one (m, k) matrix and b its (m,) right-hand
+side; these are the only programs the package poses (the DUP master LP
+and the dual-construction LP).
 """
 
 from dataclasses import dataclass
@@ -17,60 +18,44 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-LESS_EQUAL = "<="
-GREATER_EQUAL = ">="
-EQUAL = "="
-_RELATIONS = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
-
 # linprog status codes with a meaning here; any other is a solver failure
 _STATUSES = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
+def _frozen(values, name, ndim):
+    a = np.array(values, dtype=float)
+    if a.ndim != ndim:
+        raise SizeMismatchError("%s must have %d dimension(s), got %d"
+                                % (name, ndim, a.ndim))
+    if not np.isfinite(a).all():
+        raise SizeMismatchError("%s has non-finite entries" % name)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize objective.y subject to constraints and variable bounds."""
+    """minimize objective.y subject to constraints @ y >= rhs, and y >= 0
+    when nonnegative (y free otherwise)."""
 
     objective: np.ndarray
-    constraints: tuple
-    bounds: Optional[tuple] = None
+    constraints: np.ndarray
+    rhs: np.ndarray
+    nonnegative: bool = True
 
     def __post_init__(self):
-        c = np.array(self.objective, dtype=float)
-        if c.ndim != 1:
-            raise SizeMismatchError("objective must be a vector")
-        if c.size and not np.isfinite(c).all():
-            raise SizeMismatchError("objective has non-finite coefficients")
-        m = c.size
-        rows = []
-        for k, (a, rel, b) in enumerate(self.constraints):
-            a = np.array(a, dtype=float)
-            if a.shape != (m,):
-                raise SizeMismatchError(
-                    "constraint %d row length %d != %d variables"
-                    % (k, a.size, m))
-            if (a.size and not np.isfinite(a).all()) or not np.isfinite(b):
-                raise SizeMismatchError("constraint %d has non-finite data" % k)
-            if rel not in _RELATIONS:
-                raise SizeMismatchError(
-                    "constraint %d relation %r not in %s" % (k, rel, _RELATIONS))
-            a.flags.writeable = False
-            rows.append((a, rel, float(b)))
-        if self.bounds is not None:
-            if len(self.bounds) != m:
-                raise SizeMismatchError("bounds length != number of variables")
-            for j, (lo, hi) in enumerate(self.bounds):
-                if lo is not None and not np.isfinite(lo):
-                    raise SizeMismatchError("bound %d lower not finite" % j)
-                if hi is not None and not np.isfinite(hi):
-                    raise SizeMismatchError("bound %d upper not finite" % j)
-                if lo is not None and hi is not None and lo > hi:
-                    raise SizeMismatchError("bound %d has lower > upper" % j)
-            object.__setattr__(self, "bounds", tuple(
-                (lo if lo is None else float(lo), hi if hi is None else float(hi))
-                for lo, hi in self.bounds))
-        c.flags.writeable = False
+        c = _frozen(self.objective, "objective", 1)
+        a = _frozen(self.constraints, "constraints", 2)
+        b = _frozen(self.rhs, "rhs", 1)
+        if a.shape[1] != c.size:
+            raise SizeMismatchError("constraints have %d columns != %d "
+                                    "variables" % (a.shape[1], c.size))
+        if b.size != a.shape[0]:
+            raise SizeMismatchError("rhs length %d != %d constraint rows"
+                                    % (b.size, a.shape[0]))
         object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraints", tuple(rows))
+        object.__setattr__(self, "constraints", a)
+        object.__setattr__(self, "rhs", b)
 
     @property
     def num_variables(self):
@@ -87,12 +72,6 @@ class LpResult:
     objective: Optional[float]
 
 
-def _matrix(rows):
-    if not rows:
-        return None, None
-    return np.array([a for a, _ in rows]), np.array([b for _, b in rows])
-
-
 def solve_lp(program: LinearProgram) -> LpResult:
     """Solve the program with HiGHS.
 
@@ -100,26 +79,13 @@ def solve_lp(program: LinearProgram) -> LpResult:
     limit, numerical trouble, or "infeasible or unbounded" undecided).
     """
     if program.num_variables == 0:
-        # linprog rejects an empty objective; every row reads 0 rel b
-        holds = {LESS_EQUAL: lambda b: b >= 0.0,
-                 GREATER_EQUAL: lambda b: b <= 0.0,
-                 EQUAL: lambda b: b == 0.0}
-        if all(holds[rel](b) for _, rel, b in program.constraints):
+        # linprog rejects an empty objective; every row reads 0 >= b
+        if np.all(program.rhs <= 0.0):
             return LpResult(OPTIMAL, np.zeros(0), 0.0)
         return LpResult(INFEASIBLE, None, None)
-    upper, equal = [], []
-    for a, rel, b in program.constraints:
-        if rel == LESS_EQUAL:
-            upper.append((a, b))
-        elif rel == GREATER_EQUAL:
-            upper.append((-a, -b))
-        else:
-            equal.append((a, b))
-    a_ub, b_ub = _matrix(upper)
-    a_eq, b_eq = _matrix(equal)
-    bounds = (0, None) if program.bounds is None else program.bounds
-    result = linprog(program.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
-                     b_eq=b_eq, bounds=bounds, method="highs")
+    bounds = (0, None) if program.nonnegative else (None, None)
+    result = linprog(program.objective, A_ub=-program.constraints,
+                     b_ub=-program.rhs, bounds=bounds, method="highs")
     status = _STATUSES.get(result.status)
     if status is None:
         raise NumericalBreakdown(

@@ -169,9 +169,12 @@ def test_malformed_graph_file_exits_one(tmp_path, capsys):
     ("8\n3 3 1.0\n", "line 2: self loop at vertex 3"),
     ("8\n0 1 -2.5\n", "line 2: edge (0, 1) has weight -2.5"),
     ("8\n0 1 1.0\n1 0 1.0\n", "line 3: duplicate edge (0, 1)"),
+    # numpy rejects a 10**12-square array before allocating it
+    ("1000000000000\n", "line 1: vertex count 1000000000000 is too large"),
 ])
 def test_bad_edge_in_graph_file_exits_one(tmp_path, capsys, text, message):
-    # a graph file that parses but names a bad edge is a file error too
+    # a graph file that parses but names a bad edge or an oversized vertex
+    # count is a file error too
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
     assert main(["dual-construct", str(bad)]) == 1
@@ -194,6 +197,15 @@ def test_malformed_csv_exits_one(tmp_path, capsys):
     assert main(["plot", str(csv_path),
                  "-o", str(tmp_path / "fig.svg")]) == 1
     assert "error: line 1: unexpected CSV header" in capsys.readouterr().err
+    assert not (tmp_path / "fig.svg").exists()
+
+
+def test_header_only_csv_exits_one(tmp_path, capsys):
+    csv_path = tmp_path / "runs.csv"
+    csv_path.write_text(CSV_HEADER + "\n")
+    assert main(["plot", str(csv_path),
+                 "-o", str(tmp_path / "fig.svg")]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: ")
     assert not (tmp_path / "fig.svg").exists()
 
 

@@ -212,3 +212,25 @@ def test_singular_values_clear_the_null_space_cutoff():
         s = np.linalg.svd((v * v).T, compute_uv=False)
         assert abs(s[0] - 1.0) <= 1e-12
         assert np.all((s <= 1e-13) | (s >= 1e-8))
+
+
+def test_assembled_program_rows():
+    # n(n-1)/2 sign rows >= 0, then n row-sum rows >= 1, in free t
+    n = 7
+    v = eigendecompose(erdos_renyi(n, 0.5, 3)).vectors
+    basis = dual_construct._null_basis(v)
+    program = dual_construct._assemble(v, basis)
+    pairs = n * (n - 1) // 2
+    assert len(program.constraints) == pairs + n
+    assert program.constraints.shape == (pairs + n, basis.shape[1])
+    assert np.array_equal(program.rhs,
+                          np.concatenate((np.zeros(pairs), np.ones(n))))
+    assert not program.nonnegative
+    # row (i, j), i < j, maps t to the entry A(L)_ij; then the row sums
+    t = np.arange(1.0, basis.shape[1] + 1.0)
+    a = candidate_adjacency(v, basis @ t)
+    upper, lower = np.triu_indices(n, k=1)
+    assert np.allclose(program.constraints[:pairs] @ t, a[upper, lower],
+                       atol=1e-12)
+    assert np.allclose(program.constraints[pairs:] @ t, a.sum(axis=1),
+                       atol=1e-12)

@@ -124,6 +124,10 @@ def test_read_csv_errors_carry_line_numbers():
     with pytest.raises(ParseError) as info:
         read_csv("wrong,header\n")
     assert info.value.line_number == 1
+    # a header with no records, as write_csv refuses to write
+    with pytest.raises(ParseError) as info:
+        read_csv(CSV_HEADER + "\n")
+    assert info.value.line_number == 2
     good_row = "6,0.4,0,CD,5.0,1.0,3,3,0,2"
     with pytest.raises(ParseError) as info:
         read_csv(CSV_HEADER + "\n" + good_row + "\n1,2,3\n")

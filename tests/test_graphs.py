@@ -222,6 +222,11 @@ def test_read_graph_errors_carry_line_numbers():
         read_graph("")
     with pytest.raises(ParseError):
         read_graph("0\n")
+    # a count numpy refuses before allocating anything
+    with pytest.raises(ParseError) as info:
+        read_graph("1000000000000\n")
+    assert info.value.line_number == 1
+    assert "too large" in str(info.value)
     with pytest.raises(DuplicateEdgeError):
         read_graph("3\n0 1 1.0\n1 0 1.0\n")
 

@@ -1,9 +1,9 @@
 """LP solver tests against a vertex-enumeration oracle.
 
 Every bounded LP attains its optimum at a vertex, i.e. an intersection
-of n tight hyperplanes (constraint rows or bound faces), so for small
-instances the exact optimum can be found by enumerating all such
-intersections and keeping the feasible ones.
+of k tight hyperplanes (constraint rows or, for y >= 0, coordinate
+faces), so for small instances the exact optimum can be found by
+enumerating all such intersections and keeping the feasible ones.
 """
 
 import itertools
@@ -12,50 +12,34 @@ import numpy as np
 import pytest
 
 from gftdual.errors import SizeMismatchError
-from gftdual.lp import (EQUAL, GREATER_EQUAL, INFEASIBLE, LESS_EQUAL, OPTIMAL,
-                        UNBOUNDED, LinearProgram, solve_lp)
+from gftdual.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
+                        solve_lp)
 
 ORACLE_TOL = 1e-7
 
 
-def _feasible(x, rows, bounds):
-    for a, rel, b in rows:
-        v = float(np.dot(a, x))
-        if rel == LESS_EQUAL and v > b + ORACLE_TOL:
-            return False
-        if rel == GREATER_EQUAL and v < b - ORACLE_TOL:
-            return False
-        if rel == EQUAL and abs(v - b) > ORACLE_TOL:
-            return False
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None and x[j] < lo - ORACLE_TOL:
-            return False
-        if hi is not None and x[j] > hi + ORACLE_TOL:
-            return False
-    return True
+def _feasible(x, a, b, nonnegative):
+    if np.any(a @ x < b - ORACLE_TOL):
+        return False
+    return not nonnegative or bool(np.all(x >= -ORACLE_TOL))
 
 
-def _vertex_oracle(c, rows, bounds):
+def _vertex_oracle(c, a, b, nonnegative):
     """Best objective over all feasible hyperplane intersections, or None
     when no intersection is feasible (infeasible for bounded boxes)."""
-    n = len(c)
-    planes = [(np.asarray(a, dtype=float), float(b)) for a, _, b in rows]
-    for j, (lo, hi) in enumerate(bounds):
-        e = np.zeros(n)
-        e[j] = 1.0
-        if lo is not None:
-            planes.append((e.copy(), float(lo)))
-        if hi is not None:
-            planes.append((e.copy(), float(hi)))
+    k = len(c)
+    planes = list(zip(a, b))
+    if nonnegative:
+        planes += list(zip(np.eye(k), np.zeros(k)))
     best = None
-    for combo in itertools.combinations(range(len(planes)), n):
-        a = np.array([planes[k][0] for k in combo])
-        b = np.array([planes[k][1] for k in combo])
+    for combo in itertools.combinations(range(len(planes)), k):
+        rows = np.array([planes[i][0] for i in combo])
+        values = np.array([planes[i][1] for i in combo])
         try:
-            x = np.linalg.solve(a, b)
+            x = np.linalg.solve(rows, values)
         except np.linalg.LinAlgError:
             continue
-        if _feasible(x, rows, bounds):
+        if _feasible(x, a, b, nonnegative):
             value = float(np.dot(c, x))
             if best is None or value < best:
                 best = value
@@ -63,178 +47,167 @@ def _vertex_oracle(c, rows, bounds):
 
 
 def _random_program(rng):
-    n = int(rng.integers(2, 5))
+    """A random program whose box lo <= y <= hi is written as >= rows,
+    so every instance is bounded."""
+    k = int(rng.integers(2, 5))
     m = int(rng.integers(2, 6))
-    c = rng.integers(-3, 4, size=n).astype(float)
-    rows = []
-    for _ in range(m):
-        a = rng.integers(-3, 4, size=n).astype(float)
-        if not np.any(a):
-            a[int(rng.integers(0, n))] = 1.0
-        rel = (LESS_EQUAL, GREATER_EQUAL, EQUAL)[int(rng.integers(0, 3))]
-        b = float(rng.integers(-4, 5))
-        rows.append((a, rel, b))
-    bounds = []
-    for _ in range(n):
-        lo = float(rng.choice([0.0, -5.0]))
-        hi = float(rng.choice([3.0, 8.0]))
-        bounds.append((lo, hi))
-    return c, rows, tuple(bounds)
+    c = rng.integers(-3, 4, size=k).astype(float)
+    a = rng.integers(-3, 4, size=(m, k)).astype(float)
+    for row in a:
+        if not np.any(row):
+            row[int(rng.integers(0, k))] = 1.0
+    b = rng.integers(-4, 5, size=m).astype(float)
+    lo = rng.choice([0.0, -5.0], size=k)
+    hi = rng.choice([3.0, 8.0], size=k)
+    # y >= lo and -y >= -hi
+    a = np.vstack([a, np.eye(k), -np.eye(k)])
+    b = np.concatenate([b, lo, -hi])
+    return c, a, b
 
 
 def test_random_instances_match_vertex_oracle():
-    rng = np.random.default_rng(100)
-    optimal_seen = 0
-    infeasible_seen = 0
-    for _ in range(120):
-        c, rows, bounds = _random_program(rng)
-        expected = _vertex_oracle(c, rows, bounds)
-        result = solve_lp(LinearProgram(objective=c, constraints=tuple(rows),
-                                        bounds=bounds))
-        if expected is None:
-            assert result.status == INFEASIBLE
-            infeasible_seen += 1
-        else:
-            assert result.status == OPTIMAL
-            assert abs(result.objective - expected) <= 1e-6
-            assert _feasible(result.y, rows, bounds)
-            optimal_seen += 1
-    # the generator must exercise both outcomes to mean anything
-    assert optimal_seen >= 20
-    assert infeasible_seen >= 20
-
-
-def test_equality_program():
-    program = LinearProgram(
-        objective=np.array([1.0, 1.0]),
-        constraints=((np.array([1.0, 0.0]), EQUAL, 1.0),
-                     (np.array([0.0, 1.0]), EQUAL, 1.0)))
-    result = solve_lp(program)
-    assert result.status == OPTIMAL
-    assert np.allclose(result.y, [1.0, 1.0], atol=1e-10)
-    assert abs(result.objective - 2.0) <= 1e-10
-
-
-def test_redundant_equality_rows():
-    program = LinearProgram(
-        objective=np.array([1.0, 2.0]),
-        constraints=((np.array([1.0, 1.0]), EQUAL, 2.0),
-                     (np.array([1.0, 1.0]), EQUAL, 2.0),
-                     (np.array([2.0, 2.0]), EQUAL, 4.0)))
-    result = solve_lp(program)
-    assert result.status == OPTIMAL
-    assert abs(result.objective - 2.0) <= 1e-8
+    for nonnegative in (True, False):
+        rng = np.random.default_rng(100)
+        optimal_seen = 0
+        infeasible_seen = 0
+        for _ in range(120):
+            c, a, b = _random_program(rng)
+            expected = _vertex_oracle(c, a, b, nonnegative)
+            result = solve_lp(LinearProgram(objective=c, constraints=a,
+                                            rhs=b, nonnegative=nonnegative))
+            if expected is None:
+                assert result.status == INFEASIBLE
+                infeasible_seen += 1
+            else:
+                assert result.status == OPTIMAL
+                assert abs(result.objective - expected) <= 1e-6
+                assert _feasible(result.y, a, b, nonnegative)
+                optimal_seen += 1
+        # the generator must exercise both outcomes to mean anything
+        assert optimal_seen >= 20
+        assert infeasible_seen >= 20
 
 
 def test_unbounded_detection():
-    program = LinearProgram(
-        objective=np.array([-1.0]),
-        constraints=((np.array([1.0]), GREATER_EQUAL, 0.0),))
+    program = LinearProgram(objective=np.array([-1.0]),
+                            constraints=np.array([[1.0]]),
+                            rhs=np.array([0.0]))
     assert solve_lp(program).status == UNBOUNDED
-    program = LinearProgram(
-        objective=np.array([-1.0, 0.0]),
-        constraints=((np.array([1.0, -1.0]), LESS_EQUAL, 1.0),))
+    # -y1 + y2 >= -1 leaves y1 unbounded above along y2 = 0
+    program = LinearProgram(objective=np.array([-1.0, 0.0]),
+                            constraints=np.array([[-1.0, 1.0]]),
+                            rhs=np.array([-1.0]))
+    assert solve_lp(program).status == UNBOUNDED
+    # a free variable with no rows below it
+    program = LinearProgram(objective=np.array([1.0]),
+                            constraints=np.zeros((0, 1)), rhs=np.zeros(0),
+                            nonnegative=False)
     assert solve_lp(program).status == UNBOUNDED
 
 
 def test_infeasible_detection():
-    program = LinearProgram(
-        objective=np.array([1.0]),
-        constraints=((np.array([1.0]), GREATER_EQUAL, 3.0),
-                     (np.array([1.0]), LESS_EQUAL, 2.0)))
+    # y >= 3 and -y >= -2
+    program = LinearProgram(objective=np.array([1.0]),
+                            constraints=np.array([[1.0], [-1.0]]),
+                            rhs=np.array([3.0, -2.0]))
     result = solve_lp(program)
     assert result.status == INFEASIBLE
 
 
 def test_free_and_bounded_variables():
-    # free variable reaching a negative optimum
-    program = LinearProgram(
-        objective=np.array([1.0]),
-        constraints=((np.array([1.0]), GREATER_EQUAL, -3.0),),
-        bounds=((None, None),))
-    result = solve_lp(program)
+    a = np.array([[1.0]])
+    b = np.array([-3.0])
+    # a free variable reaches the negative optimum
+    result = solve_lp(LinearProgram(objective=np.array([1.0]),
+                                    constraints=a, rhs=b, nonnegative=False))
     assert result.status == OPTIMAL
     assert abs(result.y[0] + 3.0) <= 1e-10
-    # two-sided bounds
-    program = LinearProgram(
-        objective=np.array([-1.0]),
-        constraints=((np.array([1.0]), LESS_EQUAL, 100.0),),
-        bounds=((1.0, 3.0),))
-    result = solve_lp(program)
-    assert abs(result.y[0] - 3.0) <= 1e-10
-    # upper bound only (reflected variable)
-    program = LinearProgram(
-        objective=np.array([-1.0]),
-        constraints=((np.array([1.0]), GREATER_EQUAL, -10.0),),
-        bounds=((None, 5.0),))
-    result = solve_lp(program)
-    assert abs(result.y[0] - 5.0) <= 1e-10
+    # a nonnegative one stops at its bound
+    result = solve_lp(LinearProgram(objective=np.array([1.0]),
+                                    constraints=a, rhs=b))
+    assert result.status == OPTIMAL
+    assert abs(result.y[0]) <= 1e-10
 
 
 def test_row_scaling_invariance():
     c = np.array([1.0, 1.0])
-    rows = ((np.array([1.0, 2.0]), GREATER_EQUAL, 2.0),
-            (np.array([2.0, 1.0]), GREATER_EQUAL, 2.0))
-    base = solve_lp(LinearProgram(objective=c, constraints=rows))
+    base = solve_lp(LinearProgram(
+        objective=c, constraints=np.array([[1.0, 2.0], [2.0, 1.0]]),
+        rhs=np.array([2.0, 2.0])))
     scaled = solve_lp(LinearProgram(
-        objective=c,
-        constraints=((np.array([10.0, 20.0]), GREATER_EQUAL, 20.0),
-                     (np.array([2.0, 1.0]), GREATER_EQUAL, 2.0))))
+        objective=c, constraints=np.array([[10.0, 20.0], [2.0, 1.0]]),
+        rhs=np.array([20.0, 2.0])))
     assert abs(base.objective - scaled.objective) <= 1e-9
     assert np.allclose(base.y, scaled.y, atol=1e-9)
 
 
 def test_beale_cycling_example():
-    # classic degenerate program that cycles without an anti-cycling rule
+    # classic degenerate program that cycles without an anti-cycling rule;
+    # its <= rows are negated into >= rows
     program = LinearProgram(
         objective=np.array([-0.75, 150.0, -0.02, 6.0]),
-        constraints=(
-            (np.array([0.25, -60.0, -0.04, 9.0]), LESS_EQUAL, 0.0),
-            (np.array([0.5, -90.0, -0.02, 3.0]), LESS_EQUAL, 0.0),
-            (np.array([0.0, 0.0, 1.0, 0.0]), LESS_EQUAL, 1.0)))
+        constraints=-np.array([[0.25, -60.0, -0.04, 9.0],
+                               [0.5, -90.0, -0.02, 3.0],
+                               [0.0, 0.0, 1.0, 0.0]]),
+        rhs=-np.array([0.0, 0.0, 1.0]))
     result = solve_lp(program)
     assert result.status == OPTIMAL
     assert abs(result.objective - (-0.05)) <= 1e-9
 
 
 def test_zero_objective_feasibility_mode():
-    program = LinearProgram(
-        objective=np.zeros(2),
-        constraints=((np.array([1.0, 1.0]), GREATER_EQUAL, 1.0),))
+    program = LinearProgram(objective=np.zeros(2),
+                            constraints=np.array([[1.0, 1.0]]),
+                            rhs=np.array([1.0]))
     result = solve_lp(program)
     assert result.status == OPTIMAL
     assert result.objective == 0.0
 
 
 def test_program_without_variables():
-    program = LinearProgram(
-        objective=np.zeros(0),
-        constraints=((np.zeros(0), LESS_EQUAL, 1.0),
-                     (np.zeros(0), EQUAL, 0.0)))
+    program = LinearProgram(objective=np.zeros(0),
+                            constraints=np.zeros((2, 0)),
+                            rhs=np.array([-1.0, 0.0]))
     result = solve_lp(program)
     assert result.status == OPTIMAL
     assert result.y.shape == (0,)
-    program = LinearProgram(
-        objective=np.zeros(0),
-        constraints=((np.zeros(0), GREATER_EQUAL, 1.0),))
+    program = LinearProgram(objective=np.zeros(0),
+                            constraints=np.zeros((1, 0)), rhs=np.array([1.0]))
     assert solve_lp(program).status == INFEASIBLE
+
+
+def test_program_is_read_only():
+    a = np.array([[1.0, 2.0]])
+    program = LinearProgram(objective=np.ones(2), constraints=a,
+                            rhs=np.array([1.0]))
+    a[0, 0] = 5.0
+    assert program.constraints[0, 0] == 1.0
+    assert len(program.constraints) == 1
+    for array in (program.objective, program.constraints, program.rhs):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_validation_errors():
     with pytest.raises(SizeMismatchError):
-        LinearProgram(objective=np.zeros((2, 2)), constraints=())
+        LinearProgram(objective=np.zeros((2, 2)),
+                      constraints=np.zeros((0, 2)), rhs=np.zeros(0))
+    with pytest.raises(SizeMismatchError):
+        LinearProgram(objective=np.zeros(2), constraints=np.zeros((1, 3)),
+                      rhs=np.ones(1))
+    with pytest.raises(SizeMismatchError):
+        LinearProgram(objective=np.zeros(2), constraints=np.zeros(2),
+                      rhs=np.ones(1))
     with pytest.raises(SizeMismatchError):
         LinearProgram(objective=np.zeros(2),
-                      constraints=((np.zeros(3), LESS_EQUAL, 1.0),))
+                      constraints=np.array([[1.0, np.nan]]), rhs=np.ones(1))
     with pytest.raises(SizeMismatchError):
-        LinearProgram(objective=np.zeros(2),
-                      constraints=((np.zeros(2), "<", 1.0),))
+        LinearProgram(objective=np.array([1.0, np.inf]),
+                      constraints=np.zeros((1, 2)), rhs=np.ones(1))
     with pytest.raises(SizeMismatchError):
-        LinearProgram(objective=np.zeros(2),
-                      constraints=((np.array([1.0, np.nan]), LESS_EQUAL, 1.0),))
+        LinearProgram(objective=np.zeros(2), constraints=np.zeros((1, 2)),
+                      rhs=np.array([np.nan]))
+    # rhs length must match the row count
     with pytest.raises(SizeMismatchError):
-        LinearProgram(objective=np.zeros(2), constraints=(),
-                      bounds=((2.0, 1.0), (0.0, None)))
-    with pytest.raises(SizeMismatchError):
-        LinearProgram(objective=np.zeros(2), constraints=(),
-                      bounds=((0.0, None),))
+        LinearProgram(objective=np.zeros(2), constraints=np.zeros((2, 2)),
+                      rhs=np.ones(3))
