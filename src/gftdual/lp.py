@@ -1,16 +1,19 @@
-"""Linear programs solved by HiGHS through scipy.optimize.linprog.
+"""Linear programs solved by HiGHS through scipy.optimize.milp.
 
 Solves  minimize c.y  subject to  A y >= b,  with y >= 0 (nonnegative,
 the default) or y free.  A is one (m, k) matrix and b its (m,) right-hand
 side; these are the only programs the package poses (the DUP master LP
-and the dual-construction LP).
+and the dual-construction LP).  milp is called with no integer variables,
+so HiGHS solves a plain LP with its default presolve and tolerances; it
+takes the >= rows as lower row bounds, and its per-call Python overhead is
+well below linprog's, which dominated these programs of 1-5 variables.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import NumericalBreakdown, SizeMismatchError
 
@@ -18,7 +21,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-# linprog status codes with a meaning here; any other is a solver failure
+# milp status codes with a meaning here; any other is a solver failure
 _STATUSES = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
@@ -79,13 +82,15 @@ def solve_lp(program: LinearProgram) -> LpResult:
     limit, numerical trouble, or "infeasible or unbounded" undecided).
     """
     if program.num_variables == 0:
-        # linprog rejects an empty objective; every row reads 0 >= b
+        # milp rejects an empty objective; every row reads 0 >= b
         if np.all(program.rhs <= 0.0):
             return LpResult(OPTIMAL, np.zeros(0), 0.0)
         return LpResult(INFEASIBLE, None, None)
-    bounds = (0, None) if program.nonnegative else (None, None)
-    result = linprog(program.objective, A_ub=-program.constraints,
-                     b_ub=-program.rhs, bounds=bounds, method="highs")
+    lower = 0.0 if program.nonnegative else -np.inf
+    result = milp(program.objective,
+                  constraints=LinearConstraint(program.constraints,
+                                               lb=program.rhs),
+                  bounds=Bounds(lower, np.inf))
     status = _STATUSES.get(result.status)
     if status is None:
         raise NumericalBreakdown(

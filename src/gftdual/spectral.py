@@ -144,9 +144,12 @@ def check_basis_pair(v1, v2):
     pair = []
     for name, v in (("V1", v1), ("V2", v2)):
         v = check_square(v, name)
+        if not np.isfinite(v).all():
+            raise NonFiniteEntryError("%s has non-finite entries" % name)
         n = v.shape[0]
         residual = np.max(np.abs(v.conj().T @ v - np.eye(n))) if n else 0.0
-        if residual > ORTHOGONALITY_TOL:
+        # written so that a NaN residual fails too
+        if not residual <= ORTHOGONALITY_TOL:
             raise NonOrthogonalInputError(
                 "%s is not orthogonal: max |V*V - I| = %.3e" % (name, residual))
         pair.append(v)

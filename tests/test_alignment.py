@@ -12,9 +12,10 @@ from gftdual.alignment import (CD, CDPM, ZERO_DIAGONAL_TOL, SolverConfig,
                                optimal_phases, run_pair, trace_objective,
                                verify_circulant_duality)
 from gftdual.dup import build_coupling
-from gftdual.errors import (IndexOutOfRangeError, NonOrthogonalInputError,
-                            NonUnitPhaseError, NotCirculantError,
-                            RepeatedEigenvaluesError, SizeMismatchError)
+from gftdual.errors import (IndexOutOfRangeError, NonFiniteEntryError,
+                            NonOrthogonalInputError, NonUnitPhaseError,
+                            NotCirculantError, RepeatedEigenvaluesError,
+                            SizeMismatchError)
 from gftdual.graphs import (circulant, erdos_renyi, invert_permutation,
                             permutation_matrix)
 from gftdual.rng import derive_stream, derived_words
@@ -552,17 +553,31 @@ def test_input_validation():
                         np.eye(3), np.ones(4), np.arange(3))
 
 
+def _eye_with(corner):
+    """eye(3) with its [0, 0] entry replaced."""
+    v = np.eye(3)
+    v[0, 0] = corner
+    return v
+
+
 @pytest.mark.parametrize("v1, v2, error", [
     (np.zeros((2, 3)), np.eye(3), SizeMismatchError),
     (np.eye(3), np.eye(4), SizeMismatchError),
     (np.eye(3), np.eye(3) * 2.0, NonOrthogonalInputError),
+    (_eye_with(np.nan), np.eye(3), NonFiniteEntryError),
+    (np.eye(3), _eye_with(np.nan), NonFiniteEntryError),
+    (_eye_with(np.inf), np.eye(3), NonFiniteEntryError),
+    (np.eye(3), _eye_with(-np.inf), NonFiniteEntryError),
 ])
 def test_basis_pair_is_checked_alike_everywhere(v1, v2, error):
     # every entry point taking a pair of bases runs the same check
     messages = set()
+    identity = np.arange(3)
     for solve in (build_coupling, cd_align, cdpm_align,
                   lambda a, b: multistart(CD, a, b),
-                  lambda a, b: multistart(CDPM, a, b)):
+                  lambda a, b: multistart(CDPM, a, b),
+                  lambda a, b: trace_objective(a, np.ones(3), identity,
+                                               b, np.ones(3), identity)):
         with pytest.raises(error) as info:
             solve(v1, v2)
         assert type(info.value) is error

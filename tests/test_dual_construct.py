@@ -34,6 +34,16 @@ def _full_status(v):
     return FEASIBLE if result.status == 0 else INFEASIBLE
 
 
+def _reduced_status(v):
+    """Status linprog gives the reduced program that construct_dual hands
+    to solve_lp: free t, sign and row-sum rows as <= rows."""
+    program = dual_construct._assemble(v, dual_construct._null_basis(v))
+    result = linprog(program.objective, A_ub=-program.constraints,
+                     b_ub=-program.rhs, bounds=(None, None), method="highs")
+    assert result.status in (0, 2), result.message
+    return FEASIBLE if result.status == 0 else INFEASIBLE
+
+
 def _weighted(g, rng):
     i, j = np.nonzero(np.triu(g.adjacency))
     return new_graph(g.n, [(a, b, w) for a, b, w in
@@ -186,6 +196,29 @@ def test_status_matches_the_full_program(n, p, seed, weighted):
     assert result.status == _full_status(eigendecompose(g).vectors)
     if result.status == FEASIBLE:
         assert max(verify_dual_witness(g, result.lambda_)) <= WITNESS_TOL
+
+
+def test_status_matches_linprog_on_seeded_graphs():
+    # 520 G(n, p) graphs at n = 6-25, p = 0.2-0.7, every fourth weighted,
+    # then the circulants with one offset that have a dual (perfect
+    # matchings and the 4- and 6-cycles), plain and weighted
+    rng = np.random.default_rng(21)
+    graphs = []
+    for i in range(520):
+        g = erdos_renyi(6 + i % 20, 0.2 + 0.05 * (i % 11), 4000 + i)
+        graphs.append(_weighted(g, rng) if i % 4 == 0 else g)
+    for n, offset in ((4, 1), (4, 2), (6, 1), (6, 3), (8, 4), (10, 5),
+                      (12, 6), (14, 7), (16, 8)):
+        graphs += [circulant(n, [(offset, 1.0)]),
+                   circulant(n, [(offset, 2.5)])]
+    feasible = 0
+    for g in graphs:
+        result = construct_dual(g)
+        assert result.status == _reduced_status(eigendecompose(g).vectors)
+        if result.status == FEASIBLE:
+            feasible += 1
+            assert max(verify_dual_witness(g, result.lambda_)) <= WITNESS_TOL
+    assert feasible >= 18
 
 
 def test_own_spectrum_zeroes_every_diagonal_row():

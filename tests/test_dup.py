@@ -12,9 +12,10 @@ from gftdual.alignment import (CD, SolverConfig, cd_align, multistart,
                                trace_objective)
 from gftdual.dup import BoundResult, CouplingMatrix, build_coupling, dup_bound
 from gftdual.errors import (NonFiniteEntryError, NonOrthogonalInputError,
-                            SizeMismatchError)
+                            NumericalBreakdown, SizeMismatchError)
 from gftdual.experiment import ExperimentConfig, _sample_pair
 from gftdual.graphs import erdos_renyi
+from gftdual.lp import INFEASIBLE, UNBOUNDED, LpResult
 from gftdual.rng import SplitMix64, derive_stream
 from gftdual.spectral import eigendecompose
 
@@ -271,6 +272,17 @@ def test_master_lp_primal_form(monkeypatch):
         assert np.all(nu >= 0.0)
         for v in cuts:
             assert np.square(v) @ nu >= v @ coupling.w @ v - 1e-9
+
+
+@pytest.mark.parametrize("status", [INFEASIBLE, UNBOUNDED])
+def test_master_lp_without_optimum_raises(status, monkeypatch):
+    # min 1'nu over cuts v'diag(nu)v >= v'Wv with nu >= 0 always has an
+    # optimum, so any other status is a solver failure
+    monkeypatch.setattr(dup, "solve_lp",
+                        lambda program: LpResult(status, None, None))
+    with pytest.raises(NumericalBreakdown,
+                       match="master LP returned status %s" % status):
+        dup_bound(build_coupling(*_pair()))
 
 
 def _row_sequential_mixing(w, stream, sweeps):

@@ -1,17 +1,24 @@
-"""LP solver tests against a vertex-enumeration oracle.
+"""LP solver tests against a vertex-enumeration oracle and linprog.
 
 Every bounded LP attains its optimum at a vertex, i.e. an intersection
 of k tight hyperplanes (constraint rows or, for y >= 0, coordinate
 faces), so for small instances the exact optimum can be found by
 enumerating all such intersections and keeping the feasible ones.
+scipy.optimize.linprog poses the same program to HiGHS through its own
+wrapper, with the >= rows negated into <= rows, and serves as the
+reference for status and optimal value on random programs.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, linprog
 
-from gftdual.errors import SizeMismatchError
+from gftdual import lp
+from gftdual.errors import NumericalBreakdown, SizeMismatchError
 from gftdual.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                         solve_lp)
 
@@ -211,3 +218,61 @@ def test_validation_errors():
     with pytest.raises(SizeMismatchError):
         LinearProgram(objective=np.zeros(2), constraints=np.zeros((2, 2)),
                       rhs=np.ones(3))
+
+
+# linprog status codes; any other code means HiGHS gave no answer
+_LINPROG_STATUSES = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+
+
+@st.composite
+def _programs(draw):
+    """A random program A y >= b with small integer data: 1-4 variables,
+    0-6 rows, either sign of every coefficient."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=0, max_value=6))
+    entries = st.integers(min_value=-3, max_value=3)
+    c = draw(st.lists(entries, min_size=k, max_size=k))
+    a = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(min_value=-4, max_value=4),
+                      min_size=m, max_size=m))
+    return (np.array(c, dtype=float), np.array(a, dtype=float).reshape(m, k),
+            np.array(b, dtype=float))
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=_programs(), nonnegative=st.booleans())
+def test_status_and_value_match_linprog(program, nonnegative):
+    c, a, b = program
+    reference = linprog(c, A_ub=-a if len(a) else None,
+                        b_ub=-b if len(a) else None,
+                        bounds=(0, None) if nonnegative else (None, None),
+                        method="highs")
+    expected = _LINPROG_STATUSES.get(reference.status)
+    problem = LinearProgram(objective=c, constraints=a, rhs=b,
+                            nonnegative=nonnegative)
+    if expected is None:
+        with pytest.raises(NumericalBreakdown):
+            solve_lp(problem)
+        return
+    result = solve_lp(problem)
+    assert result.status == expected
+    if expected == OPTIMAL:
+        assert abs(result.objective - reference.fun) <= \
+            1e-9 * max(1.0, abs(reference.fun))
+        assert _feasible(result.y, a, b, nonnegative)
+
+
+@pytest.mark.parametrize("code", [1, 4])
+def test_solver_without_answer_raises(code, monkeypatch):
+    # milp status 1 is an iteration or time limit, 4 any other stop
+    def stopped(c, **kwargs):
+        return OptimizeResult(status=code, message="stopped early", x=None)
+
+    monkeypatch.setattr(lp, "milp", stopped)
+    program = LinearProgram(objective=np.array([1.0]),
+                            constraints=np.array([[1.0]]),
+                            rhs=np.array([1.0]))
+    with pytest.raises(NumericalBreakdown,
+                       match="HiGHS status %d: stopped early" % code):
+        solve_lp(program)
