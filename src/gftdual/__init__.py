@@ -10,29 +10,29 @@ __version__ = "1.0.0"
 from .errors import (GftDualError, IndexOutOfRangeError, SelfLoopError,
                      DuplicateEdgeError, NonPositiveWeightError,
                      OffsetOutOfRangeError, ParseError, SizeMismatchError,
-                     ConvergenceFailure, NotSquareError, NonFiniteEntryError,
-                     TooLargeError, NumericalBreakdown,
-                     NonOrthogonalInputError, NonUnitPhaseError,
+                     ConvergenceFailure, NonFiniteEntryError,
+                     NumericalBreakdown, NonOrthogonalInputError,
+                     NonUnitPhaseError,
                      RepeatedEigenvaluesError, NotCirculantError,
                      IterationCapExceeded, ResampleCapExceeded,
                      EmptyInputError)
 from .rng import SplitMix64, derive_stream
 from .graphs import (Graph, new_graph, erdos_renyi, circulant, is_circulant,
-                     check_permutation, invert_permutation,
-                     permutation_matrix, permute_graph, write_graph,
-                     read_graph, read_graph_file, write_graph_file)
+                     check_permutation, invert_permutation, permute_graph,
+                     write_graph, read_graph, read_graph_file,
+                     write_graph_file)
 from .spectral import (SpectralDecomposition, jacobi_eigh, eigendecompose,
                        has_distinct_eigenvalues, minimum_eigenvalue_gap,
                        gft, igft, dft_matrix)
-from .assignment import solve_assignment_max, assignment_bruteforce
+from .assignment import solve_assignment_max
 from .alignment import (CD, CDPM, SolverConfig, AlignmentSolution,
-                        trace_objective, optimal_phases, cd_align, cdpm_align,
-                        multistart, run_pair, verify_circulant_duality,
+                        trace_objective, cd_align, cdpm_align, multistart,
+                        run_pair, verify_circulant_duality,
                         isomorphism_transport)
 from .dup import CouplingMatrix, BoundResult, build_coupling, dup_bound
 from .dual_construct import (FEASIBLE, INFEASIBLE, DualConstructionResult,
-                             candidate_adjacency, construct_dual,
-                             construct_dual_from_vectors, verify_dual_witness)
+                             construct_dual, construct_dual_from_vectors,
+                             verify_dual_witness)
 from .experiment import (DUP, METHODS, ExperimentConfig, ExperimentRecord,
                          run_experiment, write_csv, read_csv, plot_fig1)
 
@@ -41,26 +41,22 @@ __all__ = [
     "GftDualError", "IndexOutOfRangeError", "SelfLoopError",
     "DuplicateEdgeError", "NonPositiveWeightError", "OffsetOutOfRangeError",
     "ParseError", "SizeMismatchError", "ConvergenceFailure",
-    "NotSquareError", "NonFiniteEntryError", "TooLargeError",
-    "NumericalBreakdown", "NonOrthogonalInputError", "NonUnitPhaseError",
-    "RepeatedEigenvaluesError", "NotCirculantError", "IterationCapExceeded",
-    "ResampleCapExceeded", "EmptyInputError",
+    "NonFiniteEntryError", "NumericalBreakdown", "NonOrthogonalInputError",
+    "NonUnitPhaseError", "RepeatedEigenvaluesError", "NotCirculantError",
+    "IterationCapExceeded", "ResampleCapExceeded", "EmptyInputError",
     "SplitMix64", "derive_stream",
     "Graph", "new_graph", "erdos_renyi", "circulant", "is_circulant",
-    "check_permutation", "invert_permutation", "permutation_matrix",
-    "permute_graph", "write_graph", "read_graph", "read_graph_file",
-    "write_graph_file",
+    "check_permutation", "invert_permutation", "permute_graph",
+    "write_graph", "read_graph", "read_graph_file", "write_graph_file",
     "SpectralDecomposition", "jacobi_eigh", "eigendecompose",
     "has_distinct_eigenvalues", "minimum_eigenvalue_gap", "gft", "igft",
-    "dft_matrix",
-    "solve_assignment_max", "assignment_bruteforce",
+    "dft_matrix", "solve_assignment_max",
     "CD", "CDPM", "SolverConfig", "AlignmentSolution", "trace_objective",
-    "optimal_phases", "cd_align", "cdpm_align", "multistart", "run_pair",
+    "cd_align", "cdpm_align", "multistart", "run_pair",
     "verify_circulant_duality", "isomorphism_transport",
     "CouplingMatrix", "BoundResult", "build_coupling", "dup_bound",
     "FEASIBLE", "INFEASIBLE", "DualConstructionResult",
-    "candidate_adjacency", "construct_dual", "construct_dual_from_vectors",
-    "verify_dual_witness",
+    "construct_dual", "construct_dual_from_vectors", "verify_dual_witness",
     "DUP", "METHODS", "ExperimentConfig", "ExperimentRecord",
     "run_experiment", "write_csv", "read_csv", "plot_fig1",
 ]

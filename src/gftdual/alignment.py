@@ -20,8 +20,8 @@ from .errors import (IndexOutOfRangeError, NonUnitPhaseError,
                      SizeMismatchError, NotCirculantError)
 from .graphs import Graph, check_permutation, invert_permutation, is_circulant
 from .rng import derive_stream, derived_words
-from .spectral import (check_basis_pair, check_same_size, decompose_pair,
-                       dft_matrix)
+from .spectral import (check_basis_pair, check_same_size, check_square,
+                       decompose_pair, dft_matrix)
 
 ZERO_DIAGONAL_TOL = 1e-12
 CIRCULANT_DIAG_TOL = 1e-9
@@ -143,19 +143,6 @@ def _phases_of_diagonal(diag):
     d = np.where(keep, np.conj(diag) / np.where(keep, mag, 1.0), 1.0 + 0.0j)
     value = np.sum(np.where(keep, mag, 0.0), axis=-1)
     return d, value
-
-
-def optimal_phases(a):
-    """Closed-form phase update d_k = conj(A_kk)/|A_kk| and its value.
-
-    Near-zero diagonal entries (|A_kk| <= 1e-12) get phase 1 and
-    contribute 0 to the value.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SizeMismatchError("optimal_phases needs a square matrix")
-    d, value = _phases_of_diagonal(np.diagonal(a).astype(complex))
-    return d, float(value)
 
 
 def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
@@ -393,7 +380,8 @@ def multistart(method, v1, v2, config=SolverConfig()):
     method = method.upper()
     if method not in (CD, CDPM):
         raise ValueError("method must be CD or CDPM, got %r" % (method,))
-    v1, v2, n = check_basis_pair(v1, v2)
+    # cd_align and cdpm_align check the pair; the starts need only n
+    n = check_square(v1, "V1").shape[0]
     init = _random_starts(config.seed, config.restarts, n, method == CDPM)
     if method == CD:
         return cd_align(v1, v2, config, init)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .errors import SizeMismatchError
+from .errors import NonFiniteEntryError, SizeMismatchError
 from .graphs import Graph
 from .spectral import check_square, eigendecompose
 
@@ -73,34 +73,25 @@ def _assemble(v, basis):
         nonnegative=False)
 
 
-def _check_real_square(v):
-    if np.iscomplexobj(v):
-        raise SizeMismatchError("V must be a real matrix")
-    v = check_square(v, "V")
-    if not np.isfinite(v).all():
-        raise SizeMismatchError("V has non-finite entries")
-    return v
-
-
-def candidate_adjacency(v, lam):
-    """A(L) = V' diag(lam) V assembled from the rows of V."""
-    v = _check_real_square(v)
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (v.shape[0],):
-        raise SizeMismatchError("lambda must have length %d" % v.shape[0])
+def _candidate_adjacency(v, lam):
+    """A(L) = V' diag(lam) V assembled from the rows of a checked V."""
     return v.T @ (lam[:, None] * v)
 
 
 def construct_dual_from_vectors(v) -> DualConstructionResult:
     """Diagnostic entry point taking the eigenvector matrix directly."""
-    v = _check_real_square(v)
+    if np.iscomplexobj(v):
+        raise SizeMismatchError("V must be a real matrix")
+    v = check_square(v, "V")
+    if not np.isfinite(v).all():
+        raise NonFiniteEntryError("V has non-finite entries")
     basis = _null_basis(v)
     result = lp.solve_lp(_assemble(v, basis))
     if result.status != lp.OPTIMAL:
         return DualConstructionResult(status=INFEASIBLE, lambda_=None,
                                       adjacency=None)
     lam = basis @ result.y
-    adjacency = candidate_adjacency(v, lam)
+    adjacency = _candidate_adjacency(v, lam)
     adjacency[np.abs(adjacency) < CLAMP_TOL] = 0.0
     lam.setflags(write=False)
     adjacency.setflags(write=False)
@@ -122,7 +113,7 @@ def verify_dual_witness(g: Graph, lam) -> tuple:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (g.n,):
         raise SizeMismatchError("lambda must have length %d" % g.n)
-    a = candidate_adjacency(v, lam)
+    a = _candidate_adjacency(v, lam)
     diagonal = float(np.max(np.abs(np.diagonal(a)))) if g.n else 0.0
     off = a - np.diag(np.diagonal(a))
     negativity = float(max(0.0, -np.min(off))) if g.n else 0.0

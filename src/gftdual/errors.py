@@ -47,7 +47,8 @@ class ParseError(GftDualError):
 
 
 class SizeMismatchError(GftDualError):
-    """Two inputs that must share a dimension do not."""
+    """An input has the wrong shape (a matrix that must be square is not,
+    for one), or two inputs that must share a dimension do not."""
 
 
 # -------------------------------------------------------------- numerics
@@ -57,16 +58,8 @@ class ConvergenceFailure(GftDualError):
     """The LAPACK symmetric eigensolver did not converge."""
 
 
-class NotSquareError(GftDualError):
-    """A matrix argument is not square."""
-
-
 class NonFiniteEntryError(GftDualError):
     """A matrix or vector argument contains NaN or infinity."""
-
-
-class TooLargeError(GftDualError):
-    """An input exceeds the size limit of an exhaustive routine."""
 
 
 class NumericalBreakdown(GftDualError):

@@ -181,15 +181,6 @@ def invert_permutation(perm) -> np.ndarray:
     return inv
 
 
-def permutation_matrix(perm) -> np.ndarray:
-    """Matrix P with P[i, perm[i]] = 1, so P @ M gathers rows: M[perm]."""
-    p = check_permutation(perm)
-    n = p.shape[0]
-    mat = np.zeros((n, n))
-    mat[np.arange(n), p] = 1.0
-    return mat
-
-
 def permute_graph(graph: Graph, perm) -> Graph:
     """Relabel vertices: vertex i becomes perm[i].
 

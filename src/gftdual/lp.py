@@ -15,14 +15,15 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .errors import NumericalBreakdown, SizeMismatchError
+from .errors import NonFiniteEntryError, NumericalBreakdown, SizeMismatchError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
-# milp status codes with a meaning here; any other is a solver failure
-_STATUSES = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+# milp status codes with a meaning here; any other is a solver failure.
+# Unbounded (3) is one too: the construction LP has a zero objective and
+# the master LP unit costs over y >= 0, so neither can be unbounded.
+_STATUSES = {0: OPTIMAL, 2: INFEASIBLE}
 
 
 def _frozen(values, name, ndim):
@@ -31,7 +32,7 @@ def _frozen(values, name, ndim):
         raise SizeMismatchError("%s must have %d dimension(s), got %d"
                                 % (name, ndim, a.ndim))
     if not np.isfinite(a).all():
-        raise SizeMismatchError("%s has non-finite entries" % name)
+        raise NonFiniteEntryError("%s has non-finite entries" % name)
     a.flags.writeable = False
     return a
 
@@ -67,8 +68,8 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpResult:
-    """status is OPTIMAL, INFEASIBLE or UNBOUNDED; y and objective are the
-    optimal point and value when OPTIMAL, None otherwise."""
+    """status is OPTIMAL or INFEASIBLE; y and objective are the optimal
+    point and value when OPTIMAL, None otherwise."""
 
     status: str
     y: Optional[np.ndarray]
@@ -78,8 +79,9 @@ class LpResult:
 def solve_lp(program: LinearProgram) -> LpResult:
     """Solve the program with HiGHS.
 
-    Raises NumericalBreakdown when HiGHS stops without an answer (iteration
-    limit, numerical trouble, or "infeasible or unbounded" undecided).
+    Raises NumericalBreakdown when HiGHS stops without an optimum or a
+    proof of infeasibility (iteration limit, numerical trouble, an
+    unbounded program, or "infeasible or unbounded" undecided).
     """
     if program.num_variables == 0:
         # milp rejects an empty objective; every row reads 0 >= b

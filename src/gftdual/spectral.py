@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceFailure, NonFiniteEntryError,
-                     NonOrthogonalInputError, NotSquareError,
-                     RepeatedEigenvaluesError, SizeMismatchError)
+                     NonOrthogonalInputError, RepeatedEigenvaluesError,
+                     SizeMismatchError)
 from .graphs import Graph
 
 ORTHOGONALITY_TOL = 1e-8
@@ -40,7 +40,7 @@ def jacobi_eigh(matrix: np.ndarray):
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquareError("jacobi_eigh needs a square matrix")
+        raise SizeMismatchError("jacobi_eigh needs a square matrix")
     if not np.isfinite(a).all():
         raise NonFiniteEntryError("jacobi_eigh needs finite entries")
     try:

@@ -11,14 +11,14 @@ import numpy as np
 from gftdual.alignment import (CD, CDPM, SolverConfig, cd_align, cdpm_align,
                                isomorphism_transport, multistart,
                                trace_objective, verify_circulant_duality)
-from gftdual.assignment import assignment_bruteforce, solve_assignment_max
+from gftdual.assignment import solve_assignment_max
 from gftdual.dual_construct import INFEASIBLE, construct_dual
 from gftdual.dup import build_coupling, dup_bound
 from gftdual.experiment import ExperimentConfig, run_experiment
-from gftdual.graphs import (circulant, erdos_renyi, invert_permutation,
-                            permutation_matrix)
+from gftdual.graphs import circulant, erdos_renyi, invert_permutation
 from gftdual.rng import SplitMix64, derive_stream
 from gftdual.spectral import eigendecompose, has_distinct_eigenvalues
+from oracles import assignment_bruteforce, permutation_matrix
 
 
 def _report(criterion, ok, detail):

@@ -8,11 +8,10 @@ from scipy.optimize import linprog
 
 from gftdual import dual_construct
 from gftdual.dual_construct import (FEASIBLE, INFEASIBLE,
-                                    DualConstructionResult,
-                                    candidate_adjacency, construct_dual,
+                                    DualConstructionResult, construct_dual,
                                     construct_dual_from_vectors,
                                     verify_dual_witness)
-from gftdual.errors import SizeMismatchError
+from gftdual.errors import NonFiniteEntryError, SizeMismatchError
 from gftdual.graphs import circulant, erdos_renyi, new_graph, permute_graph
 from gftdual.spectral import dft_matrix, eigendecompose
 
@@ -133,17 +132,10 @@ def test_candidate_adjacency_formula():
     rng = np.random.default_rng(5)
     v = np.linalg.qr(rng.standard_normal((5, 5)))[0]
     lam = rng.standard_normal(5)
-    a = candidate_adjacency(v, lam)
+    a = dual_construct._candidate_adjacency(v, lam)
     expected = sum(lam[k] * np.outer(v[k], v[k]) for k in range(5))
     assert np.max(np.abs(a - expected)) <= 1e-12
     assert np.max(np.abs(a - a.T)) <= 1e-12
-
-
-def test_candidate_adjacency_validation():
-    with pytest.raises(SizeMismatchError):
-        candidate_adjacency(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(SizeMismatchError):
-        candidate_adjacency(np.eye(3), np.zeros(4))
 
 
 def test_construct_from_vectors_validation():
@@ -174,12 +166,10 @@ def test_complex_or_non_finite_vectors_are_rejected():
     v = dft_matrix(4)
     with pytest.raises(SizeMismatchError, match="real"):
         construct_dual_from_vectors(v)
-    with pytest.raises(SizeMismatchError, match="real"):
-        candidate_adjacency(v, np.ones(4))
     for bad in (np.nan, np.inf):
         v = np.eye(3)
         v[1, 2] = bad
-        with pytest.raises(SizeMismatchError, match="non-finite"):
+        with pytest.raises(NonFiniteEntryError, match="non-finite"):
             construct_dual_from_vectors(v)
 
 
@@ -261,7 +251,7 @@ def test_assembled_program_rows():
     assert not program.nonnegative
     # row (i, j), i < j, maps t to the entry A(L)_ij; then the row sums
     t = np.arange(1.0, basis.shape[1] + 1.0)
-    a = candidate_adjacency(v, basis @ t)
+    a = dual_construct._candidate_adjacency(v, basis @ t)
     upper, lower = np.triu_indices(n, k=1)
     assert np.allclose(program.constraints[:pairs] @ t, a[upper, lower],
                        atol=1e-12)

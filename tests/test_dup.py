@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
-from gftdual import dup
+from gftdual import dup, lp
 from gftdual.alignment import (CD, SolverConfig, cd_align, multistart,
                                trace_objective)
 from gftdual.dup import BoundResult, CouplingMatrix, build_coupling, dup_bound
-from gftdual.errors import (NonFiniteEntryError, NonOrthogonalInputError,
-                            NumericalBreakdown, SizeMismatchError)
+from gftdual.errors import (IterationCapExceeded, NonFiniteEntryError,
+                            NonOrthogonalInputError, NumericalBreakdown,
+                            SizeMismatchError)
 from gftdual.experiment import ExperimentConfig, _sample_pair
 from gftdual.graphs import erdos_renyi
-from gftdual.lp import INFEASIBLE, UNBOUNDED, LpResult
 from gftdual.rng import SplitMix64, derive_stream
 from gftdual.spectral import eigendecompose
 
@@ -274,14 +275,25 @@ def test_master_lp_primal_form(monkeypatch):
             assert np.square(v) @ nu >= v @ coupling.w @ v - 1e-9
 
 
-@pytest.mark.parametrize("status", [INFEASIBLE, UNBOUNDED])
-def test_master_lp_without_optimum_raises(status, monkeypatch):
+@pytest.mark.parametrize("code, message", [
+    (2, "master LP returned status infeasible"),
+    (3, "HiGHS status 3: stopped"),
+], ids=["infeasible", "unbounded"])
+def test_master_lp_without_optimum_raises(code, message, monkeypatch):
     # min 1'nu over cuts v'diag(nu)v >= v'Wv with nu >= 0 always has an
-    # optimum, so any other status is a solver failure
-    monkeypatch.setattr(dup, "solve_lp",
-                        lambda program: LpResult(status, None, None))
-    with pytest.raises(NumericalBreakdown,
-                       match="master LP returned status %s" % status):
+    # optimum, so HiGHS reporting the program infeasible (milp status 2)
+    # or unbounded (status 3) is a solver failure
+    monkeypatch.setattr(lp, "milp", lambda c, **kwargs: OptimizeResult(
+        status=code, message="stopped", x=None))
+    with pytest.raises(NumericalBreakdown, match=message):
+        dup_bound(build_coupling(*_pair()))
+
+
+def test_cut_budget_is_a_typed_failure(monkeypatch):
+    # the first oracle call adds at least the cut of lambda_min
+    monkeypatch.setattr(dup, "CUT_BUDGET", 0)
+    with pytest.raises(IterationCapExceeded,
+                       match="cut budget 0 exceeded without certification"):
         dup_bound(build_coupling(*_pair()))
 
 

@@ -10,9 +10,10 @@ from gftdual.errors import (DuplicateEdgeError, IndexOutOfRangeError,
                             ParseError, SelfLoopError, SizeMismatchError)
 from gftdual.graphs import (Graph, check_permutation, circulant, erdos_renyi,
                             invert_permutation, is_circulant, new_graph,
-                            permutation_matrix, permute_graph, read_graph,
-                            read_graph_file, write_graph, write_graph_file)
+                            permute_graph, read_graph, read_graph_file,
+                            write_graph, write_graph_file)
 from gftdual.rng import SplitMix64
+from oracles import permutation_matrix
 
 
 def test_new_graph_basic():

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, linprog
 
 from gftdual import lp
-from gftdual.errors import NumericalBreakdown, SizeMismatchError
-from gftdual.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                        solve_lp)
+from gftdual.errors import (NonFiniteEntryError, NumericalBreakdown,
+                            SizeMismatchError)
+from gftdual.lp import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 
 ORACLE_TOL = 1e-7
 
@@ -96,20 +96,25 @@ def test_random_instances_match_vertex_oracle():
 
 
 def test_unbounded_detection():
+    # no program the package poses is unbounded, so HiGHS proving one
+    # unbounded is a solver failure like any other stop without an answer
     program = LinearProgram(objective=np.array([-1.0]),
                             constraints=np.array([[1.0]]),
                             rhs=np.array([0.0]))
-    assert solve_lp(program).status == UNBOUNDED
+    with pytest.raises(NumericalBreakdown, match="HiGHS status 3"):
+        solve_lp(program)
     # -y1 + y2 >= -1 leaves y1 unbounded above along y2 = 0
     program = LinearProgram(objective=np.array([-1.0, 0.0]),
                             constraints=np.array([[-1.0, 1.0]]),
                             rhs=np.array([-1.0]))
-    assert solve_lp(program).status == UNBOUNDED
+    with pytest.raises(NumericalBreakdown, match="HiGHS status 3"):
+        solve_lp(program)
     # a free variable with no rows below it
     program = LinearProgram(objective=np.array([1.0]),
                             constraints=np.zeros((0, 1)), rhs=np.zeros(0),
                             nonnegative=False)
-    assert solve_lp(program).status == UNBOUNDED
+    with pytest.raises(NumericalBreakdown, match="HiGHS status 3"):
+        solve_lp(program)
 
 
 def test_infeasible_detection():
@@ -205,13 +210,13 @@ def test_validation_errors():
     with pytest.raises(SizeMismatchError):
         LinearProgram(objective=np.zeros(2), constraints=np.zeros(2),
                       rhs=np.ones(1))
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(NonFiniteEntryError):
         LinearProgram(objective=np.zeros(2),
                       constraints=np.array([[1.0, np.nan]]), rhs=np.ones(1))
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(NonFiniteEntryError):
         LinearProgram(objective=np.array([1.0, np.inf]),
                       constraints=np.zeros((1, 2)), rhs=np.ones(1))
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(NonFiniteEntryError):
         LinearProgram(objective=np.zeros(2), constraints=np.zeros((1, 2)),
                       rhs=np.array([np.nan]))
     # rhs length must match the row count
@@ -220,8 +225,9 @@ def test_validation_errors():
                       rhs=np.ones(3))
 
 
-# linprog status codes; any other code means HiGHS gave no answer
-_LINPROG_STATUSES = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+# linprog status codes; any other code, unbounded (3) included, means
+# HiGHS gave no answer solve_lp accepts
+_LINPROG_STATUSES = {0: OPTIMAL, 2: INFEASIBLE}
 
 
 @st.composite

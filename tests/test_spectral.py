@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gftdual.errors import (NonFiniteEntryError, NotSquareError,
+from gftdual.errors import (ConvergenceFailure, NonFiniteEntryError,
                             SizeMismatchError)
 from gftdual.graphs import circulant, erdos_renyi, new_graph
 from gftdual.spectral import (SpectralDecomposition, dft_matrix,
@@ -45,8 +45,18 @@ def test_eigenvalues_ascending():
 
 
 def test_jacobi_rejects_non_square():
-    with pytest.raises(NotSquareError):
+    with pytest.raises(SizeMismatchError):
         jacobi_eigh(np.zeros((2, 3)))
+
+
+def test_lapack_failure_is_a_convergence_failure(monkeypatch):
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(ConvergenceFailure,
+                       match="LAPACK eigh: Eigenvalues did not converge"):
+        jacobi_eigh(np.eye(3))
 
 
 def test_jacobi_rejects_non_finite():
