@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .errors import NonFiniteEntryError, SizeMismatchError
+from .errors import SizeMismatchError
 from .graphs import Graph
-from .spectral import check_square, eigendecompose
+from .spectral import check_basis, eigendecompose
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -79,12 +79,11 @@ def _candidate_adjacency(v, lam):
 
 
 def construct_dual_from_vectors(v) -> DualConstructionResult:
-    """Diagnostic entry point taking the eigenvector matrix directly."""
+    """Diagnostic entry point taking the eigenvector matrix directly: V
+    must be real, square, finite and orthogonal (spectral.check_basis)."""
     if np.iscomplexobj(v):
         raise SizeMismatchError("V must be a real matrix")
-    v = check_square(v, "V")
-    if not np.isfinite(v).all():
-        raise NonFiniteEntryError("V has non-finite entries")
+    v = check_basis(v, "V")
     basis = _null_basis(v)
     result = lp.solve_lp(_assemble(v, basis))
     if result.status != lp.OPTIMAL:

@@ -251,11 +251,6 @@ def _solve_master(cuts, rhs, m):
     return result.objective, result.y
 
 
-def _oracle(nu, w):
-    eigenvalues, vectors = jacobi_eigh(np.diag(nu) - w)
-    return eigenvalues, vectors
-
-
 def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
     """Certified upper bound: min 1'nu over diag(nu) - W PSD, plus repair.
 
@@ -285,7 +280,7 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
     rhs = []
     master_history = []
     while True:
-        eigenvalues, vectors = _oracle(x, matrix)
+        eigenvalues, vectors = jacobi_eigh(np.diag(x) - matrix)
         lam_min = float(eigenvalues[0])
         threshold = max(_NEAR_NULL_FLOOR, 10.0 * abs(lam_min))
         for j in range(m):
@@ -303,7 +298,7 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
         master_history.append(master_value)
         if lam_min >= -tol:
             chosen, chosen_lam = x, lam_min
-            master_eigs, _ = _oracle(nu_master, matrix)
+            master_eigs, _ = jacobi_eigh(np.diag(nu_master) - matrix)
             lam_master = float(master_eigs[0])
             if lam_master >= -tol:
                 repaired_master = nu_master.sum() + m * max(0.0, -lam_master)
@@ -311,7 +306,7 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
                     chosen, chosen_lam = nu_master, lam_master
             nu = chosen + max(0.0, -chosen_lam)
             for _ in range(3):
-                fresh, _ = _oracle(nu, matrix)
+                fresh, _ = jacobi_eigh(np.diag(nu) - matrix)
                 if fresh[0] >= -tol:
                     break
                 nu = nu + (-float(fresh[0]))

@@ -133,28 +133,24 @@ def circulant(n: int, offsets) -> Graph:
     if n < 1:
         raise IndexOutOfRangeError(f"vertex count must be >= 1, got {n}")
     a = np.zeros((n, n))
+    vertices = np.arange(n)
     for k, w in offsets:
         k = int(k)
         if not (1 <= k <= n // 2):
             raise OffsetOutOfRangeError(f"offset {k} outside 1..{n // 2}")
         if not (float(w) > 0.0):
             raise NonPositiveWeightError(f"offset {k} has weight {w}")
-        for i in range(n):
-            j = (i + k) % n
-            a[i, j] = float(w)
-            a[j, i] = float(w)
+        j = (vertices + k) % n
+        a[vertices, j] = a[j, vertices] = float(w)
     return Graph(a)
 
 
 def is_circulant(graph: Graph) -> bool:
     """True when adjacency[i][j] depends only on (j - i) mod n (exactly)."""
     a = graph.adjacency
-    n = graph.n
-    first = a[0]
-    for i in range(1, n):
-        if not np.array_equal(a[i], np.roll(first, i)):
-            return False
-    return True
+    i = np.arange(graph.n)
+    # row i of a circulant is its first row rolled by i
+    return np.array_equal(a, a[0, (i - i[:, None]) % graph.n])
 
 
 # ------------------------------------------------------------ permutations
@@ -175,10 +171,7 @@ def check_permutation(perm, n: int | None = None) -> np.ndarray:
 
 def invert_permutation(perm) -> np.ndarray:
     """Inverse permutation: out[perm[i]] = i."""
-    p = check_permutation(perm)
-    inv = np.empty_like(p)
-    inv[p] = np.arange(p.shape[0], dtype=np.intp)
-    return inv
+    return np.argsort(check_permutation(perm))
 
 
 def permute_graph(graph: Graph, perm) -> Graph:
@@ -196,12 +189,12 @@ def permute_graph(graph: Graph, perm) -> Graph:
 
 def write_graph(graph: Graph) -> str:
     """Serialize to the text format (canonical: edges sorted by (i, j))."""
-    lines = [str(graph.n)]
     a = graph.adjacency
-    for i in range(graph.n):
-        for j in range(i + 1, graph.n):
-            if a[i, j] != 0.0:
-                lines.append(f"{i} {j} {float(a[i, j])!r}")
+    # nonzero lists the upper-triangle edges in row-major (i, j) order
+    rows, cols = np.nonzero(np.triu(a, 1))
+    lines = [str(graph.n)] + [
+        f"{i} {j} {w!r}" for i, j, w in
+        zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -61,10 +61,6 @@ class LinearProgram:
         object.__setattr__(self, "constraints", a)
         object.__setattr__(self, "rhs", b)
 
-    @property
-    def num_variables(self):
-        return self.objective.size
-
 
 @dataclass(frozen=True)
 class LpResult:
@@ -83,7 +79,7 @@ def solve_lp(program: LinearProgram) -> LpResult:
     proof of infeasibility (iteration limit, numerical trouble, an
     unbounded program, or "infeasible or unbounded" undecided).
     """
-    if program.num_variables == 0:
+    if program.objective.size == 0:
         # milp rejects an empty objective; every row reads 0 >= b
         if np.all(program.rhs <= 0.0):
             return LpResult(OPTIMAL, np.zeros(0), 0.0)

@@ -10,10 +10,10 @@ largest-magnitude entry is positive, ties broken by the lowest row index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (ConvergenceFailure, NonFiniteEntryError,
                      NonOrthogonalInputError, RepeatedEigenvaluesError,
@@ -21,6 +21,8 @@ from .errors import (ConvergenceFailure, NonFiniteEntryError,
 from .graphs import Graph
 
 ORTHOGONALITY_TOL = 1e-8
+# eigenvalue gaps must exceed this fraction of max(1, max |eigenvalue|)
+DISTINCT_RTOL = 1e-8
 
 
 def jacobi_eigh(matrix: np.ndarray):
@@ -80,32 +82,24 @@ def eigendecompose(graph: Graph) -> SpectralDecomposition:
     positive. Deterministic: repeat calls on one build are bit-identical.
     """
     w, v = jacobi_eigh(graph.adjacency)
-    for k in range(v.shape[1]):
-        column = v[:, k]
-        lead = int(np.argmax(np.abs(column)))
-        if column[lead] < 0.0:
-            v[:, k] = -column
+    if v.size:
+        # argmax returns the first maximum: the lowest row on ties
+        lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        v = np.where(lead < 0.0, -v, v)
     return SpectralDecomposition(w, v)
 
 
-def has_distinct_eigenvalues(decomposition: SpectralDecomposition, tol: float = 1e-8) -> bool:
-    """True when all consecutive eigenvalue gaps clear a relative threshold."""
-    return minimum_eigenvalue_gap(decomposition) > tol * _gap_scale(decomposition)
+def has_distinct_eigenvalues(decomposition: SpectralDecomposition) -> bool:
+    """True when every consecutive eigenvalue gap exceeds DISTINCT_RTOL
+    times max(1, max |eigenvalue|)."""
+    scale = max(1.0, float(np.max(np.abs(decomposition.eigenvalues),
+                                  initial=0.0)))
+    return minimum_eigenvalue_gap(decomposition) > DISTINCT_RTOL * scale
 
 
 def minimum_eigenvalue_gap(decomposition: SpectralDecomposition) -> float:
     """Smallest consecutive gap of the ascending spectrum (inf for n = 1)."""
-    w = decomposition.eigenvalues
-    if w.shape[0] < 2:
-        return math.inf
-    return float(np.min(np.diff(w)))
-
-
-def _gap_scale(decomposition: SpectralDecomposition) -> float:
-    w = decomposition.eigenvalues
-    if w.shape[0] == 0:
-        return 1.0
-    return max(1.0, float(np.max(np.abs(w))))
+    return float(np.min(np.diff(decomposition.eigenvalues), initial=np.inf))
 
 
 def check_same_size(g1: Graph, g2: Graph):
@@ -138,22 +132,26 @@ def check_square(v, name):
     return v
 
 
+def check_basis(v, name):
+    """v as check_square returns it, which must be finite and orthogonal
+    (unitary, if complex) within ORTHOGONALITY_TOL."""
+    v = check_square(v, name)
+    if not np.isfinite(v).all():
+        raise NonFiniteEntryError("%s has non-finite entries" % name)
+    n = v.shape[0]
+    residual = np.max(np.abs(v.conj().T @ v - np.eye(n))) if n else 0.0
+    # written so that a NaN residual fails too
+    if not residual <= ORTHOGONALITY_TOL:
+        raise NonOrthogonalInputError(
+            "%s is not orthogonal: max |V*V - I| = %.3e" % (name, residual))
+    return v
+
+
 def check_basis_pair(v1, v2):
     """Two orthogonal (unitary, if complex) bases of one size, as
-    check_square returns them, and that size."""
-    pair = []
-    for name, v in (("V1", v1), ("V2", v2)):
-        v = check_square(v, name)
-        if not np.isfinite(v).all():
-            raise NonFiniteEntryError("%s has non-finite entries" % name)
-        n = v.shape[0]
-        residual = np.max(np.abs(v.conj().T @ v - np.eye(n))) if n else 0.0
-        # written so that a NaN residual fails too
-        if not residual <= ORTHOGONALITY_TOL:
-            raise NonOrthogonalInputError(
-                "%s is not orthogonal: max |V*V - I| = %.3e" % (name, residual))
-        pair.append(v)
-    v1, v2 = pair
+    check_basis returns them, and that size."""
+    v1 = check_basis(v1, "V1")
+    v2 = check_basis(v2, "V2")
     if v1.shape != v2.shape:
         raise SizeMismatchError("V1 and V2 sizes differ: %s vs %s"
                                 % (v1.shape, v2.shape))
@@ -180,5 +178,4 @@ def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix U[j, k] = exp(-2 pi i j k / n) / sqrt(n)."""
     if n < 1:
         raise SizeMismatchError(f"n must be >= 1, got {n}")
-    indices = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(indices, indices) / n) / math.sqrt(n)
+    return scipy.linalg.dft(n, scale="sqrtn")

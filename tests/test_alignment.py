@@ -15,7 +15,7 @@ from gftdual.errors import (IndexOutOfRangeError, NonFiniteEntryError,
                             NonOrthogonalInputError, NonUnitPhaseError,
                             NotCirculantError, RepeatedEigenvaluesError,
                             SizeMismatchError)
-from gftdual.graphs import circulant, erdos_renyi, invert_permutation
+from gftdual.graphs import Graph, circulant, erdos_renyi, invert_permutation
 from gftdual.rng import derive_stream, derived_words
 from gftdual.spectral import decompose_pair, eigendecompose
 from oracles import permutation_matrix
@@ -519,10 +519,19 @@ def test_verify_circulant_duality():
         g1 = circulant(n, offsets)
         g2 = circulant(n, [(1, 3.0)])
         assert verify_circulant_duality(g1, g2) <= 1e-9
+    # exactly circulant with large weights: the off-diagonal of V* A V is
+    # rounding of the size of max A * eps, and the tolerance scales with it
+    for weight in (1e6, 1e10):
+        heavy = circulant(16, [(1, weight), (3, weight / 2)])
+        assert verify_circulant_duality(heavy, heavy) <= 1e-9
+        light = circulant(16, [(2, 1.0)])
+        assert verify_circulant_duality(heavy, light) <= 1e-9
     tree = erdos_renyi(8, 0.3, 2)
     ring = circulant(8, [(1, 1.0)])
     with pytest.raises(NotCirculantError):
         verify_circulant_duality(tree, ring)
+    with pytest.raises(NotCirculantError):
+        verify_circulant_duality(Graph(1e10 * tree.adjacency), ring)
     with pytest.raises(SizeMismatchError):
         verify_circulant_duality(circulant(4, [(1, 1.0)]), circulant(6, [(1, 1.0)]))
 
@@ -579,6 +588,34 @@ def test_basis_pair_is_checked_alike_everywhere(v1, v2, error):
             solve(v1, v2)
         assert type(info.value) is error
         messages.add(str(info.value))
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize("bad", [np.full(3, 5.0), np.array([1.0, np.nan, 1.0]),
+                                 np.array([1.0, 1.0, np.inf]),
+                                 np.array([1.0, 1.0 + 1e-6, 1.0])])
+def test_phases_are_checked_alike_everywhere(bad):
+    # every entry point taking phases runs the same unit-modulus check;
+    # the messages differ only in the name of the phase vector
+    v = np.eye(3)
+    ones = np.ones(3)
+    identity = np.arange(3)
+    messages = set()
+    for solve, name in (
+            (lambda d: cd_align(v, v, init=(d, ones)), "init d1"),
+            (lambda d: cd_align(v, v, init=(ones, d)), "init d2"),
+            (lambda d: cdpm_align(v, v, init=(d, identity, ones, identity)),
+             "init d1"),
+            (lambda d: trace_objective(v, d, identity, v, ones, identity),
+             "d1"),
+            (lambda d: trace_objective(v, ones, identity, v, d, identity),
+             "d2")):
+        with pytest.raises(NonUnitPhaseError) as info:
+            solve(bad)
+        assert type(info.value) is NonUnitPhaseError
+        message = str(info.value)
+        assert message.startswith(name + " must")
+        messages.add(message[len(name):])
     assert len(messages) == 1
 
 

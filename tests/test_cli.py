@@ -122,6 +122,9 @@ def test_circulant_check(tmp_path, capsys):
     assert main(["circulant-check", c1, c2]) == 0
     residual = float(capsys.readouterr().out.split()[1])
     assert residual <= 1e-9
+    heavy = _gen(tmp_path, "c16.txt", "--circulant", "16",
+                 "1:1000000,3:500000")
+    assert main(["circulant-check", heavy, heavy]) == 0
     ring = _gen(tmp_path, "ring.txt", "--circulant", "6", "1")
     tree = _gen(tmp_path, "tree.txt", "--er", "6", "0.3", "--seed", "2")
     capsys.readouterr()

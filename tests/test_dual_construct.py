@@ -11,7 +11,8 @@ from gftdual.dual_construct import (FEASIBLE, INFEASIBLE,
                                     DualConstructionResult, construct_dual,
                                     construct_dual_from_vectors,
                                     verify_dual_witness)
-from gftdual.errors import NonFiniteEntryError, SizeMismatchError
+from gftdual.errors import (NonFiniteEntryError, NonOrthogonalInputError,
+                            SizeMismatchError)
 from gftdual.graphs import circulant, erdos_renyi, new_graph, permute_graph
 from gftdual.spectral import dft_matrix, eigendecompose
 
@@ -169,8 +170,18 @@ def test_complex_or_non_finite_vectors_are_rejected():
     for bad in (np.nan, np.inf):
         v = np.eye(3)
         v[1, 2] = bad
-        with pytest.raises(NonFiniteEntryError, match="non-finite"):
+        with pytest.raises(NonFiniteEntryError) as info:
             construct_dual_from_vectors(v)
+        assert str(info.value) == "V has non-finite entries"
+
+
+def test_non_orthogonal_vectors_are_rejected():
+    # V'V = 9 I: the construction assumes an orthogonal V
+    v = 3.0 * np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    with pytest.raises(NonOrthogonalInputError, match="V is not orthogonal"):
+        construct_dual_from_vectors(v)
+    # the same basis, orthonormal, is accepted
+    assert construct_dual_from_vectors(v / 3.0).status == FEASIBLE
 
 
 @settings(max_examples=60, deadline=None)

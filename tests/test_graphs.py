@@ -128,6 +128,46 @@ def test_is_circulant_negative():
     assert not is_circulant(g)
 
 
+def _circulant_by_vertex(n, offsets):
+    """The per-vertex form of circulant's fill, for every input."""
+    a = np.zeros((n, n))
+    for k, w in offsets:
+        for i in range(n):
+            a[i, (i + k) % n] = a[(i + k) % n, i] = float(w)
+    return a
+
+
+def _is_circulant_by_roll(graph):
+    """The per-row np.roll form of is_circulant, for every input."""
+    a = graph.adjacency
+    return all(np.array_equal(a[i], np.roll(a[0], i))
+               for i in range(1, graph.n))
+
+
+def test_circulant_and_is_circulant_equal_per_row_forms():
+    rng = np.random.default_rng(4)
+    for n in range(1, 14):
+        for _ in range(4):
+            ks = (rng.integers(1, n // 2 + 1, size=rng.integers(0, 4))
+                  if n > 1 else [])
+            offsets = [(int(k), float(rng.uniform(0.1, 3.0))) for k in ks]
+            g = circulant(n, offsets)
+            assert np.array_equal(g.adjacency,
+                                  _circulant_by_vertex(n, offsets))
+            assert is_circulant(g) and _is_circulant_by_roll(g)
+            if n < 3:
+                continue
+            # one symmetric pair moved off the circulant pattern
+            i, j = rng.choice(n, size=2, replace=False)
+            a = g.adjacency.copy()
+            a[i, j] = a[j, i] = a[i, j] + 0.5
+            h = Graph(a)
+            assert is_circulant(h) == _is_circulant_by_roll(h)
+            assert not is_circulant(h)
+    tree = new_graph(4, [(0, 1, 1.0), (1, 2, 1.0)])
+    assert is_circulant(tree) == _is_circulant_by_roll(tree)
+
+
 def test_check_permutation():
     p = check_permutation([2, 0, 1])
     assert p.dtype == np.intp
@@ -148,6 +188,23 @@ def test_invert_permutation():
     inv = invert_permutation(p)
     assert np.array_equal(p[inv], np.arange(4))
     assert np.array_equal(inv[p], np.arange(4))
+
+
+def _invert_by_scatter(p):
+    """The scatter form of invert_permutation, for every input."""
+    inv = np.empty_like(p)
+    inv[p] = np.arange(p.shape[0], dtype=np.intp)
+    return inv
+
+
+def test_invert_permutation_equals_scatter_form():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 5, 30, 200):
+        for _ in range(5):
+            p = rng.permutation(n).astype(np.intp)
+            inv = invert_permutation(p)
+            assert inv.dtype == np.intp
+            assert np.array_equal(inv, _invert_by_scatter(p))
 
 
 def test_permutation_matrix_algebra():
@@ -200,6 +257,23 @@ def test_write_read_round_trip(g):
     assert back.n == g.n
     assert np.array_equal(back.adjacency, g.adjacency)
     assert write_graph(back) == text
+
+
+def _write_graph_by_pair(graph):
+    """The double-loop form of write_graph, for every input."""
+    lines = [str(graph.n)]
+    a = graph.adjacency
+    for i in range(graph.n):
+        for j in range(i + 1, graph.n):
+            if a[i, j] != 0.0:
+                lines.append(f"{i} {j} {float(a[i, j])!r}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_weighted_graphs())
+def test_write_graph_equals_double_loop_form(g):
+    assert write_graph(g) == _write_graph_by_pair(g)
 
 
 def test_read_graph_comments_and_blanks():

@@ -6,9 +6,10 @@ import pytest
 from gftdual.errors import (ConvergenceFailure, NonFiniteEntryError,
                             SizeMismatchError)
 from gftdual.graphs import circulant, erdos_renyi, new_graph
-from gftdual.spectral import (SpectralDecomposition, dft_matrix,
-                              eigendecompose, gft, has_distinct_eigenvalues,
-                              igft, jacobi_eigh, minimum_eigenvalue_gap)
+from gftdual.spectral import (DISTINCT_RTOL, SpectralDecomposition,
+                              dft_matrix, eigendecompose, gft,
+                              has_distinct_eigenvalues, igft, jacobi_eigh,
+                              minimum_eigenvalue_gap)
 
 
 def _random_symmetric(rng, n, scale=1.0):
@@ -87,6 +88,51 @@ def test_eigendecompose_sign_convention():
         assert np.linalg.norm(recon - g.adjacency) <= 1e-10 * scale
 
 
+def _signed_by_column(v):
+    """The per-column form of eigendecompose's sign rule, for every input."""
+    v = v.copy()
+    for k in range(v.shape[1]):
+        column = v[:, k]
+        lead = int(np.argmax(np.abs(column)))
+        if column[lead] < 0.0:
+            v[:, k] = -column
+    return v
+
+
+def _star(n):
+    return new_graph(n, [(0, j, 1.0) for j in range(1, n)])
+
+
+def test_sign_rule_equals_per_column_rule():
+    # K2, the 4-cycle and stars have columns whose largest magnitude is
+    # tied between rows; the lowest such row decides the sign
+    graphs = [new_graph(2, [(0, 1, 1.0)]), circulant(4, [(1, 1.0)]),
+              _star(3), _star(5), _star(8)]
+    graphs += [erdos_renyi(n, p, seed) for n in (1, 2, 7, 16, 30)
+               for p in (0.2, 0.5, 0.9) for seed in range(3)]
+    for g in graphs:
+        dec = eigendecompose(g)
+        w, v = jacobi_eigh(g.adjacency)
+        assert np.array_equal(dec.eigenvalues, w)
+        assert dec.vectors.tobytes() == _signed_by_column(v).tobytes()
+
+
+def test_distinct_eigenvalue_threshold_is_relative():
+    def distinct(eigenvalues):
+        n = len(eigenvalues)
+        return has_distinct_eigenvalues(
+            SpectralDecomposition(eigenvalues, np.eye(n)))
+    assert distinct([0.0, 2.0 * DISTINCT_RTOL])
+    assert not distinct([0.0, 0.5 * DISTINCT_RTOL])
+    # above 1 the threshold grows with the largest |eigenvalue|
+    assert not distinct([-1e3, 0.0, 5e2 * DISTINCT_RTOL])
+    assert distinct([-1e3, 0.0, 2e3 * DISTINCT_RTOL])
+    # one eigenvalue has no gap
+    one = SpectralDecomposition([7.0], np.eye(1))
+    assert minimum_eigenvalue_gap(one) == np.inf
+    assert has_distinct_eigenvalues(one)
+
+
 def test_spectral_decomposition_validation():
     with pytest.raises(SizeMismatchError):
         SpectralDecomposition(np.zeros(3), np.zeros((2, 2)))
@@ -132,3 +178,14 @@ def test_dft_matrix_unitary_and_diagonalizes_circulants():
     assert np.max(np.abs(off)) <= 1e-9
     with pytest.raises(SizeMismatchError):
         dft_matrix(0)
+
+
+def test_dft_matrix_equals_exp_formula():
+    # not bitwise: the exp form rounds its angles 2 pi j k / n, of size up
+    # to 2 pi n, so the two forms may differ by about 2 pi n eps
+    eps = np.finfo(float).eps
+    for n in range(1, 65):
+        indices = np.arange(n)
+        expected = (np.exp(-2j * np.pi * np.outer(indices, indices) / n)
+                    / np.sqrt(n))
+        assert np.max(np.abs(dft_matrix(n) - expected)) <= 2 * np.pi * n * eps
