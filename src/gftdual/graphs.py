@@ -37,7 +37,8 @@ class Graph:
     Attributes
     ----------
     adjacency:
-        (n, n) float array; symmetric, zero diagonal, entries >= 0.
+        (n, n) float array with n >= 1; symmetric, zero diagonal,
+        entries >= 0.
     """
 
     adjacency: np.ndarray
@@ -46,6 +47,9 @@ class Graph:
         a = np.array(self.adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise SizeMismatchError("adjacency must be a square matrix")
+        if a.shape[0] < 1:
+            raise IndexOutOfRangeError(
+                f"vertex count must be >= 1, got {a.shape[0]}")
         if not np.all(np.isfinite(a)):
             raise NonPositiveWeightError("adjacency entries must be finite")
         if not np.array_equal(a, a.T):

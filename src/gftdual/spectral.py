@@ -82,10 +82,9 @@ def eigendecompose(graph: Graph) -> SpectralDecomposition:
     positive. Deterministic: repeat calls on one build are bit-identical.
     """
     w, v = jacobi_eigh(graph.adjacency)
-    if v.size:
-        # argmax returns the first maximum: the lowest row on ties
-        lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-        v = np.where(lead < 0.0, -v, v)
+    # argmax returns the first maximum: the lowest row on ties
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    v = np.where(lead < 0.0, -v, v)
     return SpectralDecomposition(w, v)
 
 

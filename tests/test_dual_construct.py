@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from gftdual import dual_construct
+from gftdual import dual_construct, lp
 from gftdual.dual_construct import (FEASIBLE, INFEASIBLE,
                                     DualConstructionResult, construct_dual,
                                     construct_dual_from_vectors,
@@ -117,6 +117,18 @@ def test_dense_er_graphs_mostly_infeasible():
         if result.status == INFEASIBLE:
             infeasible += 1
     assert infeasible >= 10
+
+
+def test_criterion_graphs_are_certified_without_highs(monkeypatch):
+    # criterion 7's graphs leave one variable after the null-space
+    # reduction, and lp certifies each of them infeasible from its rows
+    def forbidden(*args, **kwargs):
+        raise AssertionError("milp called")
+
+    monkeypatch.setattr(lp, "milp", forbidden)
+    for s in range(10):
+        assert construct_dual(erdos_renyi(20, 0.5, 7000 + s)).status == \
+            INFEASIBLE
 
 
 def test_status_invariant_under_relabelling():

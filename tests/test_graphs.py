@@ -60,6 +60,15 @@ def test_graph_validates_adjacency():
         Graph(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(NonPositiveWeightError):
         Graph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    # a graph has at least one vertex, so every graph function may index
+    # row 0 (is_circulant does)
+    with pytest.raises(IndexOutOfRangeError,
+                       match="vertex count must be >= 1, got 0"):
+        Graph(np.zeros((0, 0)))
+
+
+def test_is_circulant_on_one_vertex():
+    assert is_circulant(Graph(np.zeros((1, 1))))
 
 
 def test_erdos_renyi_determinism_and_extremes():

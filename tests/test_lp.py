@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import OptimizeResult, linprog, milp
 
 from gftdual import lp
 from gftdual.errors import (NonFiniteEntryError, NumericalBreakdown,
@@ -124,6 +124,85 @@ def test_infeasible_detection():
                             rhs=np.array([3.0, -2.0]))
     result = solve_lp(program)
     assert result.status == INFEASIBLE
+    # y1 + y2 >= 3 and -y1 - y2 >= -2: two variables, so HiGHS decides
+    program = LinearProgram(objective=np.ones(2),
+                            constraints=np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                            rhs=np.array([3.0, -2.0]))
+    assert solve_lp(program).status == INFEASIBLE
+
+
+def _one_variable(rows, rhs, nonnegative=False):
+    return LinearProgram(objective=np.zeros(1),
+                         constraints=np.array(rows, dtype=float)[:, None],
+                         rhs=np.array(rhs, dtype=float),
+                         nonnegative=nonnegative)
+
+
+@pytest.mark.parametrize("rows, rhs, nonnegative", [
+    ([1.0, -1.0], [3.0, -2.0], False),          # y >= 3, -y >= -2
+    ([1.0, -1.0], [1.0, -(1.0 - 5e-6)], False),  # missed by 5e-6
+    ([0.0, 1.0], [1.0, 0.0], False),             # 0 >= 1
+    ([1e-17], [1.0], False),                     # read as 0 >= 1
+    ([-1.0], [1.0], True),                       # y <= -1 with y >= 0
+])
+def test_wide_one_variable_infeasibility_skips_highs(rows, rhs, nonnegative,
+                                                     monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("milp called")
+
+    monkeypatch.setattr(lp, "milp", forbidden)
+    result = solve_lp(_one_variable(rows, rhs, nonnegative))
+    assert (result.status, result.y, result.objective) == \
+        (INFEASIBLE, None, None)
+
+
+@pytest.mark.parametrize("rows, rhs, status", [
+    # an empty interval inside HiGHS's tolerance band: HiGHS accepts it
+    ([1.0, -1.0], [1.0, -(1.0 - 5e-8)], OPTIMAL),
+    # -1e-17 y >= 0 is 0 >= 0 to HiGHS, not y <= 0
+    ([-1e-17, 0.5], [0.0, 1.0], OPTIMAL),
+    # empty by 0.1, which is less than 1e-6 relative to its ends at 1e6
+    ([1.0, -1.0], [1e6, -(1e6 - 0.1)], INFEASIBLE),
+])
+def test_narrow_or_feasible_one_variable_programs_reach_highs(rows, rhs,
+                                                              status,
+                                                              monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return milp(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "milp", counted)
+    result = solve_lp(_one_variable(rows, rhs))
+    assert len(calls) == 1
+    assert result.status == status
+
+
+# a coefficient of a one-variable program: exact zero, noise HiGHS drops,
+# or a magnitude from 1e-3 to 1e3, of either sign
+_coefficients = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e-17, -1e-17]),
+    st.builds(lambda sign, power: sign * 10.0 ** power,
+              st.sampled_from([1.0, -1.0]),
+              st.floats(min_value=-3.0, max_value=3.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_coefficients, _coefficients), max_size=8),
+       nonnegative=st.booleans())
+def test_one_variable_certificate_agrees_with_linprog(rows, nonnegative):
+    a = np.array([row[0] for row in rows]).reshape(len(rows), 1)
+    b = np.array([row[1] for row in rows])
+    program = LinearProgram(objective=np.zeros(1), constraints=a, rhs=b,
+                            nonnegative=nonnegative)
+    if not lp._interval_is_empty(program):
+        return
+    reference = linprog(np.zeros(1), A_ub=-a, b_ub=-b,
+                        bounds=(0, None) if nonnegative else (None, None),
+                        method="highs")
+    assert reference.status == 2
 
 
 def test_free_and_bounded_variables():
