@@ -14,8 +14,7 @@ from .errors import (GftDualError, IndexOutOfRangeError, SelfLoopError,
                      NumericalBreakdown, NonOrthogonalInputError,
                      NonUnitPhaseError,
                      RepeatedEigenvaluesError, NotCirculantError,
-                     IterationCapExceeded, ResampleCapExceeded,
-                     EmptyInputError)
+                     ResampleCapExceeded, EmptyInputError)
 from .rng import SplitMix64, derive_stream
 from .graphs import (Graph, new_graph, erdos_renyi, circulant, is_circulant,
                      check_permutation, invert_permutation, permute_graph,
@@ -43,7 +42,7 @@ __all__ = [
     "ParseError", "SizeMismatchError", "ConvergenceFailure",
     "NonFiniteEntryError", "NumericalBreakdown", "NonOrthogonalInputError",
     "NonUnitPhaseError", "RepeatedEigenvaluesError", "NotCirculantError",
-    "IterationCapExceeded", "ResampleCapExceeded", "EmptyInputError",
+    "ResampleCapExceeded", "EmptyInputError",
     "SplitMix64", "derive_stream",
     "Graph", "new_graph", "erdos_renyi", "circulant", "is_circulant",
     "check_permutation", "invert_permutation", "permute_graph",

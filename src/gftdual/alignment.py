@@ -11,6 +11,7 @@ and M.P = M[:, sigma_inverse].
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,21 @@ class SolverConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        for name in ("max_iterations", "restarts"):
+            object.__setattr__(self, name, check_count(getattr(self, name),
+                                                       name))
+
+
+def check_count(value, name):
+    """value as an int, which must be an integer >= 1 (ValueError)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r"
+                         % (name, value)) from None
+    if count < 1:
+        raise ValueError("%s must be >= 1" % name)
+    return count
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,7 @@ def _check_permutation_stack(p, n, name):
     if stack.ndim != 2 or stack.shape[1] != n or stack.shape[0] < 1:
         raise SizeMismatchError("%s must have shape (%d,) or (R, %d), got %s"
                                 % (name, n, n, p.shape))
-    if n == 0 or not (np.sort(stack, axis=1) == np.arange(n)).all():
+    if not (np.sort(stack, axis=1) == np.arange(n)).all():
         raise IndexOutOfRangeError("%s rows must be bijections of 0..%d"
                                    % (name, n - 1))
     return stack

@@ -9,28 +9,27 @@ the semidefinite program
 whose dual  minimize 1'nu  subject to  diag(nu) - W PSD  yields a valid
 upper bound from ANY feasible nu.  A low-rank coordinate-ascent pass
 runs until its duality gap is at most tol, which gives a dual iterate
-within tol of the relaxation's optimum, and an eigenvalue-oracle
-cutting-plane loop certifies it: the minimum eigenpair of diag(nu) - W
-either confirms feasibility up to tol (a diagonal shift then repairs
-the residual, re-checked up to tol by a fresh eigendecomposition) or
-supplies violated cuts for the master linear program and a repaired
-next iterate.  The bound is thus within tol of the relaxation's
-optimum, and valid up to tol * 2n for unit-modulus phases.
+within tol of the relaxation's optimum.  One eigenvalue-oracle round
+certifies it: the eigendecomposition of diag(nu) - W gives its minimum
+eigenvalue, and its bottom eigenvectors are the cuts of a master linear
+program whose solution is a second candidate.  The cheaper candidate,
+shifted along the diagonal by its eigenvalue deficit, is re-checked up
+to tol by a fresh eigendecomposition.  The bound is thus within tol of
+the relaxation's optimum, and valid up to tol * 2n for unit-modulus
+phases.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IterationCapExceeded, NonFiniteEntryError,
-                     NumericalBreakdown, SizeMismatchError)
+from .errors import (NonFiniteEntryError, NumericalBreakdown,
+                     SizeMismatchError)
 from .lp import OPTIMAL, LinearProgram, solve_lp
 from .rng import derive_stream
 from .spectral import check_basis_pair, jacobi_eigh
 
 DEFAULT_TOL = 1e-7
-CUT_BUDGET = 2000
-DUPLICATE_COSINE = 1.0 - 1e-10
 SYMMETRY_TOL = 1e-12
 
 # coordinate ascent on the low-rank factorization of the relaxation
@@ -55,6 +54,9 @@ class CouplingMatrix:
     n: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise SizeMismatchError(
+                "coupling size must be >= 1, got %d" % self.n)
         w = np.asarray(self.w, dtype=float)
         m = 2 * self.n
         if w.ndim != 2 or w.shape != (m, m):
@@ -79,10 +81,11 @@ class BoundResult:
     diag(nu) - W is at least -tol, not exactly non-negative, so x'Wx <=
     bound + tol * x'x (tol * 2n for unit-modulus x).
 
-    min_eig_residual is the oracle's minimum eigenvalue at the
-    terminating iterate, before the final diagonal repair.  cuts counts
-    oracle cuts accumulated; master_history records the master linear
-    program's value each round (non-decreasing).
+    min_eig_residual is the minimum eigenvalue of the chosen candidate,
+    the ascent's iterate or the master LP's solution, before its diagonal
+    repair.  cuts counts the oracle's cuts, the eigenvectors at the bottom
+    of the spectrum; master_history holds the master linear program's
+    value, one entry for the one oracle round.
 
     sweeps counts the sweeps of the coordinate ascent, and gap is bound
     minus the ascent's primal value <W, RR'>, a lower bound on the
@@ -240,11 +243,10 @@ def _gap_certified(b, r, tol):
     return True
 
 
-def _solve_master(cuts, rhs, m):
-    """Master LP: min 1'nu s.t. sum_i v_i^2 nu_i >= v'Wv per cut, nu >= 0."""
-    if not cuts:
-        return 0.0, np.zeros(m)
-    result = solve_lp(LinearProgram(objective=np.ones(m),
+def _solve_master(cuts, rhs):
+    """Master LP: min 1'nu s.t. sum_i v_i^2 nu_i >= v'Wv per cut row v of
+    cuts, nu >= 0."""
+    result = solve_lp(LinearProgram(objective=np.ones(cuts.shape[1]),
                                     constraints=np.square(cuts), rhs=rhs))
     if result.status != OPTIMAL:
         raise NumericalBreakdown("master LP returned status %s" % result.status)
@@ -257,10 +259,13 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
     Deterministic: the coordinate-ascent initialization uses a fixed
     internal seed.  The ascent stops once its duality gap is at most
     tol (DEFAULT_TOL by default), so the bound is within tol of the
-    relaxation's optimum (BoundResult.gap).  The returned nu is
-    re-verified by a fresh eigendecomposition: lambda_min(diag(nu) - W)
-    >= -tol, up to tol and not exactly, so bound = sum(nu) dominates
-    x'Wx up to tol * 2n for every unit-modulus x, real or complex.
+    relaxation's optimum (BoundResult.gap).  One oracle eigensolve of
+    diag(nu) - W at the ascent's iterate gives lambda_min and the cuts of
+    the master LP; the cheaper of the two candidates, each shifted by
+    max(0, -lambda_min), is re-verified by a fresh eigendecomposition:
+    lambda_min(diag(nu) - W) >= -tol, up to tol and not exactly, so
+    bound = sum(nu) dominates x'Wx up to tol * 2n for every
+    unit-modulus x, real or complex.
     """
     if not isinstance(w, CouplingMatrix):
         raise SizeMismatchError("dup_bound expects a CouplingMatrix")
@@ -268,57 +273,40 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
         raise ValueError("tol must be positive")
     matrix = w.w
     m = matrix.shape[0]
-    if m == 0:
-        return BoundResult(nu=np.zeros(0), bound=0.0, min_eig_residual=0.0,
-                           cuts=0, master_history=(0.0,), sweeps=0, gap=0.0)
 
     # stage 1: near-optimal dual iterate from the low-rank ascent
     x, primal, sweeps = _mixing_dual(matrix, derive_stream(_MIXING_SEED, 0),
                                      tol)
 
-    cuts = []
-    rhs = []
-    master_history = []
-    while True:
-        eigenvalues, vectors = jacobi_eigh(np.diag(x) - matrix)
-        lam_min = float(eigenvalues[0])
-        threshold = max(_NEAR_NULL_FLOOR, 10.0 * abs(lam_min))
-        for j in range(m):
-            if eigenvalues[j] > threshold:
-                break
-            v = vectors[:, j]
-            if any(abs(float(v @ u)) > DUPLICATE_COSINE for u in cuts):
-                continue
-            cuts.append(v)
-            rhs.append(float(v @ matrix @ v))
-        if len(cuts) > CUT_BUDGET:
-            raise IterationCapExceeded(
-                "cut budget %d exceeded without certification" % CUT_BUDGET)
-        master_value, nu_master = _solve_master(cuts, rhs, m)
-        master_history.append(master_value)
-        if lam_min >= -tol:
-            chosen, chosen_lam = x, lam_min
-            master_eigs, _ = jacobi_eigh(np.diag(nu_master) - matrix)
-            lam_master = float(master_eigs[0])
-            if lam_master >= -tol:
-                repaired_master = nu_master.sum() + m * max(0.0, -lam_master)
-                if repaired_master < chosen.sum() + m * max(0.0, -chosen_lam):
-                    chosen, chosen_lam = nu_master, lam_master
-            nu = chosen + max(0.0, -chosen_lam)
-            for _ in range(3):
-                fresh, _ = jacobi_eigh(np.diag(nu) - matrix)
-                if fresh[0] >= -tol:
-                    break
-                nu = nu + (-float(fresh[0]))
-            else:
-                raise NumericalBreakdown(
-                    "feasibility repair failed to certify the bound")
-            nu = np.asarray(nu, dtype=float)
-            nu.setflags(write=False)
-            bound = float(nu.sum())
-            return BoundResult(nu=nu, bound=bound,
-                               min_eig_residual=chosen_lam,
-                               cuts=len(cuts),
-                               master_history=tuple(master_history),
-                               sweeps=sweeps, gap=bound - primal)
-        x = x + (-lam_min)
+    # stage 2: the eigenvectors at the bottom of the spectrum, orthonormal
+    # and so never duplicates, are the master LP's cuts
+    eigenvalues, vectors = jacobi_eigh(np.diag(x) - matrix)
+    lam_min = float(eigenvalues[0])
+    threshold = max(_NEAR_NULL_FLOOR, 10.0 * abs(lam_min))
+    cuts = vectors[:, :np.count_nonzero(eigenvalues <= threshold)].T
+    master_value, nu_master = _solve_master(
+        cuts, [float(v @ matrix @ v) for v in cuts])
+
+    # stage 3: the cheaper repaired candidate, re-checked from scratch
+    chosen, chosen_lam = x, lam_min
+    master_eigs, _ = jacobi_eigh(np.diag(nu_master) - matrix)
+    lam_master = float(master_eigs[0])
+    if lam_master >= -tol:
+        repaired_master = nu_master.sum() + m * max(0.0, -lam_master)
+        if repaired_master < chosen.sum() + m * max(0.0, -chosen_lam):
+            chosen, chosen_lam = nu_master, lam_master
+    nu = chosen + max(0.0, -chosen_lam)
+    for _ in range(3):
+        fresh, _ = jacobi_eigh(np.diag(nu) - matrix)
+        if fresh[0] >= -tol:
+            break
+        nu = nu + (-float(fresh[0]))
+    else:
+        raise NumericalBreakdown(
+            "feasibility repair failed to certify the bound")
+    nu = np.asarray(nu, dtype=float)
+    nu.setflags(write=False)
+    bound = float(nu.sum())
+    return BoundResult(nu=nu, bound=bound, min_eig_residual=chosen_lam,
+                       cuts=len(cuts), master_history=(master_value,),
+                       sweeps=sweeps, gap=bound - primal)

@@ -90,10 +90,6 @@ class NotCirculantError(GftDualError):
     """An adjacency matrix is not circulant."""
 
 
-class IterationCapExceeded(GftDualError):
-    """A cut or iteration budget was exhausted before convergence."""
-
-
 class ResampleCapExceeded(GftDualError):
     """Too many sampled graph pairs were rejected in a row."""
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .alignment import (CD, CDPM, SolverConfig, dualness_from_objective,
-                        multistart)
+from .alignment import (CD, CDPM, SolverConfig, check_count,
+                        dualness_from_objective, multistart)
 from .dup import build_coupling, dup_bound
 from .errors import EmptyInputError, ParseError, ResampleCapExceeded
 from .graphs import erdos_renyi
@@ -50,18 +50,15 @@ class ExperimentConfig:
     methods: tuple = METHODS
 
     def __post_init__(self):
-        values = tuple(int(n) for n in self.n_values)
+        values = tuple(check_count(n, "n_values") for n in self.n_values)
         if not values:
             raise ValueError("n_values must be non-empty")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("n_values must be strictly ascending")
-        if any(n < 1 for n in values):
-            raise ValueError("n_values must be positive")
         object.__setattr__(self, "n_values", values)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        object.__setattr__(self, "trials", check_count(self.trials, "trials"))
         self._solver_config()
         methods = tuple(str(m).upper() for m in self.methods)
         if not methods:
@@ -75,7 +72,8 @@ class ExperimentConfig:
 
     def _solver_config(self):
         """The CD/CDPM settings of this sweep, seed 0; raises ValueError
-        on an out-of-range epsilon, max_iterations or restarts."""
+        on an out-of-range epsilon, or a max_iterations or restarts that
+        is not an integer >= 1."""
         return SolverConfig(epsilon=self.epsilon,
                             max_iterations=self.max_iterations,
                             restarts=self.restarts)

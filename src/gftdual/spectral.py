@@ -132,13 +132,15 @@ def check_square(v, name):
 
 
 def check_basis(v, name):
-    """v as check_square returns it, which must be finite and orthogonal
-    (unitary, if complex) within ORTHOGONALITY_TOL."""
+    """v as check_square returns it, which must be at least 1 x 1, finite
+    and orthogonal (unitary, if complex) within ORTHOGONALITY_TOL."""
     v = check_square(v, name)
+    n = v.shape[0]
+    if n < 1:
+        raise SizeMismatchError("%s must be at least 1 x 1, got 0 x 0" % name)
     if not np.isfinite(v).all():
         raise NonFiniteEntryError("%s has non-finite entries" % name)
-    n = v.shape[0]
-    residual = np.max(np.abs(v.conj().T @ v - np.eye(n))) if n else 0.0
+    residual = np.max(np.abs(v.conj().T @ v - np.eye(n)))
     # written so that a NaN residual fails too
     if not residual <= ORTHOGONALITY_TOL:
         raise NonOrthogonalInputError(

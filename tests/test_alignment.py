@@ -626,6 +626,13 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
+    # counts must be integers: 2.5 restarts would run 3, and 2.5
+    # iterations would fail inside range()
+    with pytest.raises(ValueError, match="restarts must be an integer"):
+        SolverConfig(restarts=2.5)
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        SolverConfig(max_iterations=2.5)
+    assert type(SolverConfig(restarts=np.int64(3)).restarts) is int
     config = SolverConfig()
     assert config.epsilon == 1e-8
     assert config.max_iterations == 500

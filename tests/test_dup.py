@@ -13,9 +13,9 @@ from gftdual.alignment import (CD, CDPM, SolverConfig, cd_align, multistart,
                                trace_objective)
 from gftdual.dup import (DEFAULT_TOL, BoundResult, CouplingMatrix,
                          build_coupling, dup_bound)
-from gftdual.errors import (IterationCapExceeded, NonFiniteEntryError,
-                            NonOrthogonalInputError, NumericalBreakdown,
-                            SizeMismatchError)
+from gftdual.dual_construct import construct_dual_from_vectors
+from gftdual.errors import (NonFiniteEntryError, NonOrthogonalInputError,
+                            NumericalBreakdown, SizeMismatchError)
 from gftdual.experiment import ExperimentConfig, _sample_pair
 from gftdual.graphs import Graph, erdos_renyi
 from gftdual.rng import SplitMix64, derive_stream
@@ -136,10 +136,8 @@ def test_bound_result_invariants():
     assert isinstance(result, BoundResult)
     assert result.min_eig_residual >= -1e-7
     assert abs(result.bound - float(result.nu.sum())) <= 1e-12
-    assert result.cuts >= 0
-    assert len(result.master_history) >= 1
-    for a, b in zip(result.master_history, result.master_history[1:]):
-        assert b >= a - 1e-9
+    assert result.cuts >= 1
+    assert len(result.master_history) == 1
     # the trace objective never exceeds n, so neither should a tight bound
     assert result.bound <= v1.shape[0] + 1e-6
 
@@ -166,9 +164,16 @@ def test_zero_coupling():
 
 
 def test_empty_coupling():
-    result = dup_bound(CouplingMatrix(w=np.zeros((0, 0)), n=0))
-    assert result.bound == 0.0
-    assert result.nu.shape == (0,)
+    # every entry point that takes bases or a coupling rejects n = 0
+    empty = np.zeros((0, 0))
+    with pytest.raises(SizeMismatchError, match="coupling size must be >= 1"):
+        CouplingMatrix(w=empty, n=0)
+    for entry in (lambda: build_coupling(empty, empty),
+                  lambda: construct_dual_from_vectors(empty),
+                  lambda: multistart(CD, empty, empty),
+                  lambda: multistart(CDPM, empty, empty)):
+        with pytest.raises(SizeMismatchError, match="at least 1 x 1"):
+            entry()
 
 
 def test_bound_is_deterministic():
@@ -189,8 +194,9 @@ def test_bound_reports_sweeps_and_gap():
         assert 0 < result.sweeps < dup._MIXING_SWEEP_CAP
         assert result.sweeps % dup._MIXING_CHUNK == 0
         assert -1e-12 <= result.gap <= tol + 1e-12
-    empty = dup_bound(CouplingMatrix(w=np.zeros((0, 0)), n=0))
-    assert (empty.sweeps, empty.gap) == (0, 0.0)
+    # no coupling of size 0 exists to report on
+    with pytest.raises(SizeMismatchError):
+        CouplingMatrix(w=np.zeros((0, 0)), n=0)
 
 
 def test_bound_reports_the_single_ascent(monkeypatch):
@@ -256,19 +262,23 @@ def test_master_lp_primal_form(monkeypatch):
     calls = []
     solve_master = dup._solve_master
 
-    def recording(cuts, rhs, m):
-        value, nu = solve_master(cuts, rhs, m)
-        calls.append((list(cuts), m, value, nu))
+    def recording(cuts, rhs):
+        value, nu = solve_master(cuts, rhs)
+        calls.append((cuts, value, nu))
         return value, nu
 
     monkeypatch.setattr(dup, "_solve_master", recording)
     for seed in (0, 10, 20):
         v1, v2 = _pair(seed=seed)
         coupling = build_coupling(v1, v2)
+        m = coupling.w.shape[0]
         del calls[:]
-        dup_bound(coupling)
-        cuts, m, value, nu = calls[-1]
-        assert cuts
+        result = dup_bound(coupling)
+        assert len(calls) == 1
+        cuts, value, nu = calls[0]
+        # orthonormal eigenvectors of diag(nu) - W, one per cut
+        assert cuts.shape == (result.cuts, m)
+        assert np.allclose(cuts @ cuts.T, np.eye(result.cuts), atol=1e-12)
         assert nu.shape == (m,)
         assert abs(value - float(np.sum(nu))) <= 1e-9
         assert np.all(nu >= 0.0)
@@ -290,12 +300,29 @@ def test_master_lp_without_optimum_raises(code, message, monkeypatch):
         dup_bound(build_coupling(*_pair()))
 
 
-def test_cut_budget_is_a_typed_failure(monkeypatch):
-    # the first oracle call adds at least the cut of lambda_min
-    monkeypatch.setattr(dup, "CUT_BUDGET", 0)
-    with pytest.raises(IterationCapExceeded,
-                       match="cut budget 0 exceeded without certification"):
-        dup_bound(build_coupling(*_pair()))
+def _max_over_signs(w):
+    """max x'Wx over all sign vectors x: for W = [[0, B], [B', 0]] and
+    x = (d1; d2), the best d2 for a given d1 gives 2 |B' d1|_1."""
+    n = w.shape[0] // 2
+    d1 = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    return 2.0 * float(np.max(np.abs(d1 @ w[:n, n:]).sum(axis=1)))
+
+
+@pytest.mark.parametrize("cap", [1, 16])
+def test_capped_ascent_is_repaired_in_one_round(cap, monkeypatch):
+    # a capped ascent ends with lambda_min(diag(nu) - W) well below -tol;
+    # the diagonal shift repairs it in the same oracle round
+    monkeypatch.setattr(dup, "_MIXING_SWEEP_CAP", cap)
+    for seed in (0, 10, 20):
+        coupling = build_coupling(*_pair(seed=seed))
+        result = dup_bound(coupling)
+        assert result.sweeps == cap
+        assert result.min_eig_residual < -dup.DEFAULT_TOL
+        assert len(result.master_history) == 1
+        certificate = np.diag(result.nu) - coupling.w
+        assert np.linalg.eigvalsh(certificate)[0] >= -dup.DEFAULT_TOL
+        assert (_max_over_signs(coupling.w)
+                <= result.bound + 24 * dup.DEFAULT_TOL)
 
 
 def _row_sequential_mixing(w, stream, sweeps):

@@ -159,6 +159,14 @@ def test_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(restarts=0)
+    # counts must be integers, not silently truncated or failing in range()
+    for count in ({"restarts": 2.5}, {"max_iterations": 2.5},
+                  {"trials": 1.5}, {"n_values": (10.5,)},
+                  {"n_values": (10, 15.0)}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ExperimentConfig(**count)
+    config = ExperimentConfig(n_values=(np.int64(10),), trials=np.int64(2))
+    assert type(config.n_values[0]) is int and type(config.trials) is int
     with pytest.raises(ValueError):
         ExperimentConfig(methods=("CD", "NEWTON"))
     with pytest.raises(ValueError):
