@@ -19,7 +19,8 @@ import numpy as np
 from .assignment import solve_assignment_max
 from .errors import (IndexOutOfRangeError, NonUnitPhaseError,
                      SizeMismatchError, NotCirculantError)
-from .graphs import Graph, check_permutation, invert_permutation, is_circulant
+from .graphs import (Graph, as_indices, check_permutation,
+                     invert_permutation, is_circulant)
 from .rng import derive_stream, derived_words
 from .spectral import (check_basis_pair, check_same_size, check_square,
                        decompose_pair, dft_matrix)
@@ -100,7 +101,7 @@ def _check_phase_stack(d, n, name):
 
 
 def _check_permutation_stack(p, n, name):
-    p = np.asarray(p, dtype=np.intp)
+    p = as_indices(p)
     stack = p[None] if p.ndim == 1 else p
     if stack.ndim != 2 or stack.shape[1] != n or stack.shape[0] < 1:
         raise SizeMismatchError("%s must have shape (%d,) or (R, %d), got %s"

@@ -20,12 +20,13 @@ are at most NULL_SPACE_RTOL times the largest.  On 3826 G(n, p) graphs
 were at most 4e-14 and the rest at least 8.5e-5; null(E) was
 one-dimensional for 3614 of them and never wider than five.
 
-A one-dimensional null(E) leaves one variable, and lp.solve_lp
-certifies such a program infeasible from its rows, without HiGHS, when
-they miss by more than ten times HiGHS's feasibility tolerance (see the
-lp module).  So an infeasible graph of the usual kind costs the
-eigensolve, the SVD and the assembly, and HiGHS decides every feasible
-graph and every graph whose null(E) is wider.
+lp.solve_lp returns a point t, and lambda = N t is the witness, or None
+for an infeasible program.  A one-dimensional null(E) leaves one
+variable, and such a program is answered None from its rows, without
+HiGHS, when they miss by more than ten times HiGHS's feasibility
+tolerance (see the lp module).  So an infeasible graph of the usual kind
+costs the eigensolve, the SVD and the assembly, and HiGHS decides every
+feasible graph and every graph whose null(E) is wider.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .errors import SizeMismatchError
+from .errors import NonFiniteEntryError, SizeMismatchError
 from .graphs import Graph
 from .spectral import check_basis, eigendecompose
 
@@ -92,11 +93,11 @@ def construct_dual_from_vectors(v) -> DualConstructionResult:
         raise SizeMismatchError("V must be a real matrix")
     v = check_basis(v, "V")
     basis = _null_basis(v)
-    result = lp.solve_lp(_assemble(v, basis))
-    if result.status != lp.OPTIMAL:
+    t = lp.solve_lp(_assemble(v, basis))
+    if t is None:
         return DualConstructionResult(status=INFEASIBLE, lambda_=None,
                                       adjacency=None)
-    lam = basis @ result.y
+    lam = basis @ t
     adjacency = _candidate_adjacency(v, lam)
     adjacency[np.abs(adjacency) < CLAMP_TOL] = 0.0
     lam.setflags(write=False)
@@ -119,6 +120,9 @@ def verify_dual_witness(g: Graph, lam) -> tuple:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (g.n,):
         raise SizeMismatchError("lambda must have length %d" % g.n)
+    if not np.isfinite(lam).all():
+        # max(0.0, nan) is 0.0, so a NaN residual would read as met
+        raise NonFiniteEntryError("lambda has non-finite entries")
     a = _candidate_adjacency(v, lam)
     diagonal = float(np.max(np.abs(np.diagonal(a))))
     off = a - np.diag(np.diagonal(a))

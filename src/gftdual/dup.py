@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (NonFiniteEntryError, NumericalBreakdown,
                      SizeMismatchError)
-from .lp import OPTIMAL, LinearProgram, solve_lp
+from .lp import LinearProgram, solve_lp
 from .rng import derive_stream
 from .spectral import check_basis_pair, jacobi_eigh
 
@@ -246,11 +246,12 @@ def _gap_certified(b, r, tol):
 def _solve_master(cuts, rhs):
     """Master LP: min 1'nu s.t. sum_i v_i^2 nu_i >= v'Wv per cut row v of
     cuts, nu >= 0."""
-    result = solve_lp(LinearProgram(objective=np.ones(cuts.shape[1]),
-                                    constraints=np.square(cuts), rhs=rhs))
-    if result.status != OPTIMAL:
-        raise NumericalBreakdown("master LP returned status %s" % result.status)
-    return result.objective, result.y
+    objective = np.ones(cuts.shape[1])
+    nu = solve_lp(LinearProgram(objective=objective,
+                                constraints=np.square(cuts), rhs=rhs))
+    if nu is None:
+        raise NumericalBreakdown("master LP returned status infeasible")
+    return float(np.dot(objective, nu)), nu
 
 
 def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
@@ -285,7 +286,7 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
     threshold = max(_NEAR_NULL_FLOOR, 10.0 * abs(lam_min))
     cuts = vectors[:, :np.count_nonzero(eigenvalues <= threshold)].T
     master_value, nu_master = _solve_master(
-        cuts, [float(v @ matrix @ v) for v in cuts])
+        cuts, np.array([float(v @ matrix @ v) for v in cuts]))
 
     # stage 3: the cheaper repaired candidate, re-checked from scratch
     chosen, chosen_lam = x, lam_min

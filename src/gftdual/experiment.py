@@ -36,6 +36,9 @@ PLOT_BOTTOM = 550.0
 Y_PAD_FRACTION = 0.05
 
 _METHOD_COLORS = {CD: "#1f77b4", CDPM: "#d62728", DUP: "#2ca02c"}
+# DUP relaxes the objective with both permutations fixed to the identity,
+# so it bounds CD's objective; CDPM's, which permutes, can lie above it
+_LEGEND_LABELS = {DUP: "DUP (bound on CD, identity permutations)"}
 
 
 @dataclass(frozen=True)
@@ -188,14 +191,19 @@ def read_csv(text) -> list:
             raise ParseError("expected 10 fields, got %d" % len(parts),
                              line_number=index)
         try:
-            records.append(ExperimentRecord(
+            record = ExperimentRecord(
                 n=int(parts[0]), p=float(parts[1]), trial=int(parts[2]),
                 method=parts[3], objective=float(parts[4]),
                 dualness=float(parts[5]), iterations=int(parts[6]),
                 restarts_used=int(parts[7]), resample_count=int(parts[8]),
-                wall_time_ms=int(parts[9])))
+                wall_time_ms=int(parts[9]))
         except ValueError as exc:
             raise ParseError("bad field: %s" % exc, line_number=index)
+        if not np.isfinite([record.p, record.objective,
+                            record.dualness]).all():
+            raise ParseError("p, objective and dualness must be finite",
+                             line_number=index)
+        records.append(record)
     return records
 
 
@@ -296,6 +304,7 @@ def plot_fig1(records) -> str:
                         color))
         parts.append('<text x="%.2f" y="%.2f" font-size="13" '
                      'fill="#333333">%s</text>'
-                     % (PLOT_LEFT + 46, legend_y + 4, method))
+                     % (PLOT_LEFT + 46, legend_y + 4,
+                        _LEGEND_LABELS.get(method, method)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

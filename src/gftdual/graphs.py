@@ -160,9 +160,20 @@ def is_circulant(graph: Graph) -> bool:
 # ------------------------------------------------------------ permutations
 
 
+def as_indices(values) -> np.ndarray:
+    """values as an intp array.  A float entry must already be an integer
+    (arange(6.0) is fine): 0.5, NaN or inf raises IndexOutOfRangeError,
+    where a cast would truncate it to a valid-looking index."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f" and not np.all(
+            (np.floor(a) == a) & (np.abs(a) < np.iinfo(np.intp).max)):
+        raise IndexOutOfRangeError("permutation entries must be integers")
+    return a.astype(np.intp, copy=False)
+
+
 def check_permutation(perm, n: int | None = None) -> np.ndarray:
     """Validate and return a permutation of 0..len-1 as an intp array."""
-    p = np.asarray(perm, dtype=np.intp)
+    p = as_indices(perm)
     if p.ndim != 1:
         raise SizeMismatchError("permutation must be one-dimensional")
     if n is not None and p.shape[0] != n:

@@ -424,6 +424,28 @@ def test_block_drawn_start_with_rejected_word_is_redrawn():
             assert np.array_equal(got[r], expected)
 
 
+def test_non_integral_permutations_are_rejected():
+    n = 6
+    v1 = _eigvecs(n, 0.5, 20)
+    v2 = _eigvecs(n, 0.5, 21)
+    ones = np.ones(n)
+    identity = np.arange(n)
+    for bad in (identity + 0.5, np.where(identity == 3, np.nan, identity),
+                np.where(identity == 3, np.inf, identity)):
+        with pytest.raises(IndexOutOfRangeError, match="integers"):
+            trace_objective(v1, ones, bad, v2, ones, identity)
+        with pytest.raises(IndexOutOfRangeError, match="integers"):
+            cdpm_align(v1, v2, init=(ones, bad, ones, np.arange(6.0)))
+        with pytest.raises(IndexOutOfRangeError, match="integers"):
+            cdpm_align(v1, v2, init=(np.ones((2, n)), np.array([identity, bad]),
+                                     np.ones((2, n)), np.tile(identity, (2, 1))))
+    # integral floats are indices
+    expected = trace_objective(v1, ones, identity, v2, ones, identity)
+    assert trace_objective(v1, ones, np.arange(6.0), v2, ones,
+                           identity) == expected
+    cdpm_align(v1, v2, init=(ones, np.arange(6.0), ones, np.arange(6.0)))
+
+
 def test_init_phases_must_be_finite_unit_modulus():
     n = 4
     v1 = _eigvecs(n, 0.5, 20)

@@ -203,6 +203,17 @@ def test_malformed_csv_exits_one(tmp_path, capsys):
     assert not (tmp_path / "fig.svg").exists()
 
 
+def test_non_finite_csv_exits_one(tmp_path, capsys):
+    # the plot would otherwise draw the series at y = nan and exit 0
+    csv_path = tmp_path / "runs.csv"
+    csv_path.write_text(CSV_HEADER + "\n6,0.4,0,CD,5.0,1.0,3,3,0,2\n"
+                        "8,0.4,0,CD,nan,1.0,3,3,0,2\n")
+    assert main(["plot", str(csv_path),
+                 "-o", str(tmp_path / "fig.svg")]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+    assert not (tmp_path / "fig.svg").exists()
+
+
 def test_header_only_csv_exits_one(tmp_path, capsys):
     csv_path = tmp_path / "runs.csv"
     csv_path.write_text(CSV_HEADER + "\n")

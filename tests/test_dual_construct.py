@@ -168,6 +168,17 @@ def test_verify_dual_witness_validation_and_violations():
     assert abs(shortfall) <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [
+    [np.nan] * 4,
+    [np.inf, 0.0, 0.0, 0.0],
+    [1.0, -np.inf, 1.0, 1.0],
+])
+def test_verify_dual_witness_rejects_non_finite_witness(lam):
+    # max(0.0, nan) is 0.0, so a NaN witness used to read as (nan, 0, 0)
+    with pytest.raises(NonFiniteEntryError):
+        verify_dual_witness(circulant(4, [(1, 1.0)]), lam)
+
+
 def test_result_dataclass_frozen():
     result = DualConstructionResult(status=INFEASIBLE, lambda_=None,
                                     adjacency=None)

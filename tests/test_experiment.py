@@ -75,8 +75,9 @@ def test_method_subset_gets_identical_records():
     assert only_cdpm == [r for r in full if r.method == "CDPM"]
 
 
-# every finite or infinite float: subnormals, -0.0, the largest double
-_floats = st.floats(allow_nan=False)
+# every finite float: subnormals, -0.0, the largest double (read_csv
+# refuses NaN and inf)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
 _counts = st.integers(min_value=0, max_value=2**63 - 1)
 _records = st.builds(ExperimentRecord, n=_counts, p=_floats, trial=_counts,
                      method=st.sampled_from(METHODS), objective=_floats,
@@ -136,6 +137,19 @@ def test_read_csv_errors_carry_line_numbers():
     with pytest.raises(ParseError) as info:
         read_csv(CSV_HEADER + "\n" + bad_field + "\n")
     assert info.value.line_number == 2
+
+
+@pytest.mark.parametrize("row", [
+    "6,nan,0,CD,5.0,1.0,3,3,0,2",
+    "6,0.4,0,CD,nan,1.0,3,3,0,2",
+    "6,0.4,0,CD,5.0,inf,3,3,0,2",
+    "6,0.4,0,CD,-inf,1.0,3,3,0,2",
+])
+def test_read_csv_rejects_non_finite_numbers(row):
+    good_row = "6,0.4,0,CD,5.0,1.0,3,3,0,2"
+    with pytest.raises(ParseError, match="finite") as info:
+        read_csv(CSV_HEADER + "\n" + good_row + "\n" + row + "\n")
+    assert info.value.line_number == 3
 
 
 def test_resample_cap_on_degenerate_cell():
@@ -216,6 +230,16 @@ def test_plot_geometry_matches_documented_transform():
     for (gx, gy), (ex, ey) in zip(got, expected):
         assert abs(gx - ex) <= 0.5
         assert abs(gy - ey) <= 0.5
+
+
+def test_plot_legend_says_dup_bounds_cd():
+    records = [_make_record(10, 0, method, value)
+               for method, value in (("CD", 4.0), ("CDPM", 7.0), ("DUP", 5.0))]
+    labels = re.findall(r'<text [^>]*fill="#333333">([^<]*)</text>',
+                        plot_fig1(records))
+    # the legend's labels follow the axis labels "n" and "mean objective"
+    assert labels[-3:] == ["CD", "CDPM",
+                           "DUP (bound on CD, identity permutations)"]
 
 
 def test_plot_single_n_centers_points():

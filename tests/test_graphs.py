@@ -180,6 +180,10 @@ def test_circulant_and_is_circulant_equal_per_row_forms():
 def test_check_permutation():
     p = check_permutation([2, 0, 1])
     assert p.dtype == np.intp
+    # integral floats are indices
+    p = check_permutation(np.array([2.0, 0.0, 1.0]))
+    assert p.dtype == np.intp
+    assert np.array_equal(p, [2, 0, 1])
     with pytest.raises(IndexOutOfRangeError):
         check_permutation([0, 0, 2])
     with pytest.raises(IndexOutOfRangeError):
@@ -190,6 +194,22 @@ def test_check_permutation():
         check_permutation([[0, 1]])
     with pytest.raises(IndexOutOfRangeError):
         check_permutation([])
+
+
+@pytest.mark.parametrize("bad", [
+    [0.7, 1.2, 2.9],
+    [0.0, 1.5, 2.0],
+    [0.0, np.nan, 2.0],
+    [0.0, np.inf, 2.0],
+    [0.0, 1.0, 1e300],
+])
+def test_non_integral_permutations_are_rejected(bad):
+    # a cast to intp would truncate [0.7, 1.2, 2.9] to the identity
+    with pytest.raises(IndexOutOfRangeError, match="integers"):
+        check_permutation(bad)
+    g = new_graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
+    with pytest.raises(IndexOutOfRangeError, match="integers"):
+        permute_graph(g, bad)
 
 
 def test_invert_permutation():
