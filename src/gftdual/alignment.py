@@ -159,30 +159,29 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
     """Shared CD/CDPM loop over a stack of starts, rows of the (R, n)
     arrays d1, p1, d2, p2.  Mutates nothing.
 
-    Each start stops at its own convergence or at max_iterations and is
-    frozen from then on.  Returns the best start's index, final state and
-    objective (ties keep the earliest start) and every start's iteration
-    count and convergence flag.  trace, when given (one start only),
-    receives the objective after every half-step.
+    The loop holds working arrays for the running starts only, in start
+    order.  A start leaves at its own convergence or at max_iterations:
+    its final state, objective, iteration count and flag are written
+    back once, and the working arrays shrink to the starts still
+    running.  Returns the best start's index, final state and objective
+    (ties keep the earliest start) and every start's iteration count and
+    convergence flag.  trace, when given (one start only), receives the
+    objective after every half-step.
     """
-    d1 = d1.astype(complex)
-    d2 = d2.astype(complex)
-    p1 = p1.copy()
-    p2 = p2.copy()
     count, n = d1.shape
     columns = np.arange(n)
     block = max(1, _SCORE_BLOCK_ENTRIES // max(1, n * n))
-    # the fixed operands, complex once here rather than at every product:
+    # the fixed operands, built once here rather than at every product:
     # CD's diag(Va Da Vb) = da (Va' o Vb), CDPM's Va of S = Va Da Pa Vb
     if update_permutations:
-        fixed = (v1.astype(complex), v2.astype(complex))
+        # Va keeps the bases' dtype, so that a real basis forms S with
+        # real arithmetic; the gathered Vb rows come from complex copies
+        fixed = (v1, v2)
+        v1 = v1.astype(complex)
+        v2 = v2.astype(complex)
         # CDPM's workspaces, allocated once per descent: respond fills a
-        # prefix of each for every block with out=.  The gathered Vb rows
-        # keep the bases' dtype (a real basis gathers real rows)
+        # prefix of each for every block with out=
         size = min(count, block) * n * n
-        gathered = np.empty(size, dtype=np.result_type(v1, v2))
-        v1 = v1.astype(gathered.dtype, copy=False)
-        v2 = v2.astype(gathered.dtype, copy=False)
         products = np.empty(size, dtype=complex)
         scores = np.empty(size, dtype=complex)
         magnitudes = np.empty(size)
@@ -212,13 +211,15 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
             used = m * n * n
             # the permutation checks and LSAP keep pa in range, so clip
             # never clips (and, unlike raise, does not buffer out)
-            rows = np.take(vb, pa[part].T, axis=0, mode="clip",
-                           out=gathered[:used].reshape(n, m, n))
-            x = np.multiply(da[part].T[:, :, None], rows,
-                            out=products[:used].reshape(n, m, n))
-            s = np.matmul(a, x.reshape(n, m * n),
-                          out=scores[:used].reshape(n, m * n))
-            s = s.reshape(n, m, n).transpose(1, 0, 2)
+            x = np.take(vb, pa[part].T, axis=0, mode="clip",
+                        out=products[:used].reshape(n, m, n))
+            np.multiply(da[part].T[:, :, None], x, out=x)
+            # a real Va multiplies the interleaved real and imaginary
+            # parts of X in one real product; a complex Va sees X as is
+            x = x.reshape(n, m * n)
+            s = np.matmul(a, x.view(a.dtype),
+                          out=scores[:used].reshape(n, m * n).view(a.dtype))
+            s = s.view(complex).reshape(n, m, n).transpose(1, 0, 2)
             # |S| in (start, column, row) order, so that the negated cost
             # solve_assignment_max builds from its transpose is one
             # contiguous pass
@@ -231,42 +232,53 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
                 now[part] = s[starts, pb_now[part], columns]
         return _phases_of_diagonal(diag) + (pb, now)
 
-    iterations = np.zeros(count, dtype=int)
-    converged = np.zeros(count, dtype=bool)
+    d1 = d1.astype(complex)
+    d2 = d2.astype(complex)
+    # every start's final state, written once when it leaves the loop
+    final = tuple(np.empty_like(state) for state in (d1, p1, d2, p2))
+    objectives = np.empty(count)
+    iterations = np.empty(count, dtype=int)
+    converged = np.empty(count, dtype=bool)
     active = np.arange(count)
     for it in range(max_iterations):
         d2_next, half_value, pb, now = respond(
-            fixed[0], v2, d1[active], p1[active],
-            p2[active] if it == 0 else None)
+            fixed[0], v2, d1, p1, p2 if it == 0 else None)
         if it == 0:
-            # every start is active: the first product also scores the
-            # starts, Re sum_k S[p2(k), k] d2[k]
+            # the first product also scores the starts,
+            # Re sum_k S[p2(k), k] d2[k]
             previous = np.real(np.sum(now * d2, axis=1))
-            current = previous.copy()
             if trace is not None:
                 trace.append(float(previous[0]))
-        d2[active] = d2_next
+        d2 = d2_next
         if pb is not None:
-            p2[active] = pb
+            p2 = pb
         if trace is not None:
             trace.append(float(half_value[0]))
-        d1[active], value, pb, _ = respond(fixed[1], v1, d2[active],
-                                           p2[active])
+        d1, value, pb, _ = respond(fixed[1], v1, d2, p2)
         if pb is not None:
-            p1[active] = pb
+            p1 = pb
         if trace is not None:
             trace.append(float(value[0]))
-        iterations[active] += 1
-        current[active] = value
-        done = value - previous[active] < epsilon
-        converged[active[done]] = True
-        previous[active] = value
-        active = active[~done]
-        if active.size == 0:
-            break
-    best = int(np.argmax(current))
+        done = value - previous < epsilon
+        leaving = done | (it + 1 == max_iterations)
+        if leaving.any():
+            gone = active[leaving]
+            for out, state in zip(final, (d1, p1, d2, p2)):
+                out[gone] = state[leaving]
+            objectives[gone] = value[leaving]
+            iterations[gone] = it + 1
+            converged[gone] = done[leaving]
+            staying = ~leaving
+            active = active[staying]
+            if active.size == 0:
+                break
+            d1, p1, d2, p2 = d1[staying], p1[staying], d2[staying], p2[staying]
+            value = value[staying]
+        previous = value
+    d1, p1, d2, p2 = final
+    best = int(np.argmax(objectives))
     return (best, d1[best], p1[best], d2[best], p2[best],
-            float(current[best]), iterations, converged)
+            float(objectives[best]), iterations, converged)
 
 
 def _solve(v1, v2, n, d1, p1, d2, p2, config, update_permutations, trace):

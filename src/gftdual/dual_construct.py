@@ -115,6 +115,8 @@ def construct_dual(g: Graph) -> DualConstructionResult:
 def verify_dual_witness(g: Graph, lam) -> tuple:
     """Constraint residual maxima (diagonal, non-negativity, row-sum)
     of the witness spectrum lam, recomputed independently."""
+    if np.iscomplexobj(lam):
+        raise SizeMismatchError("lambda must be real")
     decomposition = eigendecompose(g)
     v = decomposition.vectors
     lam = np.asarray(lam, dtype=float)

@@ -15,7 +15,8 @@ import numpy as np
 from .alignment import (CD, CDPM, SolverConfig, check_count,
                         dualness_from_objective, multistart)
 from .dup import build_coupling, dup_bound
-from .errors import EmptyInputError, ParseError, ResampleCapExceeded
+from .errors import (EmptyInputError, NonFiniteEntryError, ParseError,
+                     ResampleCapExceeded)
 from .graphs import erdos_renyi
 from .rng import SplitMix64
 from .spectral import eigendecompose, has_distinct_eigenvalues
@@ -162,11 +163,16 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic):
 
 
 def write_csv(records) -> str:
-    """Rows in the given order; floats via repr so parsing is exact."""
+    """Rows in the given order; floats via repr so parsing is exact.
+    p, objective and dualness must be finite (NonFiniteEntryError), as
+    read_csv requires, so that every CSV written here reads back."""
     if not records:
         raise EmptyInputError("no records to write")
     lines = [CSV_HEADER]
     for r in records:
+        if not np.isfinite([r.p, r.objective, r.dualness]).all():
+            raise NonFiniteEntryError(
+                "p, objective and dualness must be finite, got %r" % (r,))
         lines.append("%d,%s,%d,%s,%s,%s,%d,%d,%d,%d" % (
             r.n, repr(float(r.p)), r.trial, r.method,
             repr(float(r.objective)), repr(float(r.dualness)),

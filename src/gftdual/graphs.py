@@ -161,13 +161,17 @@ def is_circulant(graph: Graph) -> bool:
 
 
 def as_indices(values) -> np.ndarray:
-    """values as an intp array.  A float entry must already be an integer
-    (arange(6.0) is fine): 0.5, NaN or inf raises IndexOutOfRangeError,
-    where a cast would truncate it to a valid-looking index."""
+    """values as an intp array.  Entries must be of an integer dtype or
+    floats that already are integers (arange(6.0) is fine); anything
+    else raises IndexOutOfRangeError.  A cast would truncate 0.5, NaN or
+    inf to a valid-looking index, and read bool, string or complex
+    entries (dropping an imaginary part) as numbers."""
     a = np.asarray(values)
-    if a.dtype.kind == "f" and not np.all(
-            (np.floor(a) == a) & (np.abs(a) < np.iinfo(np.intp).max)):
-        raise IndexOutOfRangeError("permutation entries must be integers")
+    integral = a.dtype.kind in "iu" or (a.dtype.kind == "f" and np.all(
+        (np.floor(a) == a) & (np.abs(a) < np.iinfo(np.intp).max)))
+    if not integral:
+        raise IndexOutOfRangeError("permutation entries must be integers, "
+                                   "got dtype %s" % a.dtype)
     return a.astype(np.intp, copy=False)
 
 

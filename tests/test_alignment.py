@@ -339,6 +339,58 @@ def test_cdpm_score_blocks_match_single_starts(complex_valued):
 
 
 @pytest.mark.parametrize("method", [CD, CDPM])
+def test_start_converging_at_the_cap_reports_converged(method):
+    # a start whose free descent stops after k iterations converges on
+    # the last allowed iteration of a cap of k and is still rising at a
+    # cap of k - 1, stacked or alone
+    n = 10
+    v1 = _eigvecs(n, 0.4, 84)
+    v2 = _eigvecs(n, 0.4, 85)
+    align = cd_align if method == CD else cdpm_align
+    starts = _seeded_starts(method, n, 7, seed=9)
+    stack = tuple(np.array(part) for part in zip(*starts))
+    free = align(v1, v2, SolverConfig(), stack)
+    assert free.restart_converged.all()
+    counts = free.restart_iterations
+    cap = int(np.median(counts))
+    assert counts.min() < cap - 1 and counts.max() > cap
+    for limit in (cap, cap - 1):
+        config = SolverConfig(max_iterations=limit)
+        stacked = align(v1, v2, config, stack)
+        assert np.array_equal(stacked.restart_iterations,
+                              np.minimum(counts, limit))
+        assert np.array_equal(stacked.restart_converged, counts <= limit)
+        for start, count in zip(starts, counts):
+            single = align(v1, v2, config, start)
+            assert single.iterations == min(count, limit)
+            assert single.converged == (count <= limit)
+    at_cap = list(counts).index(cap)
+    assert align(v1, v2, SolverConfig(max_iterations=cap),
+                 starts[at_cap]).converged
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_cdpm_on_a_real_basis_matches_its_complex_cast(n):
+    # a real basis forms the score product with real arithmetic, its
+    # complex cast with complex arithmetic: the descents agree up to
+    # rounding (at n = 40 the 12 starts take two score blocks)
+    v1 = _eigvecs(n, 0.4, 86)
+    v2 = _eigvecs(n, 0.4, 87)
+    starts = _seeded_starts(CDPM, n, 12, seed=10)
+    stack = tuple(np.array(part) for part in zip(*starts))
+    for init in [stack] + starts[:3]:
+        real = cdpm_align(v1, v2, SolverConfig(), init)
+        cast = cdpm_align(v1.astype(complex), v2.astype(complex),
+                          SolverConfig(), init)
+        assert np.array_equal(real.p1, cast.p1)
+        assert np.array_equal(real.p2, cast.p2)
+        assert np.array_equal(real.restart_iterations,
+                              cast.restart_iterations)
+        assert np.array_equal(real.restart_converged, cast.restart_converged)
+        assert abs(real.objective - cast.objective) <= 1e-12
+
+
+@pytest.mark.parametrize("method", [CD, CDPM])
 def test_multistart_is_one_stacked_call(method):
     n = 9
     v1 = _eigvecs(n, 0.4, 90)
@@ -444,6 +496,18 @@ def test_non_integral_permutations_are_rejected():
     assert trace_objective(v1, ones, np.arange(6.0), v2, ones,
                            identity) == expected
     cdpm_align(v1, v2, init=(ones, np.arange(6.0), ones, np.arange(6.0)))
+
+
+@pytest.mark.parametrize("dtype", [bool, str, complex])
+def test_non_numeric_permutation_stacks_are_rejected(dtype):
+    # at n = 2 the stacks cast to the valid [[1, 0], [0, 1]]
+    v = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    ones = np.ones((2, 2))
+    bad = np.array([[1, 0], [0, 1]]).astype(dtype)
+    good = np.array([[1, 0], [0, 1]])
+    for init in ((ones, bad, ones, good), (ones, good, ones, bad)):
+        with pytest.raises(IndexOutOfRangeError, match="integers"):
+            cdpm_align(v, v, init=init)
 
 
 def test_init_phases_must_be_finite_unit_modulus():

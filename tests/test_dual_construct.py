@@ -179,6 +179,14 @@ def test_verify_dual_witness_rejects_non_finite_witness(lam):
         verify_dual_witness(circulant(4, [(1, 1.0)]), lam)
 
 
+@pytest.mark.parametrize("lam", [[1j, 0, 0, 0], np.ones(4, dtype=complex)])
+def test_verify_dual_witness_rejects_complex_witness(lam):
+    # [1j, 0, 0, 0] used to raise an untyped TypeError, and a complex
+    # array with zero imaginary parts was cast with a warning
+    with pytest.raises(SizeMismatchError, match="real"):
+        verify_dual_witness(circulant(4, [(1, 1.0)]), lam)
+
+
 def test_result_dataclass_frozen():
     result = DualConstructionResult(status=INFEASIBLE, lambda_=None,
                                     adjacency=None)

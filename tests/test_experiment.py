@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gftdual import experiment
-from gftdual.errors import (EmptyInputError, ParseError, ResampleCapExceeded)
+from gftdual.errors import (EmptyInputError, NonFiniteEntryError, ParseError,
+                            ResampleCapExceeded)
 from gftdual.experiment import (CSV_HEADER, DUP, METHODS, PLOT_BOTTOM,
                                 PLOT_LEFT, PLOT_RIGHT, PLOT_TOP,
                                 Y_PAD_FRACTION, ExperimentConfig,
@@ -150,6 +151,22 @@ def test_read_csv_rejects_non_finite_numbers(row):
     with pytest.raises(ParseError, match="finite") as info:
         read_csv(CSV_HEADER + "\n" + good_row + "\n" + row + "\n")
     assert info.value.line_number == 3
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p", float("nan")),
+    ("objective", float("inf")),
+    ("dualness", float("inf")),
+    ("objective", -float("inf")),
+])
+def test_write_csv_refuses_what_read_csv_refuses(field, value):
+    # an inf objective used to be written, and read_csv then failed at
+    # line 2: every CSV write_csv produces must read back
+    good = ExperimentRecord(6, 0.4, 0, "CD", 5.0, 1.0, 1, 1, 0, 1)
+    bad = ExperimentRecord(**{**good.__dict__, field: value})
+    assert read_csv(write_csv([good])) == [good]
+    with pytest.raises(NonFiniteEntryError, match="finite"):
+        write_csv([good, bad])
 
 
 def test_resample_cap_on_degenerate_cell():

@@ -212,6 +212,21 @@ def test_non_integral_permutations_are_rejected(bad):
         permute_graph(g, bad)
 
 
+@pytest.mark.parametrize("bad", [
+    [True, False],
+    ["1", "0"],
+    [1 + 0.5j, 0j],
+    [1 + 0j, 0j],
+], ids=["bool", "string", "complex", "complex-real"])
+def test_non_numeric_permutations_are_rejected(bad):
+    # a cast to intp would read each of these as [1, 0], dropping the
+    # imaginary part of 1 + 0.5j
+    with pytest.raises(IndexOutOfRangeError, match="integers"):
+        check_permutation(bad)
+    with pytest.raises(IndexOutOfRangeError, match="integers"):
+        permute_graph(new_graph(2, [(0, 1, 1.0)]), bad)
+
+
 def test_invert_permutation():
     p = np.array([2, 0, 3, 1], dtype=np.intp)
     inv = invert_permutation(p)
