@@ -12,7 +12,7 @@ and M.P = M[:, sigma_inverse].
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -154,21 +154,21 @@ def _phases_of_diagonal(diag):
     return d, value
 
 
-def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
-             update_permutations, trace=None):
+def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
     """Shared CD/CDPM loop over a stack of starts, rows of the (R, n)
     arrays d1, p1, d2, p2.  Mutates nothing.
 
     The loop holds working arrays for the running starts only, in start
-    order.  A start leaves at its own convergence or at max_iterations:
-    its final state, objective, iteration count and flag are written
-    back once, and the working arrays shrink to the starts still
-    running.  Returns the best start's index, final state and objective
-    (ties keep the earliest start) and every start's iteration count and
-    convergence flag.  trace, when given (one start only), receives the
-    objective after every half-step.
+    order.  A start leaves at its own convergence or at
+    config.max_iterations: its final state, objective, iteration count
+    and flag are written back once, and the working arrays shrink to the
+    starts still running.  Returns the AlignmentSolution of the best
+    start (ties keep the earliest).  trace, when given (one start only,
+    else ValueError), receives the objective after every half-step.
     """
     count, n = d1.shape
+    if trace is not None and count != 1:
+        raise ValueError("trace needs a single start, got %d" % count)
     columns = np.arange(n)
     block = max(1, _SCORE_BLOCK_ENTRIES // max(1, n * n))
     # the fixed operands, built once here rather than at every product:
@@ -240,7 +240,7 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
     iterations = np.empty(count, dtype=int)
     converged = np.empty(count, dtype=bool)
     active = np.arange(count)
-    for it in range(max_iterations):
+    for it in range(config.max_iterations):
         d2_next, half_value, pb, now = respond(
             fixed[0], v2, d1, p1, p2 if it == 0 else None)
         if it == 0:
@@ -259,8 +259,8 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
             p1 = pb
         if trace is not None:
             trace.append(float(value[0]))
-        done = value - previous < epsilon
-        leaving = done | (it + 1 == max_iterations)
+        done = value - previous < config.epsilon
+        leaving = done | (it + 1 == config.max_iterations)
         if leaving.any():
             gone = active[leaving]
             for out, state in zip(final, (d1, p1, d2, p2)):
@@ -277,20 +277,10 @@ def _descend(v1, v2, d1, p1, d2, p2, epsilon, max_iterations,
         previous = value
     d1, p1, d2, p2 = final
     best = int(np.argmax(objectives))
-    return (best, d1[best], p1[best], d2[best], p2[best],
-            float(objectives[best]), iterations, converged)
-
-
-def _solve(v1, v2, n, d1, p1, d2, p2, config, update_permutations, trace):
-    if trace is not None and d1.shape[0] != 1:
-        raise ValueError("trace needs a single start, got %d"
-                         % d1.shape[0])
-    best, d1, p1, d2, p2, objective, iterations, converged = _descend(
-        v1, v2, d1, p1, d2, p2, config.epsilon, config.max_iterations,
-        update_permutations, trace)
+    objective = float(objectives[best])
     iterations.setflags(write=False)
     converged.setflags(write=False)
-    return AlignmentSolution(d1, d2, p1, p2, objective,
+    return AlignmentSolution(d1[best], d2[best], p1[best], p2[best], objective,
                              dualness_from_objective(n, objective),
                              int(iterations[best]), bool(converged[best]),
                              iterations, converged)
@@ -312,8 +302,8 @@ def cd_align(v1, v2, config=SolverConfig(), init=None, trace=None):
     d2 = _check_phase_stack(init[1], n, "init d2")
     _check_start_count((d1, d2))
     identity = np.tile(np.arange(n, dtype=np.intp), (d1.shape[0], 1))
-    return _solve(v1, v2, n, d1, identity, d2, identity, config,
-                  update_permutations=False, trace=trace)
+    return _descend(v1, v2, d1, identity, d2, identity, config,
+                    update_permutations=False, trace=trace)
 
 
 def cdpm_align(v1, v2, config=SolverConfig(), init=None, trace=None):
@@ -335,8 +325,8 @@ def cdpm_align(v1, v2, config=SolverConfig(), init=None, trace=None):
     d2 = _check_phase_stack(init[2], n, "init d2")
     p2 = _check_permutation_stack(init[3], n, "init p2")
     _check_start_count((d1, p1, d2, p2))
-    return _solve(v1, v2, n, d1, p1, d2, p2, config,
-                  update_permutations=True, trace=trace)
+    return _descend(v1, v2, d1, p1, d2, p2, config,
+                    update_permutations=True, trace=trace)
 
 
 def _random_init(stream, n, with_permutations):
@@ -454,13 +444,5 @@ def isomorphism_transport(solution: AlignmentSolution, p, side):
     n = solution.d1.shape[0]
     p = check_permutation(p, n)
     if side == 1:
-        p1 = solution.p1
-        p2 = p[solution.p2]
-    else:
-        p1 = p[solution.p1]
-        p2 = solution.p2
-    return AlignmentSolution(solution.d1, solution.d2, p1, p2,
-                             solution.objective, solution.dualness,
-                             solution.iterations, solution.converged,
-                             solution.restart_iterations,
-                             solution.restart_converged)
+        return replace(solution, p2=p[solution.p2])
+    return replace(solution, p1=p[solution.p1])

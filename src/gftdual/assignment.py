@@ -21,7 +21,10 @@ def solve_assignment_max(s):
     case of the same path.  Deterministic: the same input always yields
     the same optimum.
     """
-    s = np.asarray(s, dtype=float)
+    s = np.asarray(s)
+    if np.iscomplexobj(s):
+        raise SizeMismatchError("score matrix must be real")
+    s = s.astype(float, copy=False)
     if s.ndim not in (2, 3) or s.shape[-2] != s.shape[-1]:
         raise SizeMismatchError("score matrix must be square, got shape %s"
                                 % (s.shape,))

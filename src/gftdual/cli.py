@@ -64,11 +64,14 @@ def _solver_config(args):
                         seed=args.seed)
 
 
-def _add_solver_flags(parser, restarts):
-    parser.add_argument("--restarts", type=int, default=restarts)
-    parser.add_argument("--epsilon", type=float, default=1e-8)
-    parser.add_argument("--max-iter", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=0)
+def _add_solver_flags(parser, defaults):
+    """--restarts, --epsilon, --max-iter and --seed, defaulting to the
+    fields of defaults, a SolverConfig or an ExperimentConfig."""
+    parser.add_argument("--restarts", type=int, default=defaults.restarts)
+    parser.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    parser.add_argument("--max-iter", type=int,
+                        default=defaults.max_iterations)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
 
 
 def _generated_graph(args):
@@ -177,7 +180,7 @@ def _build_parser():
     dualness.add_argument("graph1")
     dualness.add_argument("graph2")
     dualness.add_argument("--method", choices=("cd", "cdpm"), default="cd")
-    _add_solver_flags(dualness, restarts=200)
+    _add_solver_flags(dualness, SolverConfig())
     dualness.set_defaults(handler=_cmd_dualness, configure=_solver_config)
 
     bound = commands.add_parser("bound", help="certified upper bound")
@@ -198,12 +201,15 @@ def _build_parser():
 
     experiment = commands.add_parser("experiment",
                                      help="Erdos-Renyi sweep to CSV/SVG")
-    experiment.add_argument("--n", default="10,15,20,25,30",
+    defaults = ExperimentConfig()
+    experiment.add_argument("--n", default=",".join(str(n) for n in
+                                                    defaults.n_values),
                             help="comma-separated sizes")
-    experiment.add_argument("--p", type=float, default=0.4)
-    experiment.add_argument("--trials", type=int, default=20)
-    _add_solver_flags(experiment, restarts=50)
-    experiment.add_argument("--methods", default="cd,cdpm,dup")
+    experiment.add_argument("--p", type=float, default=defaults.p)
+    experiment.add_argument("--trials", type=int, default=defaults.trials)
+    _add_solver_flags(experiment, defaults)
+    experiment.add_argument("--methods",
+                            default=",".join(defaults.methods).lower())
     experiment.add_argument("-o", "--output", default=None)
     experiment.add_argument("--plot", default=None)
     experiment.set_defaults(handler=_cmd_experiment,

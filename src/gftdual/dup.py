@@ -19,7 +19,7 @@ the relaxation's optimum, and valid up to tol * 2n for unit-modulus
 phases.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .rng import derive_stream
 from .spectral import check_basis_pair, jacobi_eigh
 
 DEFAULT_TOL = 1e-7
-SYMMETRY_TOL = 1e-12
 
 # coordinate ascent on the low-rank factorization of the relaxation
 _MIXING_SWEEP_CAP = 20000
@@ -44,34 +43,40 @@ _NEAR_NULL_FLOOR = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class CouplingMatrix:
-    """The 2n x 2n symmetric coupling of two orthogonal bases.
+    """The 2n x 2n symmetric coupling w = [[0, b], [b', 0]] of an n x n
+    real block b.
 
-    Both diagonal n x n blocks are exactly zero; the off-diagonal blocks
-    are elementwise products of the bases, halved.
+    w is assembled here, so it is symmetric with exactly zero diagonal
+    blocks by construction; w and b (a view of w's upper-right block)
+    are read-only.
     """
 
-    w: np.ndarray
-    n: int
+    b: np.ndarray
+    w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
+        b = np.asarray(self.b)
+        if np.iscomplexobj(b):
+            raise SizeMismatchError("coupling block must be real")
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
             raise SizeMismatchError(
-                "coupling size must be >= 1, got %d" % self.n)
-        w = np.asarray(self.w, dtype=float)
-        m = 2 * self.n
-        if w.ndim != 2 or w.shape != (m, m):
-            raise SizeMismatchError(
-                "coupling matrix must be %dx%d, got shape %s" % (m, m, w.shape))
-        if not np.all(np.isfinite(w)):
-            raise NonFiniteEntryError("coupling matrix has non-finite entries")
-        if np.max(np.abs(w - w.T), initial=0.0) > SYMMETRY_TOL:
-            raise SizeMismatchError("coupling matrix is not symmetric")
-        n = self.n
-        if np.any(w[:n, :n] != 0.0) or np.any(w[n:, n:] != 0.0):
-            raise SizeMismatchError("diagonal blocks must be exactly zero")
-        w = w.copy()
+                "coupling block must be n x n with n >= 1, got shape %s"
+                % (b.shape,))
+        n = b.shape[0]
+        w = np.zeros((2 * n, 2 * n))
+        w[:n, n:] = b
+        w[n:, :n] = b.T
         w.setflags(write=False)
+        # a view of the read-only w is read-only too
+        b = w[:n, n:]
+        if not np.all(np.isfinite(b)):
+            raise NonFiniteEntryError("coupling block has non-finite entries")
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "b", b)
+
+    @property
+    def n(self):
+        return self.b.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,16 +113,8 @@ def build_coupling(v1, v2) -> CouplingMatrix:
     For any sign vector x, x'Wx equals the trace objective with the two
     halves of x as phases and identity permutations.
     """
-    v1 = np.asarray(v1)
-    v2 = np.asarray(v2)
-    if np.iscomplexobj(v1) or np.iscomplexobj(v2):
-        raise SizeMismatchError("coupling inputs must be real matrices")
-    v1, v2, n = check_basis_pair(v1, v2)
-    block = 0.5 * (v1.T * v2)
-    w = np.zeros((2 * n, 2 * n))
-    w[:n, n:] = block
-    w[n:, :n] = block.T
-    return CouplingMatrix(w=w, n=n)
+    v1, v2, _ = check_basis_pair(v1, v2)
+    return CouplingMatrix(0.5 * (v1.T * v2))
 
 
 def _gaussian(stream, rows, cols):
@@ -155,13 +152,7 @@ def _mixing_dual(w, stream, tol):
     m = w.shape[0]
     rank = int(np.ceil(np.sqrt(2.0 * m))) + 1
     r = _gaussian(stream, m, rank)
-    norms = np.linalg.norm(r, axis=1)
-    degenerate = norms < 1e-300
-    if np.any(degenerate):
-        r[degenerate] = 0.0
-        r[degenerate, 0] = 1.0
-        norms[degenerate] = 1.0
-    r /= norms[:, None]
+    r /= np.linalg.norm(r, axis=1)[:, None]
     sweeps = _ascend(w[:m // 2, m // 2:], r, tol)
     wr = w @ r
     return (np.linalg.norm(wr, axis=1), float(np.einsum("ij,ij->", r, wr)),

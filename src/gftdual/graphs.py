@@ -14,6 +14,7 @@ shortest round-trip decimal weights, so write(read(s)) is a canonical form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,18 @@ class Graph:
         return int(np.count_nonzero(np.triu(self.adjacency, k=1)))
 
 
+def _vertex_count(n) -> int:
+    """n as an int, which must be an integer >= 1 (IndexOutOfRangeError)."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise IndexOutOfRangeError(
+            f"vertex count must be an integer, got {n!r}") from None
+    if n < 1:
+        raise IndexOutOfRangeError(f"vertex count must be >= 1, got {n}")
+    return n
+
+
 def new_graph(n: int, edges) -> Graph:
     """Build a graph from an edge list.
 
@@ -81,8 +94,7 @@ def new_graph(n: int, edges) -> Graph:
         Iterable of (i, j, w) with 0 <= i, j < n, i != j and w > 0.
         Endpoint order is immaterial; a pair may appear at most once.
     """
-    if n < 1:
-        raise IndexOutOfRangeError(f"vertex count must be >= 1, got {n}")
+    n = _vertex_count(n)
     a = np.zeros((n, n))
     for i, j, w in edges:
         _add_edge(a, i, j, w)
@@ -117,8 +129,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     order (i ascending, then j); the edge is present when the draw is < p.
     Identical seeds give identical graphs on every platform.
     """
-    if n < 1:
-        raise IndexOutOfRangeError(f"vertex count must be >= 1, got {n}")
+    n = _vertex_count(n)
     if not (0.0 <= p <= 1.0):
         raise NonPositiveWeightError(f"edge probability must be in [0, 1], got {p}")
     # triu_indices lists the pairs in the documented row-major order
@@ -134,8 +145,7 @@ def circulant(n: int, offsets) -> Graph:
     ``offsets`` is an iterable of (k, w) with 1 <= k <= n//2 and w > 0.
     A repeated offset overwrites the earlier weight.
     """
-    if n < 1:
-        raise IndexOutOfRangeError(f"vertex count must be >= 1, got {n}")
+    n = _vertex_count(n)
     a = np.zeros((n, n))
     vertices = np.arange(n)
     for k, w in offsets:

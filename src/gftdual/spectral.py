@@ -10,6 +10,7 @@ largest-magnitude entry is positive, ties broken by the lowest row index.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +178,10 @@ def igft(decomposition: SpectralDecomposition, spectrum: np.ndarray) -> np.ndarr
 
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix U[j, k] = exp(-2 pi i j k / n) / sqrt(n)."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise SizeMismatchError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise SizeMismatchError(f"n must be >= 1, got {n}")
     return scipy.linalg.dft(n, scale="sqrtn")

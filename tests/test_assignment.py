@@ -86,6 +86,13 @@ def test_errors():
         solve_assignment_max(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+def test_complex_scores_are_rejected():
+    # the float cast would drop the imaginary parts
+    for s in (1j * np.ones((2, 2)), np.ones((3, 2, 2), dtype=complex)):
+        with pytest.raises(SizeMismatchError, match="real"):
+            solve_assignment_max(s)
+
+
 def test_empty_instance():
     sigma, value = solve_assignment_max(np.zeros((0, 0)))
     assert sigma.shape == (0,)

@@ -3,8 +3,9 @@
 import pytest
 
 from gftdual import __version__
-from gftdual.cli import main
-from gftdual.experiment import CSV_HEADER
+from gftdual.alignment import SolverConfig
+from gftdual.cli import _build_parser, main
+from gftdual.experiment import CSV_HEADER, ExperimentConfig
 
 
 def _gen(tmp_path, name, *args):
@@ -234,6 +235,15 @@ def test_usage_errors_exit_one(capsys):
         main([])
     assert info.value.code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["experiment"], ExperimentConfig()),
+    (["dualness", "g1.txt", "g2.txt"], SolverConfig()),
+], ids=["experiment", "dualness"])
+def test_flag_defaults_are_the_config_defaults(argv, config):
+    args = _build_parser().parse_args(argv)
+    assert args.configure(args) == config
 
 
 def test_version_flag(capsys):

@@ -157,7 +157,7 @@ def test_identity_coupling_bound_is_n():
 
 
 def test_zero_coupling():
-    coupling = CouplingMatrix(w=np.zeros((10, 10)), n=5)
+    coupling = CouplingMatrix(np.zeros((5, 5)))
     result = dup_bound(coupling)
     assert abs(result.bound) <= 1e-12
     assert result.min_eig_residual >= -1e-12
@@ -166,8 +166,8 @@ def test_zero_coupling():
 def test_empty_coupling():
     # every entry point that takes bases or a coupling rejects n = 0
     empty = np.zeros((0, 0))
-    with pytest.raises(SizeMismatchError, match="coupling size must be >= 1"):
-        CouplingMatrix(w=empty, n=0)
+    with pytest.raises(SizeMismatchError, match="n x n with n >= 1"):
+        CouplingMatrix(empty)
     for entry in (lambda: build_coupling(empty, empty),
                   lambda: construct_dual_from_vectors(empty),
                   lambda: multistart(CD, empty, empty),
@@ -196,7 +196,7 @@ def test_bound_reports_sweeps_and_gap():
         assert -1e-12 <= result.gap <= tol + 1e-12
     # no coupling of size 0 exists to report on
     with pytest.raises(SizeMismatchError):
-        CouplingMatrix(w=np.zeros((0, 0)), n=0)
+        CouplingMatrix(np.zeros((0, 0)))
 
 
 def test_bound_reports_the_single_ascent(monkeypatch):
@@ -523,21 +523,31 @@ def test_chunked_ascent_replays_an_infinite_norm_at_a_chunk_end(monkeypatch):
 
 
 def test_coupling_validation():
+    for shape in ((2, 3), (3,), (2, 2, 2)):
+        with pytest.raises(SizeMismatchError):
+            CouplingMatrix(np.zeros(shape))
     with pytest.raises(SizeMismatchError):
-        CouplingMatrix(w=np.zeros((3, 3)), n=1)
-    bad = np.zeros((4, 4))
-    bad[0, 2] = 1.0
-    with pytest.raises(SizeMismatchError):
-        CouplingMatrix(w=bad, n=2)
-    diag = np.zeros((4, 4))
-    diag[0, 0] = 1.0
-    with pytest.raises(SizeMismatchError):
-        CouplingMatrix(w=diag, n=2)
-    nonfinite = np.zeros((4, 4))
-    nonfinite[0, 2] = np.nan
-    nonfinite[2, 0] = np.nan
+        CouplingMatrix(np.eye(2, dtype=complex))
+    nonfinite = np.zeros((2, 2))
+    nonfinite[0, 1] = np.nan
     with pytest.raises(NonFiniteEntryError):
-        CouplingMatrix(w=nonfinite, n=2)
+        CouplingMatrix(nonfinite)
+
+
+def test_coupling_is_assembled_from_its_block():
+    b = np.arange(6.0).reshape(2, 3)[:, :2]
+    coupling = CouplingMatrix(b)
+    assert coupling.n == 2
+    expected = np.zeros((4, 4))
+    expected[:2, 2:] = b
+    expected[2:, :2] = b.T
+    assert np.array_equal(coupling.w, expected)
+    assert np.array_equal(coupling.b, b)
+    for array in (coupling.w, coupling.b):
+        assert not array.flags.writeable
+    # the coupling holds its own copy of the block
+    b[0, 0] = 99.0
+    assert coupling.w[0, 2] == 0.0
 
 
 def test_build_coupling_validation():
@@ -555,7 +565,7 @@ def test_dup_bound_argument_validation():
     with pytest.raises(SizeMismatchError):
         dup_bound(np.zeros((4, 4)))
     with pytest.raises(ValueError):
-        dup_bound(CouplingMatrix(w=np.zeros((2, 2)), n=1), tol=0.0)
+        dup_bound(CouplingMatrix(np.zeros((1, 1))), tol=0.0)
 
 
 def _enumerated_bound(v1, v2):

@@ -132,6 +132,18 @@ def test_circulant_errors():
         circulant(8, [(1, 0.0)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: new_graph(n, []),
+    lambda n: erdos_renyi(n, 0.5, 0),
+    lambda n: circulant(n, [(1, 1.0)]),
+], ids=["new_graph", "erdos_renyi", "circulant"])
+def test_non_integer_vertex_counts_are_rejected(build):
+    for n in (2.5, 4.0, "4", None):
+        with pytest.raises(IndexOutOfRangeError, match="integer"):
+            build(n)
+    assert build(np.int64(4)).n == 4
+
+
 def test_is_circulant_negative():
     g = new_graph(4, [(0, 1, 1.0), (1, 2, 1.0)])
     assert not is_circulant(g)

@@ -180,6 +180,14 @@ def test_dft_matrix_unitary_and_diagonalizes_circulants():
         dft_matrix(0)
 
 
+def test_dft_matrix_rejects_non_integer_sizes():
+    # scipy would give a 3 x 3 matrix scaled by 1/sqrt(2.5), not unitary
+    for n in (2.5, 3.0, "3"):
+        with pytest.raises(SizeMismatchError, match="integer"):
+            dft_matrix(n)
+    assert dft_matrix(np.int64(3)).shape == (3, 3)
+
+
 def test_dft_matrix_equals_exp_formula():
     # not bitwise: the exp form rounds its angles 2 pi j k / n, of size up
     # to 2 pi n, so the two forms may differ by about 2 pi n eps
