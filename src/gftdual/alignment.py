@@ -11,16 +11,14 @@ and M.P = M[:, sigma_inverse].
 """
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .assignment import solve_assignment_max
-from .errors import (IndexOutOfRangeError, NonUnitPhaseError,
-                     SizeMismatchError, NotCirculantError)
-from .graphs import (Graph, as_indices, check_permutation,
-                     invert_permutation, is_circulant)
+from .errors import NonUnitPhaseError, SizeMismatchError, NotCirculantError
+from .graphs import (Graph, check_count, check_permutation,
+                     check_permutations, invert_permutation, is_circulant)
 from .rng import derive_stream, derived_words
 from .spectral import (check_basis_pair, check_same_size, check_square,
                        decompose_pair, dft_matrix)
@@ -51,18 +49,6 @@ class SolverConfig:
         for name in ("max_iterations", "restarts"):
             object.__setattr__(self, name, check_count(getattr(self, name),
                                                        name))
-
-
-def check_count(value, name):
-    """value as an int, which must be an integer >= 1 (ValueError)."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError("%s must be an integer, got %r"
-                         % (name, value)) from None
-    if count < 1:
-        raise ValueError("%s must be >= 1" % name)
-    return count
 
 
 @dataclass(frozen=True)
@@ -100,23 +86,29 @@ def _check_phase_stack(d, n, name):
     return stack
 
 
-def _check_permutation_stack(p, n, name):
-    p = as_indices(p)
-    stack = p[None] if p.ndim == 1 else p
-    if stack.ndim != 2 or stack.shape[1] != n or stack.shape[0] < 1:
-        raise SizeMismatchError("%s must have shape (%d,) or (R, %d), got %s"
-                                % (name, n, n, p.shape))
-    if not (np.sort(stack, axis=1) == np.arange(n)).all():
-        raise IndexOutOfRangeError("%s rows must be bijections of 0..%d"
-                                   % (name, n - 1))
-    return stack
-
-
-def _check_start_count(stacks):
+def _check_starts(v1, v2, init, with_permutations):
+    """The front of cd_align and cdpm_align: the checked bases and the
+    starts of init, (d1, d2) or (d1, p1, d2, p2), as (R, n) stacks
+    v1, v2, d1, p1, d2, p2 with one R; CD's permutations are the
+    identity."""
+    v1, v2, n = check_basis_pair(v1, v2)
+    identity = np.arange(n, dtype=np.intp)
+    if init is None:
+        init = (np.ones(n), identity, np.ones(n), identity)
+    elif not with_permutations:
+        init = (init[0], identity, init[1], identity)
+    d1 = _check_phase_stack(init[0], n, "init d1")
+    p1 = check_permutations(init[1], n, "init p1")
+    d2 = _check_phase_stack(init[2], n, "init d2")
+    p2 = check_permutations(init[3], n, "init p2")
+    stacks = (d1, p1, d2, p2) if with_permutations else (d1, d2)
     counts = {stack.shape[0] for stack in stacks}
     if len(counts) != 1:
         raise SizeMismatchError("init stacks hold different numbers of "
                                 "starts: %s" % sorted(counts))
+    if not with_permutations:
+        p1 = p2 = np.tile(identity, (d1.shape[0], 1))
+    return v1, v2, d1, p1, d2, p2
 
 
 def dualness_from_objective(n, objective):
@@ -295,14 +287,7 @@ def cd_align(v1, v2, config=SolverConfig(), init=None, trace=None):
     phases.  trace, when a list, receives the objective value after the
     initialization and after every half-step; it needs a single start.
     """
-    v1, v2, n = check_basis_pair(v1, v2)
-    if init is None:
-        init = (np.ones(n), np.ones(n))
-    d1 = _check_phase_stack(init[0], n, "init d1")
-    d2 = _check_phase_stack(init[1], n, "init d2")
-    _check_start_count((d1, d2))
-    identity = np.tile(np.arange(n, dtype=np.intp), (d1.shape[0], 1))
-    return _descend(v1, v2, d1, identity, d2, identity, config,
+    return _descend(*_check_starts(v1, v2, init, False), config,
                     update_permutations=False, trace=trace)
 
 
@@ -316,16 +301,7 @@ def cdpm_align(v1, v2, config=SolverConfig(), init=None, trace=None):
     receives the objective value after the initialization and after
     every half-step; it needs a single start.
     """
-    v1, v2, n = check_basis_pair(v1, v2)
-    if init is None:
-        identity = np.arange(n, dtype=np.intp)
-        init = (np.ones(n), identity, np.ones(n), identity)
-    d1 = _check_phase_stack(init[0], n, "init d1")
-    p1 = _check_permutation_stack(init[1], n, "init p1")
-    d2 = _check_phase_stack(init[2], n, "init d2")
-    p2 = _check_permutation_stack(init[3], n, "init p2")
-    _check_start_count((d1, p1, d2, p2))
-    return _descend(v1, v2, d1, p1, d2, p2, config,
+    return _descend(*_check_starts(v1, v2, init, True), config,
                     update_permutations=True, trace=trace)
 
 

@@ -8,7 +8,8 @@ entry from each row and each column.
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import NonFiniteEntryError, SizeMismatchError
+from .errors import SizeMismatchError
+from .graphs import as_real
 
 
 def solve_assignment_max(s):
@@ -21,15 +22,10 @@ def solve_assignment_max(s):
     case of the same path.  Deterministic: the same input always yields
     the same optimum.
     """
-    s = np.asarray(s)
-    if np.iscomplexobj(s):
-        raise SizeMismatchError("score matrix must be real")
-    s = s.astype(float, copy=False)
+    s = as_real(s, "score matrix")
     if s.ndim not in (2, 3) or s.shape[-2] != s.shape[-1]:
         raise SizeMismatchError("score matrix must be square, got shape %s"
                                 % (s.shape,))
-    if s.size and not np.isfinite(s).all():
-        raise NonFiniteEntryError("score matrix contains non-finite entries")
     stack = s[None] if s.ndim == 2 else s
     count, n = stack.shape[:2]
     # sum_i s[sigma(i), i] = sum_i s.T[i, sigma(i)]; maximize=True would

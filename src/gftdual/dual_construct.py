@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .errors import NonFiniteEntryError, SizeMismatchError
-from .graphs import Graph
+from .errors import SizeMismatchError
+from .graphs import Graph, as_real
 from .spectral import check_basis, eigendecompose
 
 FEASIBLE = "feasible"
@@ -88,10 +88,9 @@ def _candidate_adjacency(v, lam):
 
 def construct_dual_from_vectors(v) -> DualConstructionResult:
     """Diagnostic entry point taking the eigenvector matrix directly: V
-    must be real, square, finite and orthogonal (spectral.check_basis)."""
-    if np.iscomplexobj(v):
-        raise SizeMismatchError("V must be a real matrix")
-    v = check_basis(v, "V")
+    must be real (graphs.as_real) and an orthogonal basis
+    (spectral.check_basis)."""
+    v = check_basis(as_real(v, "V"), "V")
     basis = _null_basis(v)
     t = lp.solve_lp(_assemble(v, basis))
     if t is None:
@@ -115,17 +114,12 @@ def construct_dual(g: Graph) -> DualConstructionResult:
 def verify_dual_witness(g: Graph, lam) -> tuple:
     """Constraint residual maxima (diagonal, non-negativity, row-sum)
     of the witness spectrum lam, recomputed independently."""
-    if np.iscomplexobj(lam):
-        raise SizeMismatchError("lambda must be real")
-    decomposition = eigendecompose(g)
-    v = decomposition.vectors
-    lam = np.asarray(lam, dtype=float)
+    # as_real refuses NaN: max(0.0, nan) is 0.0, so a NaN residual would
+    # read as met
+    lam = as_real(lam, "lambda")
     if lam.shape != (g.n,):
         raise SizeMismatchError("lambda must have length %d" % g.n)
-    if not np.isfinite(lam).all():
-        # max(0.0, nan) is 0.0, so a NaN residual would read as met
-        raise NonFiniteEntryError("lambda has non-finite entries")
-    a = _candidate_adjacency(v, lam)
+    a = _candidate_adjacency(eigendecompose(g).vectors, lam)
     diagonal = float(np.max(np.abs(np.diagonal(a))))
     off = a - np.diag(np.diagonal(a))
     negativity = float(max(0.0, -np.min(off)))

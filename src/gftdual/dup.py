@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (NonFiniteEntryError, NumericalBreakdown,
-                     SizeMismatchError)
+from .errors import NumericalBreakdown, SizeMismatchError
+from .graphs import as_real
 from .lp import LinearProgram, solve_lp
 from .rng import derive_stream
 from .spectral import check_basis_pair, jacobi_eigh
@@ -55,9 +55,7 @@ class CouplingMatrix:
     w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        b = np.asarray(self.b)
-        if np.iscomplexobj(b):
-            raise SizeMismatchError("coupling block must be real")
+        b = as_real(self.b, "coupling block")
         if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
             raise SizeMismatchError(
                 "coupling block must be n x n with n >= 1, got shape %s"
@@ -69,8 +67,6 @@ class CouplingMatrix:
         w.setflags(write=False)
         # a view of the read-only w is read-only too
         b = w[:n, n:]
-        if not np.all(np.isfinite(b)):
-            raise NonFiniteEntryError("coupling block has non-finite entries")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", b)
 

@@ -19,7 +19,8 @@ class GftDualError(Exception):
 
 
 class IndexOutOfRangeError(GftDualError):
-    """A vertex index falls outside 0..n-1."""
+    """A vertex index or count is not an integer or falls outside its
+    range (0..n-1 for an index), or a permutation is not a bijection."""
 
 
 class SelfLoopError(GftDualError):
@@ -31,11 +32,11 @@ class DuplicateEdgeError(GftDualError):
 
 
 class NonPositiveWeightError(GftDualError):
-    """An edge weight is zero or negative."""
+    """An edge weight is zero, negative or not finite."""
 
 
 class OffsetOutOfRangeError(GftDualError):
-    """A circulant offset falls outside 1..n//2."""
+    """A circulant offset is not an integer or falls outside 1..n//2."""
 
 
 class ParseError(GftDualError):
@@ -48,7 +49,8 @@ class ParseError(GftDualError):
 
 class SizeMismatchError(GftDualError):
     """An input has the wrong shape (a matrix that must be square is not,
-    for one), or two inputs that must share a dimension do not."""
+    for one) or is not real where it must be, or two inputs that must
+    share a dimension do not."""
 
 
 # -------------------------------------------------------------- numerics

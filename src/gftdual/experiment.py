@@ -12,12 +12,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .alignment import (CD, CDPM, SolverConfig, check_count,
-                        dualness_from_objective, multistart)
+from .alignment import (CD, CDPM, SolverConfig, dualness_from_objective,
+                        multistart)
 from .dup import build_coupling, dup_bound
 from .errors import (EmptyInputError, NonFiniteEntryError, ParseError,
                      ResampleCapExceeded)
-from .graphs import erdos_renyi
+from .graphs import check_count, erdos_renyi
 from .rng import SplitMix64
 from .spectral import eigendecompose, has_distinct_eigenvalues
 

@@ -1,4 +1,9 @@
-"""Undirected weighted graphs and their constructors.
+"""Undirected weighted graphs, their constructors, and the input rules.
+
+The input rules are the library's one check each for counts
+(check_count), indices (as_indices), permutations (check_permutations)
+and real matrices (as_real); every entry point that takes such an input
+calls them with its own documented error class.
 
 A graph on n vertices is stored as a dense symmetric adjacency matrix with
 an exactly zero diagonal and non-negative weights. Graphs are immutable
@@ -22,6 +27,7 @@ import numpy as np
 from .errors import (
     DuplicateEdgeError,
     IndexOutOfRangeError,
+    NonFiniteEntryError,
     NonPositiveWeightError,
     OffsetOutOfRangeError,
     ParseError,
@@ -29,6 +35,70 @@ from .errors import (
     SizeMismatchError,
 )
 from .rng import SplitMix64
+
+
+# ------------------------------------------------------------ input rules
+
+
+def check_count(value, name, error=ValueError) -> int:
+    """value as an int, which must be an integer >= 1 and not a bool;
+    error, the caller's documented class, otherwise."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if count < 1:
+        raise error(f"{name} must be >= 1, got {count}")
+    return count
+
+
+def as_indices(values, error=IndexOutOfRangeError) -> np.ndarray:
+    """values as an intp array.  Entries must be of an integer dtype or
+    floats that already are integers (arange(6.0) is fine); anything
+    else raises error.  A cast would truncate 0.5, NaN or inf to a
+    valid-looking index, and read bool, string or complex entries
+    (dropping an imaginary part) as numbers."""
+    a = np.asarray(values)
+    integral = a.dtype.kind in "iu" or (a.dtype.kind == "f" and np.all(
+        (np.floor(a) == a) & (np.abs(a) < np.iinfo(np.intp).max)))
+    if not integral:
+        raise error(f"indices must be integers, got dtype {a.dtype}")
+    return a.astype(np.intp, copy=False)
+
+
+def check_permutations(perms, n, name="permutation") -> np.ndarray:
+    """perms as an (R, n) intp array: one permutation of 0..n-1, shape
+    (n,), or a stack of R >= 1 of them, shape (R, n).  Entries follow
+    as_indices; a wrong shape raises SizeMismatchError and a row that is
+    not a bijection of 0..n-1 (n = 0 included) IndexOutOfRangeError."""
+    p = as_indices(perms)
+    stack = p[None] if p.ndim == 1 else p
+    if stack.ndim != 2 or stack.shape[0] < 1 or stack.shape[1] != n:
+        raise SizeMismatchError(f"{name} must have shape ({n},) or "
+                                f"(R, {n}), got {p.shape}")
+    if n == 0 or not (np.sort(stack, axis=1) == np.arange(n)).all():
+        raise IndexOutOfRangeError(f"{name} rows must be bijections of "
+                                   f"0..{n - 1}")
+    return stack
+
+
+def as_real(values, name, nonfinite=NonFiniteEntryError) -> np.ndarray:
+    """values as a float64 array (values itself if it is one).  Bool,
+    integer and float entries are cast; complex, string and object
+    entries raise SizeMismatchError (a cast would drop an imaginary part
+    or parse text), and a NaN or infinite entry raises nonfinite."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        raise SizeMismatchError(f"{name} must be real, got dtype {a.dtype}")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise nonfinite(f"{name} has non-finite entries")
+    return a
+
+
+# ----------------------------------------------------------------- graphs
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,14 +115,13 @@ class Graph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.adjacency, dtype=float)
+        a = as_real(self.adjacency, "adjacency",
+                    NonPositiveWeightError).copy()
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise SizeMismatchError("adjacency must be a square matrix")
         if a.shape[0] < 1:
             raise IndexOutOfRangeError(
                 f"vertex count must be >= 1, got {a.shape[0]}")
-        if not np.all(np.isfinite(a)):
-            raise NonPositiveWeightError("adjacency entries must be finite")
         if not np.array_equal(a, a.T):
             raise SizeMismatchError("adjacency must be exactly symmetric")
         if np.any(np.diagonal(a) != 0.0):
@@ -71,18 +140,6 @@ class Graph:
         return int(np.count_nonzero(np.triu(self.adjacency, k=1)))
 
 
-def _vertex_count(n) -> int:
-    """n as an int, which must be an integer >= 1 (IndexOutOfRangeError)."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise IndexOutOfRangeError(
-            f"vertex count must be an integer, got {n!r}") from None
-    if n < 1:
-        raise IndexOutOfRangeError(f"vertex count must be >= 1, got {n}")
-    return n
-
-
 def new_graph(n: int, edges) -> Graph:
     """Build a graph from an edge list.
 
@@ -94,7 +151,7 @@ def new_graph(n: int, edges) -> Graph:
         Iterable of (i, j, w) with 0 <= i, j < n, i != j and w > 0.
         Endpoint order is immaterial; a pair may appear at most once.
     """
-    n = _vertex_count(n)
+    n = check_count(n, "vertex count", IndexOutOfRangeError)
     a = np.zeros((n, n))
     for i, j, w in edges:
         _add_edge(a, i, j, w)
@@ -108,7 +165,7 @@ def _add_edge(a, i, j, w) -> None:
     (also for a weight that is not finite) or DuplicateEdgeError.
     """
     n = a.shape[0]
-    i, j = int(i), int(j)
+    i, j = as_indices(i).item(), as_indices(j).item()
     if not (0 <= i < n and 0 <= j < n):
         raise IndexOutOfRangeError(f"edge ({i}, {j}) outside 0..{n - 1}")
     if i == j:
@@ -129,7 +186,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     order (i ascending, then j); the edge is present when the draw is < p.
     Identical seeds give identical graphs on every platform.
     """
-    n = _vertex_count(n)
+    n = check_count(n, "vertex count", IndexOutOfRangeError)
     if not (0.0 <= p <= 1.0):
         raise NonPositiveWeightError(f"edge probability must be in [0, 1], got {p}")
     # triu_indices lists the pairs in the documented row-major order
@@ -145,11 +202,11 @@ def circulant(n: int, offsets) -> Graph:
     ``offsets`` is an iterable of (k, w) with 1 <= k <= n//2 and w > 0.
     A repeated offset overwrites the earlier weight.
     """
-    n = _vertex_count(n)
+    n = check_count(n, "vertex count", IndexOutOfRangeError)
     a = np.zeros((n, n))
     vertices = np.arange(n)
     for k, w in offsets:
-        k = int(k)
+        k = as_indices(k, OffsetOutOfRangeError).item()
         if not (1 <= k <= n // 2):
             raise OffsetOutOfRangeError(f"offset {k} outside 1..{n // 2}")
         if not (float(w) > 0.0):
@@ -170,32 +227,12 @@ def is_circulant(graph: Graph) -> bool:
 # ------------------------------------------------------------ permutations
 
 
-def as_indices(values) -> np.ndarray:
-    """values as an intp array.  Entries must be of an integer dtype or
-    floats that already are integers (arange(6.0) is fine); anything
-    else raises IndexOutOfRangeError.  A cast would truncate 0.5, NaN or
-    inf to a valid-looking index, and read bool, string or complex
-    entries (dropping an imaginary part) as numbers."""
-    a = np.asarray(values)
-    integral = a.dtype.kind in "iu" or (a.dtype.kind == "f" and np.all(
-        (np.floor(a) == a) & (np.abs(a) < np.iinfo(np.intp).max)))
-    if not integral:
-        raise IndexOutOfRangeError("permutation entries must be integers, "
-                                   "got dtype %s" % a.dtype)
-    return a.astype(np.intp, copy=False)
-
-
 def check_permutation(perm, n: int | None = None) -> np.ndarray:
-    """Validate and return a permutation of 0..len-1 as an intp array."""
-    p = as_indices(perm)
-    if p.ndim != 1:
+    """perm, which must be one permutation of 0..n-1 (0..len-1 when n is
+    None), as an intp array: the one-row case of check_permutations."""
+    if np.ndim(perm) != 1:
         raise SizeMismatchError("permutation must be one-dimensional")
-    if n is not None and p.shape[0] != n:
-        raise SizeMismatchError(f"permutation length {p.shape[0]} != {n}")
-    m = p.shape[0]
-    if m == 0 or not np.array_equal(np.sort(p), np.arange(m)):
-        raise IndexOutOfRangeError("not a bijection of 0..n-1")
-    return p
+    return check_permutations(perm, len(perm) if n is None else n)[0]
 
 
 def invert_permutation(perm) -> np.ndarray:

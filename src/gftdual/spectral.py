@@ -10,7 +10,6 @@ largest-magnitude entry is positive, ties broken by the lowest row index.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import scipy.linalg
 from .errors import (ConvergenceFailure, NonFiniteEntryError,
                      NonOrthogonalInputError, RepeatedEigenvaluesError,
                      SizeMismatchError)
-from .graphs import Graph
+from .graphs import Graph, as_real, check_count
 
 ORTHOGONALITY_TOL = 1e-8
 # eigenvalue gaps must exceed this fraction of max(1, max |eigenvalue|)
@@ -41,11 +40,9 @@ def jacobi_eigh(matrix: np.ndarray):
         Eigenvalues ascending; vectors[:, k] belongs to eigenvalues[k].
         No sign normalization is applied here.
     """
-    a = np.asarray(matrix, dtype=float)
+    a = as_real(matrix, "jacobi_eigh's matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SizeMismatchError("jacobi_eigh needs a square matrix")
-    if not np.isfinite(a).all():
-        raise NonFiniteEntryError("jacobi_eigh needs finite entries")
     try:
         eigenvalues, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as error:
@@ -178,10 +175,5 @@ def igft(decomposition: SpectralDecomposition, spectrum: np.ndarray) -> np.ndarr
 
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix U[j, k] = exp(-2 pi i j k / n) / sqrt(n)."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise SizeMismatchError(f"n must be an integer, got {n!r}") from None
-    if n < 1:
-        raise SizeMismatchError(f"n must be >= 1, got {n}")
-    return scipy.linalg.dft(n, scale="sqrtn")
+    return scipy.linalg.dft(check_count(n, "n", SizeMismatchError),
+                            scale="sqrtn")

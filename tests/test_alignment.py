@@ -718,6 +718,11 @@ def test_solver_config_validation():
         SolverConfig(restarts=2.5)
     with pytest.raises(ValueError, match="max_iterations must be an integer"):
         SolverConfig(max_iterations=2.5)
+    # True would read as 1
+    with pytest.raises(ValueError, match="restarts must be an integer"):
+        SolverConfig(restarts=True)
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        SolverConfig(max_iterations=True)
     assert type(SolverConfig(restarts=np.int64(3)).restarts) is int
     config = SolverConfig()
     assert config.epsilon == 1e-8

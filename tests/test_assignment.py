@@ -93,6 +93,13 @@ def test_complex_scores_are_rejected():
             solve_assignment_max(s)
 
 
+def test_string_and_object_scores_are_rejected():
+    # the float cast parsed the text and solved [[1, 2], [3, 4]]
+    for s in ([["1", "2"], ["3", "4"]], np.ones((2, 2), dtype=object)):
+        with pytest.raises(SizeMismatchError, match="real"):
+            solve_assignment_max(s)
+
+
 def test_empty_instance():
     sigma, value = solve_assignment_max(np.zeros((0, 0)))
     assert sigma.shape == (0,)

@@ -526,8 +526,11 @@ def test_coupling_validation():
     for shape in ((2, 3), (3,), (2, 2, 2)):
         with pytest.raises(SizeMismatchError):
             CouplingMatrix(np.zeros(shape))
-    with pytest.raises(SizeMismatchError):
-        CouplingMatrix(np.eye(2, dtype=complex))
+    # complex, text and object blocks are not cast to float
+    for block in (np.eye(2, dtype=complex), [["1", "0"], ["0", "1"]],
+                  np.eye(2, dtype=object)):
+        with pytest.raises(SizeMismatchError, match="real"):
+            CouplingMatrix(block)
     nonfinite = np.zeros((2, 2))
     nonfinite[0, 1] = np.nan
     with pytest.raises(NonFiniteEntryError):

@@ -193,7 +193,8 @@ def test_config_validation():
     # counts must be integers, not silently truncated or failing in range()
     for count in ({"restarts": 2.5}, {"max_iterations": 2.5},
                   {"trials": 1.5}, {"n_values": (10.5,)},
-                  {"n_values": (10, 15.0)}):
+                  {"n_values": (10, 15.0)}, {"trials": True},
+                  {"restarts": True}, {"n_values": (True, 10)}):
         with pytest.raises(ValueError, match="must be an integer"):
             ExperimentConfig(**count)
     config = ExperimentConfig(n_values=(np.int64(10),), trials=np.int64(2))

@@ -49,6 +49,14 @@ def test_new_graph_errors():
         new_graph(3, [(0, 1, -2.0)])
     with pytest.raises(IndexOutOfRangeError):
         new_graph(0, [])
+    # an endpoint is an integer, not cast: int() would read 0.7 as 0,
+    # '0' as 0 and True as 1
+    for endpoint in (0.7, "0", True, np.nan):
+        with pytest.raises(IndexOutOfRangeError, match="integers"):
+            new_graph(3, [(endpoint, 2, 1.0)])
+        with pytest.raises(IndexOutOfRangeError, match="integers"):
+            new_graph(3, [(2, endpoint, 1.0)])
+    assert new_graph(3, [(np.int64(0), 2.0, 1.0)]).adjacency[0, 2] == 1.0
 
 
 def test_graph_validates_adjacency():
@@ -65,6 +73,20 @@ def test_graph_validates_adjacency():
     with pytest.raises(IndexOutOfRangeError,
                        match="vertex count must be >= 1, got 0"):
         Graph(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("adjacency", [
+    np.array([[0, 1j], [1j, 0]]),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    [["0", "1"], ["1", "0"]],
+    np.array([[0, 1], [1, 0]], dtype=object),
+], ids=["complex", "complex-real", "string", "object"])
+def test_graph_rejects_adjacency_that_is_not_real(adjacency):
+    # the float cast dropped 1j, giving an edgeless graph, and parsed text
+    with pytest.raises(SizeMismatchError, match="real"):
+        Graph(adjacency)
+    # bool and integer adjacencies are real
+    assert Graph(np.array([[0, 1], [1, 0]], dtype=bool)).edge_count() == 1
 
 
 def test_is_circulant_on_one_vertex():
@@ -130,6 +152,11 @@ def test_circulant_errors():
         circulant(8, [(5, 1.0)])
     with pytest.raises(NonPositiveWeightError):
         circulant(8, [(1, 0.0)])
+    # int() would read 2.9 as offset 2, and NaN raised an untyped error
+    for offset in (2.9, np.nan, "2", True):
+        with pytest.raises(OffsetOutOfRangeError, match="integers"):
+            circulant(6, [(offset, 1.0)])
+    assert circulant(6, [(2.0, 1.0)]).adjacency[0, 2] == 1.0
 
 
 @pytest.mark.parametrize("build", [
@@ -138,7 +165,7 @@ def test_circulant_errors():
     lambda n: circulant(n, [(1, 1.0)]),
 ], ids=["new_graph", "erdos_renyi", "circulant"])
 def test_non_integer_vertex_counts_are_rejected(build):
-    for n in (2.5, 4.0, "4", None):
+    for n in (2.5, 4.0, "4", None, True, np.True_):
         with pytest.raises(IndexOutOfRangeError, match="integer"):
             build(n)
     assert build(np.int64(4)).n == 4

@@ -68,6 +68,17 @@ def test_jacobi_rejects_non_finite():
             jacobi_eigh(a)
 
 
+def test_jacobi_rejects_matrices_that_are_not_real():
+    # the float cast dropped the imaginary parts of this Hermitian matrix
+    # and returned the eigenpairs of the zero matrix
+    for bad in ([[0, 1j], [-1j, 0]], [["2", "1"], ["1", "2"]],
+                np.eye(2, dtype=object)):
+        with pytest.raises(SizeMismatchError, match="real"):
+            jacobi_eigh(bad)
+    w, _ = jacobi_eigh(np.array([[0, 1], [1, 0]], dtype=bool))
+    assert np.allclose(w, [-1.0, 1.0])
+
+
 def test_jacobi_deterministic():
     a = _random_symmetric(np.random.default_rng(5), 10)
     w1, v1 = jacobi_eigh(a)
@@ -182,7 +193,7 @@ def test_dft_matrix_unitary_and_diagonalizes_circulants():
 
 def test_dft_matrix_rejects_non_integer_sizes():
     # scipy would give a 3 x 3 matrix scaled by 1/sqrt(2.5), not unitary
-    for n in (2.5, 3.0, "3"):
+    for n in (2.5, 3.0, "3", True):
         with pytest.raises(SizeMismatchError, match="integer"):
             dft_matrix(n)
     assert dft_matrix(np.int64(3)).shape == (3, 3)
