@@ -17,9 +17,9 @@ import numpy as np
 
 from .assignment import solve_assignment_max
 from .errors import NonUnitPhaseError, SizeMismatchError, NotCirculantError
-from .graphs import (Graph, check_count, check_permutation,
+from .graphs import (Graph, as_numeric, check_count, check_permutation,
                      check_permutations, invert_permutation, is_circulant)
-from .rng import derive_stream, derived_words
+from .rng import check_seed, derive_stream, derived_words
 from .spectral import (check_basis_pair, check_same_size, check_square,
                        decompose_pair, dft_matrix)
 
@@ -30,13 +30,20 @@ UNIT_PHASE_TOL = 1e-9
 # once: one GEMM per block, without a full (R, n, n) stack in memory
 _SCORE_BLOCK_ENTRIES = 2 ** 14
 
+# the iterated local search of multistart("CDPM"): at most this many
+# perturbation rounds, each start of which swaps this many position pairs
+# of p1 and as many of p2 (tuned on seeded sweeps, see CHANGES.md)
+_PERTURB_ROUNDS = 5
+_PERTURB_SWAPS = 1
+
 CD = "CD"
 CDPM = "CDPM"
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Convergence threshold, iteration cap, restart count and seed."""
+    """Convergence threshold, iteration cap, restart count (the number of
+    descents multistart runs) and seed (rng.check_seed)."""
 
     epsilon: float = 1e-8
     max_iterations: int = 500
@@ -49,13 +56,14 @@ class SolverConfig:
         for name in ("max_iterations", "restarts"):
             object.__setattr__(self, name, check_count(getattr(self, name),
                                                        name))
+        object.__setattr__(self, "seed", check_seed(self.seed, ValueError))
 
 
 @dataclass(frozen=True)
 class AlignmentSolution:
     """The best start's phases, permutations, objective and descent, with
-    every start's iteration count and convergence flag in start order
-    (read-only arrays, length 1 for a single start)."""
+    every start's iteration count, convergence flag and final objective
+    in start order (read-only arrays, length 1 for a single start)."""
 
     d1: np.ndarray
     d2: np.ndarray
@@ -67,12 +75,14 @@ class AlignmentSolution:
     converged: bool
     restart_iterations: np.ndarray
     restart_converged: np.ndarray
+    restart_objectives: np.ndarray
 
 
 def _check_phase_stack(d, n, name):
     """One start, shape (n,), or a stack of starts, shape (R, n), as (R, n);
-    every entry must be finite with modulus 1 within UNIT_PHASE_TOL."""
-    d = np.asarray(d, dtype=complex)
+    every entry must be numeric (as_numeric), finite and of modulus 1
+    within UNIT_PHASE_TOL."""
+    d = as_numeric(d, name).astype(complex, copy=False)
     stack = d[None] if d.ndim == 1 else d
     if stack.ndim != 2 or stack.shape[1] != n or stack.shape[0] < 1:
         raise SizeMismatchError("%s must have shape (%d,) or (R, %d), got %s"
@@ -270,12 +280,12 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
     d1, p1, d2, p2 = final
     best = int(np.argmax(objectives))
     objective = float(objectives[best])
-    iterations.setflags(write=False)
-    converged.setflags(write=False)
+    for array in (iterations, converged, objectives):
+        array.setflags(write=False)
     return AlignmentSolution(d1[best], d2[best], p1[best], p2[best], objective,
                              dualness_from_objective(n, objective),
                              int(iterations[best]), bool(converged[best]),
-                             iterations, converged)
+                             iterations, converged, objectives)
 
 
 def cd_align(v1, v2, config=SolverConfig(), init=None, trace=None):
@@ -356,23 +366,82 @@ def _random_starts(seed, count, n, with_permutations):
     return d1, p1, d2, p2
 
 
-def multistart(method, v1, v2, config=SolverConfig()):
-    """Best of config.restarts independent seeded runs of CD or CDPM.
+def _perturbed_starts(solution, seed, first, count):
+    """Starts first..first+count-1 of the search as (R, n) stacks: each
+    copies solution's phases and permutations, and start first + k swaps
+    _PERTURB_SWAPS position pairs (i, j), i != j, of p1 and then of p2.
 
-    Restart r uses the derived stream SplitMix64(seed + r); phases are
-    uniform on the unit circle, permutations uniform.  All starts are
-    drawn in one block and run as one stacked descent; the best
-    objective wins and ties keep the earliest restart.
+    Every pair comes from two words of derive_stream(seed, first + k) as
+    i = int(random() * n) and j = int(random() * (n - 1)), plus 1 when
+    j >= i, so one block of words gives every start's swaps; a size-1
+    pair has nothing to swap and its starts are plain copies.
+    """
+    n = solution.p1.shape[0]
+    perms = np.tile(np.stack([solution.p1, solution.p2]), (count, 1, 1))
+    if n > 1:
+        words = derived_words(seed + first, count, 4 * _PERTURB_SWAPS)
+        # SplitMix64.random, elementwise: (start, side, swap, i or j)
+        u = ((words >> np.uint64(11)) * 2.0**-53).reshape(
+            count, 2, _PERTURB_SWAPS, 2)
+        i = (u[..., 0] * n).astype(np.intp)
+        j = (u[..., 1] * (n - 1)).astype(np.intp)
+        j += j >= i
+        starts = np.arange(count)[:, None]
+        sides = np.arange(2)
+        for t in range(_PERTURB_SWAPS):
+            a, b = i[:, :, t], j[:, :, t]
+            held = perms[starts, sides, a]
+            perms[starts, sides, a] = perms[starts, sides, b]
+            perms[starts, sides, b] = held
+    return (np.tile(solution.d1, (count, 1)), perms[:, 0],
+            np.tile(solution.d2, (count, 1)), perms[:, 1])
+
+
+def _joined(runs, name):
+    joined = np.concatenate([getattr(run, name) for run in runs])
+    joined.setflags(write=False)
+    return joined
+
+
+def multistart(method, v1, v2, config=SolverConfig()):
+    """Best of config.restarts seeded descents of CD or CDPM.
+
+    Descent r of the seeded starts uses the derived stream
+    SplitMix64(seed + r); phases are uniform on the unit circle,
+    permutations uniform.  CD runs all config.restarts descents from
+    such starts, as one stacked descent.  CDPM runs the first
+    ceil(restarts / 2) so, as one stacked descent, and spends the rest
+    as an iterated local search: at most _PERTURB_ROUNDS stacked rounds
+    of near-equal size (earlier rounds one larger) whose starts perturb
+    the best solution so far (_perturbed_starts), descent r again drawing
+    from derive_stream(seed, r).  The best objective wins and ties keep
+    the earliest descent; the restart_* arrays cover every descent in
+    draw order.
     """
     method = method.upper()
     if method not in (CD, CDPM):
         raise ValueError("method must be CD or CDPM, got %r" % (method,))
     # cd_align and cdpm_align check the pair; the starts need only n
     n = check_square(v1, "V1").shape[0]
-    init = _random_starts(config.seed, config.restarts, n, method == CDPM)
     if method == CD:
-        return cd_align(v1, v2, config, init)
-    return cdpm_align(v1, v2, config, init)
+        return cd_align(v1, v2, config, _random_starts(
+            config.seed, config.restarts, n, False))
+    first = -(-config.restarts // 2)
+    best = cdpm_align(v1, v2, config,
+                      _random_starts(config.seed, first, n, True))
+    runs = [best]
+    left = config.restarts - first
+    rounds = min(_PERTURB_ROUNDS, left)
+    for k in range(rounds):
+        count = left // rounds + (k < left % rounds)
+        run = cdpm_align(v1, v2, config,
+                         _perturbed_starts(best, config.seed, first, count))
+        runs.append(run)
+        first += count
+        if run.objective > best.objective:
+            best = run
+    return replace(best, **{name: _joined(runs, name) for name in (
+        "restart_iterations", "restart_converged", "restart_objectives")})
 
 
 def run_pair(g1: Graph, g2: Graph, method, config=SolverConfig()):

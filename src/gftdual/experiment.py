@@ -18,7 +18,7 @@ from .dup import build_coupling, dup_bound
 from .errors import (EmptyInputError, NonFiniteEntryError, ParseError,
                      ResampleCapExceeded)
 from .graphs import check_count, erdos_renyi
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 from .spectral import eigendecompose, has_distinct_eigenvalues
 
 DUP = "DUP"
@@ -63,6 +63,7 @@ class ExperimentConfig:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         object.__setattr__(self, "trials", check_count(self.trials, "trials"))
+        object.__setattr__(self, "seed", check_seed(self.seed, ValueError))
         self._solver_config()
         methods = tuple(str(m).upper() for m in self.methods)
         if not methods:

@@ -1,9 +1,10 @@
 """Undirected weighted graphs, their constructors, and the input rules.
 
 The input rules are the library's one check each for counts
-(check_count), indices (as_indices), permutations (check_permutations)
-and real matrices (as_real); every entry point that takes such an input
-calls them with its own documented error class.
+(check_count), indices (as_indices), permutations (check_permutations),
+real matrices (as_real) and arrays that may be complex, bases and phases
+(as_numeric); every entry point that takes such an input calls them with
+its own documented error class.  Seeds follow rng.check_seed.
 
 A graph on n vertices is stored as a dense symmetric adjacency matrix with
 an exactly zero diagonal and non-negative weights. Graphs are immutable
@@ -82,6 +83,16 @@ def check_permutations(perms, n, name="permutation") -> np.ndarray:
         raise IndexOutOfRangeError(f"{name} rows must be bijections of "
                                    f"0..{n - 1}")
     return stack
+
+
+def as_numeric(values, name) -> np.ndarray:
+    """values as an array (values itself if it is one) of bool, integer,
+    float or complex entries; string and object entries raise
+    SizeMismatchError, since a cast would parse text."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biufc":
+        raise SizeMismatchError(f"{name} must be numeric, got dtype {a.dtype}")
+    return a
 
 
 def as_real(values, name, nonfinite=NonFiniteEntryError) -> np.ndarray:

@@ -12,9 +12,15 @@ experiment.py for the documented draw order). The j-th word (j >= 1) of a
 derived stream depends only on its state ``seed + k + j * GAMMA``, so
 ``derived_words`` computes the first words of many streams in one array
 expression.
+
+Seed rule (check_seed): a seed is any integer, numpy integers included,
+taken mod 2**64. A bool, a float (even 2.0) or a string is refused, since
+a cast would truncate 2.5 to seed 2 and read True as seed 1.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -22,6 +28,18 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+
+def check_seed(seed, error=TypeError) -> int:
+    """seed mod 2**64 as an int; seed must be an integer and not a bool,
+    error, the caller's documented class, otherwise."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or isinstance(seed, (bool, np.bool_)):
+        raise error(f"seed must be an integer, got {seed!r}")
+    return value & _MASK64
 
 
 class SplitMix64:
@@ -34,7 +52,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = int(seed) & _MASK64
+        self._state = check_seed(seed)
 
     def next_uint64(self) -> int:
         """Next raw 64-bit word."""
@@ -85,7 +103,7 @@ class SplitMix64:
 
 def derive_stream(seed: int, index: int) -> SplitMix64:
     """The index-th derived stream of a master seed (see module docstring)."""
-    return SplitMix64((int(seed) + int(index)) & _MASK64)
+    return SplitMix64(check_seed(seed) + check_seed(index))
 
 
 def derived_words(seed: int, count: int, k: int) -> np.ndarray:
@@ -95,7 +113,7 @@ def derived_words(seed: int, count: int, k: int) -> np.ndarray:
     if count < 0 or k < 0:
         raise ValueError("count and k must be non-negative")
     # uint64 array arithmetic wraps mod 2**64, as the scalar masks do
-    starts = np.uint64(int(seed) & _MASK64) + np.arange(count, dtype=np.uint64)
+    starts = np.uint64(check_seed(seed)) + np.arange(count, dtype=np.uint64)
     steps = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     z = starts[:, None] + steps[None, :]
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)

@@ -18,7 +18,7 @@ import scipy.linalg
 from .errors import (ConvergenceFailure, NonFiniteEntryError,
                      NonOrthogonalInputError, RepeatedEigenvaluesError,
                      SizeMismatchError)
-from .graphs import Graph, as_real, check_count
+from .graphs import Graph, as_numeric, as_real, check_count
 
 ORTHOGONALITY_TOL = 1e-8
 # eigenvalue gaps must exceed this fraction of max(1, max |eigenvalue|)
@@ -121,8 +121,9 @@ def decompose_pair(g1: Graph, g2: Graph):
 
 
 def check_square(v, name):
-    """v as a square array: complex if v is complex, float otherwise."""
-    v = np.asarray(v)
+    """v as a square array: complex if v is complex, float otherwise;
+    text or object entries raise SizeMismatchError (as_numeric)."""
+    v = as_numeric(v, name)
     v = v.astype(complex if np.iscomplexobj(v) else float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise SizeMismatchError("%s must be square, got shape %s" % (name, v.shape))

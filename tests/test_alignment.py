@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gftdual import alignment
 from gftdual.alignment import (CD, CDPM, ZERO_DIAGONAL_TOL, SolverConfig,
-                               _phases_of_diagonal, _random_init,
-                               _random_starts, cd_align, cdpm_align,
-                               isomorphism_transport, multistart, run_pair,
+                               _PERTURB_ROUNDS, _PERTURB_SWAPS,
+                               _perturbed_starts, _phases_of_diagonal,
+                               _random_init, _random_starts, cd_align,
+                               cdpm_align, isomorphism_transport, multistart,
+                               run_pair,
                                trace_objective, verify_circulant_duality)
 from gftdual.dup import build_coupling
 from gftdual.errors import (IndexOutOfRangeError, NonFiniteEntryError,
@@ -390,16 +393,95 @@ def test_cdpm_on_a_real_basis_matches_its_complex_cast(n):
         assert abs(real.objective - cast.objective) <= 1e-12
 
 
+def _perturbed(incumbent, seed, r):
+    """The start of search descent r: the incumbent's phases, and its
+    permutations with the transpositions drawn from derive_stream(seed, r),
+    scalar draw by scalar draw."""
+    n = incumbent.p1.shape[0]
+    stream = derive_stream(seed, r)
+    perms = [incumbent.p1.copy(), incumbent.p2.copy()]
+    for p in perms:
+        for _ in range(_PERTURB_SWAPS):
+            i = int(stream.random() * n)
+            j = int(stream.random() * (n - 1))
+            j += j >= i
+            p[i], p[j] = p[j], p[i]
+    return incumbent.d1, perms[0], incumbent.d2, perms[1]
+
+
+def _check_cdpm_search(v1, v2, config, monkeypatch):
+    """multistart(CDPM) against the documented search: one stacked
+    cdpm_align on the first ceil(R/2) seeded starts, then rounds whose
+    starts are the incumbent with exactly the drawn transpositions."""
+    n = v1.shape[0]
+    calls = []
+
+    def recording(v1, v2, config, init):
+        calls.append((init, cdpm_align(v1, v2, config, init)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(alignment, "cdpm_align", recording)
+    solution = multistart(CDPM, v1, v2, config)
+    restarts = config.restarts
+    first = -(-restarts // 2)
+    starts = _seeded_starts(CDPM, n, first, config.seed)
+    stacked = cdpm_align(v1, v2, config,
+                         tuple(np.array(part) for part in zip(*starts)))
+    init, run = calls[0]
+    for part, expected in zip(init, zip(*starts)):
+        assert np.array_equal(part, np.array(expected))
+    assert run.objective == stacked.objective
+    assert np.array_equal(run.restart_objectives, stacked.restart_objectives)
+    left = restarts - first
+    rounds = min(_PERTURB_ROUNDS, left)
+    assert len(calls) == 1 + rounds
+    incumbent = run
+    r = first
+    for k, (init, run) in enumerate(calls[1:]):
+        assert len(run.restart_objectives) == (left // rounds
+                                               + (k < left % rounds))
+        for row in range(len(run.restart_objectives)):
+            expected = _perturbed(incumbent, config.seed, r)
+            for part, value in zip(init, expected):
+                assert np.array_equal(part[row], value)
+            r += 1
+        if run.objective > incumbent.objective:
+            incumbent = run
+    assert r == restarts
+    for name in ("objective", "iterations", "converged"):
+        assert getattr(solution, name) == getattr(incumbent, name)
+    for name in ("d1", "d2", "p1", "p2"):
+        assert np.array_equal(getattr(solution, name),
+                              getattr(incumbent, name))
+    # every descent in draw order; the earliest best is the answer
+    for name in ("restart_iterations", "restart_converged",
+                 "restart_objectives"):
+        joined = getattr(solution, name)
+        assert len(joined) == restarts
+        assert not joined.flags.writeable
+        assert np.array_equal(joined, np.concatenate(
+            [getattr(run, name) for _, run in calls]))
+    objectives = solution.restart_objectives
+    best = int(np.argmax(objectives))
+    assert objectives[best] == solution.objective
+    assert solution.iterations == solution.restart_iterations[best]
+    return solution
+
+
 @pytest.mark.parametrize("method", [CD, CDPM])
-def test_multistart_is_one_stacked_call(method):
+def test_multistart_is_one_stacked_call(method, monkeypatch):
+    # CD runs one stacked descent on all seeded starts; CDPM runs one on
+    # the first half of them and perturbs the incumbent after that
     n = 9
     v1 = _eigvecs(n, 0.4, 90)
     v2 = _eigvecs(n, 0.4, 91)
-    align = cd_align if method == CD else cdpm_align
     config = SolverConfig(restarts=12, seed=5)
+    if method == CDPM:
+        _check_cdpm_search(v1, v2, config, monkeypatch)
+        return
     starts = _seeded_starts(method, n, config.restarts, config.seed)
-    stacked = align(v1, v2, config, tuple(np.array(part)
-                                          for part in zip(*starts)))
+    stacked = cd_align(v1, v2, config, tuple(np.array(part)
+                                             for part in zip(*starts)))
     solution = multistart(method, v1, v2, config)
     assert solution.objective == stacked.objective
     assert np.array_equal(solution.d1, stacked.d1)
@@ -407,6 +489,39 @@ def test_multistart_is_one_stacked_call(method):
     assert np.array_equal(solution.p1, stacked.p1)
     assert np.array_equal(solution.p2, stacked.p2)
     assert solution.iterations == stacked.iterations
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 3, 50])
+def test_cdpm_search_at_every_budget(restarts, monkeypatch):
+    # 1 descent has no perturbed round, 2 and 3 have one perturbed
+    # descent, 50 has five rounds of five
+    v1 = _eigvecs(10, 0.4, 92)
+    v2 = _eigvecs(10, 0.4, 93)
+    config = SolverConfig(restarts=restarts, seed=2**64 - 3)
+    solution = _check_cdpm_search(v1, v2, config, monkeypatch)
+    if restarts == 50:
+        # the search found a better optimum than its independent starts
+        assert solution.objective > max(solution.restart_objectives[:25])
+
+
+@pytest.mark.parametrize("n, seed", [(7, 11), (2, 2**64 - 2)])
+def test_perturbed_block_equals_scalar_draws(n, seed):
+    # seed 2**64 - 2 makes the block's streams wrap around 2**64
+    rng = np.random.default_rng(n)
+    incumbent = cdpm_align(_random_unitary(rng, n), _random_unitary(rng, n),
+                           init=_random_init(derive_stream(3, 0), n, True))
+    block = _perturbed_starts(incumbent, seed, 4, 6)
+    for k in range(6):
+        for part, value in zip(block, _perturbed(incumbent, seed, 4 + k)):
+            assert np.array_equal(part[k], value)
+
+
+def test_perturbed_starts_of_a_single_vertex_are_copies():
+    one = cdpm_align(np.eye(1), np.eye(1))
+    d1, p1, d2, p2 = _perturbed_starts(one, 0, 1, 3)
+    assert np.array_equal(p1, np.zeros((3, 1))) and np.array_equal(p1, p2)
+    assert np.array_equal(d1, np.tile(one.d1, (3, 1)))
+    assert np.array_equal(d2, np.tile(one.d2, (3, 1)))
 
 
 def test_stacked_start_validation():
@@ -724,6 +839,12 @@ def test_solver_config_validation():
     with pytest.raises(ValueError, match="max_iterations must be an integer"):
         SolverConfig(max_iterations=True)
     assert type(SolverConfig(restarts=np.int64(3)).restarts) is int
+    # 2.5 would run seed 2's restarts and True seed 1's
+    for seed in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SolverConfig(seed=seed)
+    assert SolverConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+    assert SolverConfig(seed=-1) == SolverConfig(seed=2**64 - 1)
     config = SolverConfig()
     assert config.epsilon == 1e-8
     assert config.max_iterations == 500

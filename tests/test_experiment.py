@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gftdual import experiment
 from gftdual.errors import (EmptyInputError, NonFiniteEntryError, ParseError,
                             ResampleCapExceeded)
+from gftdual.alignment import CDPM
 from gftdual.experiment import (CSV_HEADER, DUP, METHODS, PLOT_BOTTOM,
                                 PLOT_LEFT, PLOT_RIGHT, PLOT_TOP,
                                 Y_PAD_FRACTION, ExperimentConfig,
@@ -206,6 +207,33 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(methods=())
     assert ExperimentConfig(methods=("cd", "dup")).methods == ("CD", "DUP")
+    # a seed is any integer, taken mod 2**64
+    for seed in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ExperimentConfig(seed=seed)
+    assert ExperimentConfig(seed=np.int64(-1)).seed == 2**64 - 1
+
+
+# mean CDPM objectives of the four-trial ExperimentConfig() sweep when every
+# one of its 50 descents ran from an independent seeded start: over
+# n = 10..30 on seeds 0 and 1009, and per n = 20, 25 and 30 on seed 1009
+INDEPENDENT_RESTARTS_MEAN = {0: 12.2098, 1009: 12.2038}
+INDEPENDENT_RESTARTS_MEAN_1009 = {20: 12.4534, 25: 14.4022, 30: 16.3408}
+
+
+@pytest.mark.parametrize("seed", [0, 1009])
+def test_cdpm_search_beats_independent_restarts_at_the_same_budget(seed):
+    # a quality gate on seeds the search schedule was not tuned on
+    records = run_experiment(ExperimentConfig(trials=4, seed=seed,
+                                              methods=(CDPM,)),
+                             clock=FakeClock())
+    means = {n: np.mean([r.objective for r in records if r.n == n])
+             for n in ExperimentConfig().n_values}
+    assert np.mean([r.objective for r in records]) > \
+        INDEPENDENT_RESTARTS_MEAN[seed]
+    if seed == 1009:
+        for n, floor in INDEPENDENT_RESTARTS_MEAN_1009.items():
+            assert means[n] >= floor
 
 
 def _make_record(n, trial, method, objective):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gftdual.rng import SplitMix64, derive_stream, derived_words
+from gftdual.rng import SplitMix64, check_seed, derive_stream, derived_words
 
 # First outputs of the reference mixer for two seeds, computed from the
 # published algorithm (state += 0x9E3779B97F4A7C15; two xor-multiply
@@ -50,6 +50,30 @@ def test_matches_reference_implementation():
 
 def test_seed_masked_to_64_bits():
     assert SplitMix64(2**64 + 5).next_uint64() == SplitMix64(5).next_uint64()
+
+
+@pytest.mark.parametrize("seed", [np.int64(-3), np.uint64(2**64 - 3), -3,
+                                  np.int8(-3)])
+def test_any_integer_is_a_seed_mod_2_64(seed):
+    first = SplitMix64(2**64 - 3).next_uint64()
+    assert check_seed(seed) == 2**64 - 3
+    assert SplitMix64(seed).next_uint64() == first
+    assert derive_stream(seed, 0).next_uint64() == first
+    assert derive_stream(0, seed).next_uint64() == first
+    assert int(derived_words(seed, 1, 1)[0, 0]) == first
+
+
+@pytest.mark.parametrize("seed", [True, np.True_, 2.5, 2.0, np.float64(2.0),
+                                  "2", 2 + 0j, None])
+def test_seeds_that_are_not_integers_raise(seed):
+    # a cast would run 2.5 as seed 2 and True as seed 1
+    for call in (SplitMix64, check_seed, lambda s: derive_stream(s, 0),
+                 lambda s: derive_stream(0, s),
+                 lambda s: derived_words(s, 2, 2)):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            call(seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        check_seed(seed, ValueError)
 
 
 def test_random_unit_interval():

@@ -89,6 +89,12 @@ _SCALAR_ENTRIES = (
      gftdual.IndexOutOfRangeError),
     ("circulant offset", lambda k: gftdual.circulant(6, [(k, 1.0)]),
      gftdual.OffsetOutOfRangeError),
+    ("SplitMix64 seed", gftdual.SplitMix64, TypeError),
+    ("derive_stream index", lambda k: gftdual.derive_stream(0, k), TypeError),
+    ("erdos_renyi seed", lambda s: gftdual.erdos_renyi(3, 0.5, s), TypeError),
+    ("SolverConfig.seed", lambda s: gftdual.SolverConfig(seed=s), ValueError),
+    ("ExperimentConfig.seed",
+     lambda s: gftdual.ExperimentConfig(seed=s), ValueError),
 )
 # (entry point, call) for the permutation rule, IndexOutOfRangeError
 _PERMUTATION_ENTRIES = (
@@ -119,6 +125,17 @@ _MATRIX_ENTRIES = (
      lambda lam: gftdual.verify_dual_witness(_GRAPH, lam),
      [1.0, 0.0, -1.0], gftdual.NonFiniteEntryError),
 )
+# (entry point, call, a valid input) for arrays that may be complex, bases
+# and phases: text and object entries raise SizeMismatchError
+_NUMERIC_ENTRIES = (
+    ("cd_align V1", lambda v: gftdual.cd_align(v, _V), _V),
+    ("multistart V2", lambda v: gftdual.multistart(
+        gftdual.CDPM, _V, v, gftdual.SolverConfig(restarts=2)), _V),
+    ("cdpm_align init d1", lambda d: gftdual.cdpm_align(
+        _V, _V, init=(d, _IDENTITY, _ONES, _IDENTITY)), _ONES),
+    ("cd_align init d2", lambda d: gftdual.cd_align(_V, _V,
+                                                    init=(_ONES, d)), _ONES),
+)
 # (entry point, call) for the phases of the start rule, NonUnitPhaseError
 _PHASE_ENTRIES = (
     ("cd_align init d1", lambda d: gftdual.cd_align(_V, _V,
@@ -140,6 +157,10 @@ def _rows():
         for kind, bad in _matrices(valid).items():
             error = nonfinite if kind == "nan" else gftdual.SizeMismatchError
             yield name, kind, bad, call, error
+    for name, call, valid in _NUMERIC_ENTRIES:
+        for kind, dtype in (("string", str), ("object", object)):
+            yield (name, kind, np.asarray(valid).astype(dtype), call,
+                   gftdual.SizeMismatchError)
     for name, call in _PHASE_ENTRIES:
         yield name, "nan", [np.nan, 1.0, 1.0], call, gftdual.NonUnitPhaseError
 
@@ -162,5 +183,8 @@ def test_the_valid_inputs_of_the_table_are_accepted():
         call([2, 0, 1])
     for _, call, valid, _ in _MATRIX_ENTRIES:
         call(valid)
+    for _, call, valid in _NUMERIC_ENTRIES:
+        call(valid)
+        call(np.asarray(valid, dtype=complex))
     for _, call in _PHASE_ENTRIES:
         call([1.0, -1.0, 1j])
