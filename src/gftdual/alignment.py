@@ -18,8 +18,9 @@ import numpy as np
 from .assignment import solve_assignment_max
 from .errors import NonUnitPhaseError, SizeMismatchError, NotCirculantError
 from .graphs import (Graph, as_numeric, check_count, check_permutation,
-                     check_permutations, invert_permutation, is_circulant)
-from .rng import check_seed, derive_stream, derived_words
+                     check_permutations, check_real, invert_permutation,
+                     is_circulant)
+from .rng import check_seed, derived_randoms
 from .spectral import (check_basis_pair, check_same_size, check_square,
                        decompose_pair, dft_matrix)
 
@@ -31,10 +32,8 @@ UNIT_PHASE_TOL = 1e-9
 _SCORE_BLOCK_ENTRIES = 2 ** 14
 
 # the iterated local search of multistart("CDPM"): at most this many
-# perturbation rounds, each start of which swaps this many position pairs
-# of p1 and as many of p2 (tuned on seeded sweeps, see CHANGES.md)
+# perturbation rounds (tuned on seeded sweeps, see CHANGES.md)
 _PERTURB_ROUNDS = 5
-_PERTURB_SWAPS = 1
 
 CD = "CD"
 CDPM = "CDPM"
@@ -51,8 +50,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        object.__setattr__(self, "epsilon",
+                           check_real(self.epsilon, "epsilon"))
         for name in ("max_iterations", "restarts"):
             object.__setattr__(self, name, check_count(getattr(self, name),
                                                        name))
@@ -315,84 +314,48 @@ def cdpm_align(v1, v2, config=SolverConfig(), init=None, trace=None):
                     update_permutations=True, trace=trace)
 
 
-def _random_init(stream, n, with_permutations):
-    d1 = stream.unit_phases(n)
-    d2 = stream.unit_phases(n)
-    if not with_permutations:
-        return d1, d2
-    p1 = stream.permutation(n)
-    p2 = stream.permutation(n)
-    return d1, p1, d2, p2
-
-
 def _random_starts(seed, count, n, with_permutations):
-    """Starts 0..count-1 as (R, n) stacks; start r equals
-    _random_init(derive_stream(seed, r), n, with_permutations).
-
-    Each stream's words are drawn in one block: 2n phase words, then
-    n - 1 Fisher-Yates words per permutation, swapped for all starts at
-    once.  A start with a word that integer_below would reject draws
-    more words than that and is redrawn by _random_init.
+    """Starts 0..count-1 as (R, n) stacks.  Start r reads the first 2n
+    (CD) or 4n (CDPM) random() floats of derive_stream(seed, r): floats
+    [0, n) and [n, 2n) times 2 pi are the angles of d1 and d2, and floats
+    [2n, 3n) and [3n, 4n), ranked, are p1 and p2.  So start r equals the
+    scalar draws unit_phases(n), unit_phases(n), permutation(n),
+    permutation(n) of that stream.
     """
-    swaps = max(n - 1, 0)
-    words = derived_words(seed, count,
-                          2 * n + (2 * swaps if with_permutations else 0))
-    # SplitMix64.random and unit_phases, elementwise
-    angles = 2.0 * np.pi * ((words[:, :2 * n] >> np.uint64(11)) * 2.0**-53)
+    sides = 4 if with_permutations else 2
+    u = derived_randoms(seed, count, sides * n).reshape(count, sides, n)
+    # SplitMix64.unit_phases and permutation, row by row
+    angles = 2.0 * np.pi * u[:, :2]
     phases = np.cos(angles) + 1j * np.sin(angles)
-    d1, d2 = phases[:, :n], phases[:, n:]
     if not with_permutations:
-        return d1, d2
-    # Fisher-Yates position i swaps with integer_below(i + 1), i = n-1..1;
-    # integer_below accepts words below (2**64 // b) * b
-    bounds = range(n, 1, -1)
-    last_accepted = np.array([((1 << 64) // b) * b - 1 for b in bounds],
-                             dtype=np.uint64)
-    words = words[:, 2 * n:].reshape(count, 2, swaps)
-    rejected = np.flatnonzero(np.any(words > last_accepted, axis=(1, 2)))
-    targets = (words % np.array(bounds, dtype=np.uint64)).astype(np.intp)
-    perms = np.tile(np.arange(n, dtype=np.intp), (count, 2, 1))
-    starts = np.arange(count)[:, None]
-    sides = np.arange(2)
-    for t, i in enumerate(range(n - 1, 0, -1)):
-        j = targets[:, :, t]
-        held = perms[starts, sides, j]
-        perms[starts, sides, j] = perms[:, :, i]
-        perms[:, :, i] = held
-    p1, p2 = perms[:, 0], perms[:, 1]
-    for r in rejected:
-        d1[r], p1[r], d2[r], p2[r] = _random_init(derive_stream(seed, r), n,
-                                                  True)
-    return d1, p1, d2, p2
+        return phases[:, 0], phases[:, 1]
+    perms = np.argsort(u[:, 2:], axis=-1, kind="stable")
+    return phases[:, 0], perms[:, 0], phases[:, 1], perms[:, 1]
 
 
 def _perturbed_starts(solution, seed, first, count):
     """Starts first..first+count-1 of the search as (R, n) stacks: each
     copies solution's phases and permutations, and start first + k swaps
-    _PERTURB_SWAPS position pairs (i, j), i != j, of p1 and then of p2.
+    one position pair (i, j), i != j, of p1 and then one of p2.
 
-    Every pair comes from two words of derive_stream(seed, first + k) as
-    i = int(random() * n) and j = int(random() * (n - 1)), plus 1 when
-    j >= i, so one block of words gives every start's swaps; a size-1
-    pair has nothing to swap and its starts are plain copies.
+    Each pair comes from two random() floats u, v of
+    derive_stream(seed, first + k) as i = int(u * n) and
+    j = int(v * (n - 1)), plus 1 when j >= i, so one block of floats
+    gives every start's swaps; a size-1 pair has nothing to swap and its
+    starts are plain copies.
     """
     n = solution.p1.shape[0]
     perms = np.tile(np.stack([solution.p1, solution.p2]), (count, 1, 1))
     if n > 1:
-        words = derived_words(seed + first, count, 4 * _PERTURB_SWAPS)
-        # SplitMix64.random, elementwise: (start, side, swap, i or j)
-        u = ((words >> np.uint64(11)) * 2.0**-53).reshape(
-            count, 2, _PERTURB_SWAPS, 2)
+        # (start, side, i or j)
+        u = derived_randoms(seed + first, count, 4).reshape(count, 2, 2)
         i = (u[..., 0] * n).astype(np.intp)
         j = (u[..., 1] * (n - 1)).astype(np.intp)
         j += j >= i
         starts = np.arange(count)[:, None]
         sides = np.arange(2)
-        for t in range(_PERTURB_SWAPS):
-            a, b = i[:, :, t], j[:, :, t]
-            held = perms[starts, sides, a]
-            perms[starts, sides, a] = perms[starts, sides, b]
-            perms[starts, sides, b] = held
+        perms[starts, sides, i], perms[starts, sides, j] = (
+            perms[starts, sides, j], perms[starts, sides, i])
     return (np.tile(solution.d1, (count, 1)), perms[:, 0],
             np.tile(solution.d2, (count, 1)), perms[:, 1])
 
@@ -406,9 +369,10 @@ def _joined(runs, name):
 def multistart(method, v1, v2, config=SolverConfig()):
     """Best of config.restarts seeded descents of CD or CDPM.
 
-    Descent r of the seeded starts uses the derived stream
-    SplitMix64(seed + r); phases are uniform on the unit circle,
-    permutations uniform.  CD runs all config.restarts descents from
+    Seeded descent r starts from the first random() floats of
+    derive_stream(seed, r) (_random_starts): phases uniform on the unit
+    circle and, for CDPM, permutations uniform as the ranks of floats
+    (SplitMix64.permutation).  CD runs all config.restarts descents from
     such starts, as one stacked descent.  CDPM runs the first
     ceil(restarts / 2) so, as one stacked descent, and spends the rest
     as an iterated local search: at most _PERTURB_ROUNDS stacked rounds

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalBreakdown, SizeMismatchError
-from .graphs import as_real
+from .graphs import as_real, check_real
 from .lp import LinearProgram, solve_lp
 from .rng import derive_stream
 from .spectral import check_basis_pair, jacobi_eigh
@@ -257,8 +257,7 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
     """
     if not isinstance(w, CouplingMatrix):
         raise SizeMismatchError("dup_bound expects a CouplingMatrix")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    tol = check_real(tol, "tol")
     matrix = w.w
     m = matrix.shape[0]
 

@@ -17,7 +17,7 @@ from .alignment import (CD, CDPM, SolverConfig, dualness_from_objective,
 from .dup import build_coupling, dup_bound
 from .errors import (EmptyInputError, NonFiniteEntryError, ParseError,
                      ResampleCapExceeded)
-from .graphs import check_count, erdos_renyi
+from .graphs import check_count, check_real, erdos_renyi
 from .rng import SplitMix64, check_seed
 from .spectral import eigendecompose, has_distinct_eigenvalues
 
@@ -60,8 +60,7 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("n_values must be strictly ascending")
         object.__setattr__(self, "n_values", values)
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
+        object.__setattr__(self, "p", check_real(self.p, "p", upper=1))
         object.__setattr__(self, "trials", check_count(self.trials, "trials"))
         object.__setattr__(self, "seed", check_seed(self.seed, ValueError))
         self._solver_config()
@@ -122,8 +121,8 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic):
 
     One seed sequencer drives the whole run: per (n, trial), three
     sub-seeds are drawn (pair sampling, CD restarts, CDPM restarts) in
-    that order, whether or not every method was requested.  Records are
-    returned sorted by (n, trial, method).
+    that order, whether or not every method was requested.  Records come
+    in (n, trial, METHODS) order, which is sorted by (n, trial, method).
     """
     records = []
     solver = config._solver_config()
@@ -159,7 +158,6 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic):
                     objective=float(objective), dualness=float(dualness),
                     iterations=int(iterations), restarts_used=restarts_used,
                     resample_count=resamples, wall_time_ms=elapsed_ms))
-    records.sort(key=lambda r: (r.n, r.trial, r.method))
     return records
 
 

@@ -1,10 +1,11 @@
 """Undirected weighted graphs, their constructors, and the input rules.
 
 The input rules are the library's one check each for counts
-(check_count), indices (as_indices), permutations (check_permutations),
-real matrices (as_real) and arrays that may be complex, bases and phases
-(as_numeric); every entry point that takes such an input calls them with
-its own documented error class.  Seeds follow rng.check_seed.
+(check_count), real settings (check_real), indices (as_indices),
+permutations (check_permutations), real matrices (as_real) and arrays
+that may be complex, bases and phases (as_numeric); every entry point
+that takes such an input calls them with its own documented error
+class.  Seeds follow rng.check_seed.
 
 A graph on n vertices is stored as a dense symmetric adjacency matrix with
 an exactly zero diagonal and non-negative weights. Graphs are immutable
@@ -20,6 +21,7 @@ shortest round-trip decimal weights, so write(read(s)) is a canonical form.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -53,6 +55,22 @@ def check_count(value, name, error=ValueError) -> int:
     if count < 1:
         raise error(f"{name} must be >= 1, got {count}")
     return count
+
+
+def check_real(value, name, error=ValueError, upper=None) -> float:
+    """value as a float, which must be a real number and not a bool or
+    text, and finite: positive, or within [0, upper] when upper is given;
+    error, the caller's documented class, otherwise."""
+    if (not isinstance(value, numbers.Real)
+            or isinstance(value, (bool, np.bool_))):
+        raise error(f"{name} must be a real number, got {value!r}")
+    real = float(value)
+    # written so that NaN fails both tests
+    if upper is None and not 0.0 < real < np.inf:
+        raise error(f"{name} must be positive and finite, got {real!r}")
+    if upper is not None and not 0.0 <= real <= upper:
+        raise error(f"{name} must lie in [0, {upper}], got {real!r}")
+    return real
 
 
 def as_indices(values, error=IndexOutOfRangeError) -> np.ndarray:
@@ -198,8 +216,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     Identical seeds give identical graphs on every platform.
     """
     n = check_count(n, "vertex count", IndexOutOfRangeError)
-    if not (0.0 <= p <= 1.0):
-        raise NonPositiveWeightError(f"edge probability must be in [0, 1], got {p}")
+    p = check_real(p, "edge probability", NonPositiveWeightError, upper=1)
     # triu_indices lists the pairs in the documented row-major order
     i, j = np.triu_indices(n, 1)
     upper = np.zeros((n, n))

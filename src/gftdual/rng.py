@@ -11,7 +11,13 @@ index; the experiment harness draws sub-seeds from a sequencer stream (see
 experiment.py for the documented draw order). The j-th word (j >= 1) of a
 derived stream depends only on its state ``seed + k + j * GAMMA``, so
 ``derived_words`` computes the first words of many streams in one array
-expression.
+expression, and ``derived_randoms`` their random() floats.
+
+Float rule: a word w gives the float (w >> 11) * 2**-53 in [0, 1), with
+53 random bits; derived_randoms is its one implementation.  Permutation
+rule: a random permutation of 0..n-1 is the stable argsort of n such
+floats (SplitMix64.permutation), so every permutation is equally likely
+up to ties among the floats.
 
 Seed rule (check_seed): a seed is any integer, numpy integers included,
 taken mod 2**64. A bool, a float (even 2.0) or a string is refused, since
@@ -71,11 +77,13 @@ class SplitMix64:
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_uint64() >> 11) * 2.0**-53
+        return float(self.randoms(1)[0])
 
     def randoms(self, k: int) -> np.ndarray:
         """The next k random() floats as one array."""
-        return (self.words(k) >> np.uint64(11)) * 2.0**-53
+        block = derived_randoms(self._state, 1, k)[0]
+        self._state = (self._state + k * _GAMMA) & _MASK64
+        return block
 
     def integer_below(self, bound: int) -> int:
         """Unbiased integer in [0, bound) via rejection sampling."""
@@ -88,12 +96,9 @@ class SplitMix64:
                 return word % bound
 
     def permutation(self, n: int) -> np.ndarray:
-        """Uniform random permutation of 0..n-1 (Fisher-Yates)."""
-        perm = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.integer_below(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        return np.array(perm, dtype=np.intp)
+        """Uniform random permutation of 0..n-1: the ranks of the next n
+        random() floats (stable argsort, so ties keep index order)."""
+        return np.argsort(self.randoms(n), kind="stable")
 
     def unit_phases(self, n: int) -> np.ndarray:
         """n complex numbers uniform on the unit circle."""
@@ -119,3 +124,9 @@ def derived_words(seed: int, count: int, k: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
+
+
+def derived_randoms(seed: int, count: int, k: int) -> np.ndarray:
+    """The first k random() floats of derived streams 0..count-1 as a
+    (count, k) float array: the float rule applied to derived_words."""
+    return (derived_words(seed, count, k) >> np.uint64(11)) * 2.0**-53

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from gftdual import alignment
 from gftdual.alignment import (CD, CDPM, ZERO_DIAGONAL_TOL, SolverConfig,
-                               _PERTURB_ROUNDS, _PERTURB_SWAPS,
-                               _perturbed_starts, _phases_of_diagonal,
-                               _random_init, _random_starts, cd_align,
+                               _PERTURB_ROUNDS, _perturbed_starts,
+                               _phases_of_diagonal, _random_starts, cd_align,
                                cdpm_align, isomorphism_transport, multistart,
                                run_pair,
                                trace_objective, verify_circulant_duality)
@@ -19,9 +18,19 @@ from gftdual.errors import (IndexOutOfRangeError, NonFiniteEntryError,
                             NotCirculantError, RepeatedEigenvaluesError,
                             SizeMismatchError)
 from gftdual.graphs import Graph, circulant, erdos_renyi, invert_permutation
-from gftdual.rng import derive_stream, derived_words
+from gftdual.rng import derive_stream
 from gftdual.spectral import decompose_pair, eigendecompose
 from oracles import permutation_matrix
+
+
+def _random_init(stream, n, with_permutations):
+    """The scalar reference of multistart's start rule: both phase
+    vectors, then (CDPM) both permutations, drawn from stream in turn."""
+    d1 = stream.unit_phases(n)
+    d2 = stream.unit_phases(n)
+    if not with_permutations:
+        return d1, d2
+    return d1, stream.permutation(n), d2, stream.permutation(n)
 
 
 def _random_unitary(rng, n, complex_valued=False):
@@ -256,16 +265,8 @@ def test_multistart_deterministic_and_matches_manual_restart():
 
 def _seeded_starts(method, n, count, seed):
     """The starts multistart draws: restart r from derive_stream(seed, r)."""
-    starts = []
-    for r in range(count):
-        stream = derive_stream(seed, r)
-        d1 = stream.unit_phases(n)
-        d2 = stream.unit_phases(n)
-        if method == CD:
-            starts.append((d1, d2))
-        else:
-            starts.append((d1, stream.permutation(n), d2, stream.permutation(n)))
-    return starts
+    return [_random_init(derive_stream(seed, r), n, method == CDPM)
+            for r in range(count)]
 
 
 @pytest.mark.parametrize("method", [CD, CDPM])
@@ -395,17 +396,16 @@ def test_cdpm_on_a_real_basis_matches_its_complex_cast(n):
 
 def _perturbed(incumbent, seed, r):
     """The start of search descent r: the incumbent's phases, and its
-    permutations with the transpositions drawn from derive_stream(seed, r),
-    scalar draw by scalar draw."""
+    permutations with the transposition of each drawn from
+    derive_stream(seed, r), scalar draw by scalar draw."""
     n = incumbent.p1.shape[0]
     stream = derive_stream(seed, r)
     perms = [incumbent.p1.copy(), incumbent.p2.copy()]
     for p in perms:
-        for _ in range(_PERTURB_SWAPS):
-            i = int(stream.random() * n)
-            j = int(stream.random() * (n - 1))
-            j += j >= i
-            p[i], p[j] = p[j], p[i]
+        i = int(stream.random() * n)
+        j = int(stream.random() * (n - 1))
+        j += j >= i
+        p[i], p[j] = p[j], p[i]
     return incumbent.d1, perms[0], incumbent.d2, perms[1]
 
 
@@ -558,37 +558,19 @@ def test_block_drawn_starts_equal_scalar_draws(n, with_permutations):
                 assert np.array_equal(got[r], expected)
 
 
-def _unmix(word):
-    """The SplitMix64 state whose output is word (the mixer inverted)."""
-    mask = (1 << 64) - 1
-
-    def unshift(y, shift):
-        x = y
-        for _ in range(64 // shift + 1):
-            x = y ^ (x >> shift)
-        return x
-
-    z = unshift(word, 31)
-    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
-    z = unshift(z, 27)
-    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
-    return unshift(z, 30)
-
-
-def test_block_drawn_start_with_rejected_word_is_redrawn():
-    n = 4
-    # words of a CDPM start: 2n phases, then swaps with bounds 4, 3, 2 for
-    # p1; integer_below(3) rejects 2**64 - 1, the word at index 2n + 1,
-    # whose state is seed + r + (2n + 2) * gamma for restart r = 1
-    gamma = 0x9E3779B97F4A7C15
-    state = _unmix((1 << 64) - 1)
-    seed = (state - 1 - (2 * n + 2) * gamma) % (1 << 64)
-    assert derived_words(seed, 2, 2 * n + 2)[1, 2 * n + 1] == (1 << 64) - 1
-    block = _random_starts(seed, 3, n, True)
-    for r in range(3):
-        scalar = _random_init(derive_stream(seed, r), n, True)
-        for got, expected in zip(block, scalar):
-            assert np.array_equal(got[r], expected)
+def test_block_drawn_permutations_are_uniform():
+    # 12000 starts at n = 4: each side's 24 permutations within 5 sigma
+    # of their expected count (binomial, 1/24 each)
+    count = 12000
+    _, p1, _, p2 = _random_starts(7, count, 4, True)
+    expected = count / 24
+    sigma = np.sqrt(count * (1 / 24) * (23 / 24))
+    codes = np.array([64, 16, 4, 1])
+    for perms in (p1, p2):
+        counts = np.bincount(perms @ codes, minlength=256)
+        seen = counts[counts > 0]
+        assert seen.size == 24
+        assert np.all(np.abs(seen - expected) <= 5 * sigma)
 
 
 def test_non_integral_permutations_are_rejected():

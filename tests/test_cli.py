@@ -267,6 +267,7 @@ def test_invalid_config_surfaces_as_solver_error(tmp_path, capsys):
             (["dualness", *missing, "--restarts", "0"], "restarts"),
             (["dualness", *missing, "--max-iter", "0"], "max_iterations"),
             (["dualness", *missing, "--epsilon", "0"], "epsilon"),
+            (["dualness", *missing, "--epsilon", "inf"], "epsilon"),
             (["experiment", "--n", "10,5"], "ascending"),
             (["experiment", "--p", "1.5"], "p must"),
             (["experiment", "--methods", "cd,foo"], "unknown method")):

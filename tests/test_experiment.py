@@ -44,16 +44,22 @@ def test_run_is_deterministic_to_the_byte():
 
 
 def test_record_layout_and_invariants():
-    config = _small_config()
+    # records come sorted by (n, trial, method) in any requested order
+    for methods in (METHODS, ("DUP", "CD")):
+        _check_record_layout(methods)
+
+
+def _check_record_layout(methods):
+    config = _small_config(methods=methods)
     records = run_experiment(config, clock=FakeClock())
-    assert len(records) == 2 * 2 * 3
+    assert len(records) == 2 * 2 * len(methods)
     keys = [(r.n, r.trial, r.method) for r in records]
     assert keys == sorted(keys)
     for r in records:
         assert r.n in (6, 8)
         assert r.p == 0.4
         assert 0 <= r.trial < 2
-        assert r.method in METHODS
+        assert r.method in methods
         assert r.objective <= r.n + 1e-6
         expected = np.sqrt(max(0.0, 2.0 * r.n - 2.0 * r.objective))
         assert abs(r.dualness - expected) <= 1e-9

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gftdual.rng import SplitMix64, check_seed, derive_stream, derived_words
+from gftdual.rng import (SplitMix64, check_seed, derive_stream,
+                         derived_randoms, derived_words)
 
 # First outputs of the reference mixer for two seeds, computed from the
 # published algorithm (state += 0x9E3779B97F4A7C15; two xor-multiply
@@ -110,6 +111,14 @@ def test_permutation_validity_and_coverage():
     assert len(seen) == 6
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 64))
+def test_permutation_is_a_bijection(seed, n):
+    p = SplitMix64(seed).permutation(n)
+    assert p.dtype == np.intp
+    assert np.array_equal(np.sort(p), np.arange(n))
+
+
 def test_unit_phases_modulus():
     phases = SplitMix64(19).unit_phases(500)
     assert phases.shape == (500,)
@@ -170,10 +179,19 @@ def test_words_equal_scalar_draws(seed, skip, k):
 
 
 def test_randoms_equal_scalar_draws():
-    block, scalar = SplitMix64(2**64 - 3), SplitMix64(2**64 - 3)
+    # the reference words, as (w >> 11) * 2**-53 in Python arithmetic;
+    # seed 2**64 - 3 makes the derived streams wrap around 2**64
+    seed = 2**64 - 3
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
     floats = block.randoms(50)
     assert floats.dtype == np.float64
-    assert floats.tolist() == [scalar.random() for _ in range(50)]
-    assert block.next_uint64() == scalar.next_uint64()
+    expected = [(w >> 11) * 2.0**-53 for w in _reference(seed, 51)]
+    assert floats.tolist() == expected[:50]
+    assert [scalar.random() for _ in range(51)] == expected
+    assert block.random() == expected[50]
+    rows = derived_randoms(seed, 5, 3)
+    for r in range(5):
+        assert rows[r].tolist() == [(w >> 11) * 2.0**-53
+                                    for w in _reference(seed + r, 3)]
     with pytest.raises(ValueError):
         SplitMix64(0).words(-1)

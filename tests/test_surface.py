@@ -96,6 +96,22 @@ _SCALAR_ENTRIES = (
     ("ExperimentConfig.seed",
      lambda s: gftdual.ExperimentConfig(seed=s), ValueError),
 )
+# one bad real setting per input class; "1e-8" would parse, True read as 1
+_REALS = {"bool": True, "string": "1e-8", "complex": 0.5 + 0j,
+          "nan": np.nan, "inf": np.inf, "negative": -0.5}
+# (entry point, call, error) for the real-setting rule; 0.5 is valid
+_REAL_ENTRIES = (
+    ("SolverConfig.epsilon",
+     lambda x: gftdual.SolverConfig(epsilon=x), ValueError),
+    ("ExperimentConfig.epsilon",
+     lambda x: gftdual.ExperimentConfig(epsilon=x), ValueError),
+    ("ExperimentConfig.p", lambda x: gftdual.ExperimentConfig(p=x),
+     ValueError),
+    ("erdos_renyi p", lambda x: gftdual.erdos_renyi(3, x, 0),
+     gftdual.NonPositiveWeightError),
+    ("dup_bound tol", lambda x: gftdual.dup_bound(
+        gftdual.build_coupling(_V, _V), x), ValueError),
+)
 # (entry point, call) for the permutation rule, IndexOutOfRangeError
 _PERMUTATION_ENTRIES = (
     ("check_permutation", gftdual.check_permutation),
@@ -150,6 +166,9 @@ def _rows():
     for name, call, error in _SCALAR_ENTRIES:
         for kind, bad in _SCALARS.items():
             yield name, kind, bad, call, error
+    for name, call, error in _REAL_ENTRIES:
+        for kind, bad in _REALS.items():
+            yield name, kind, bad, call, error
     for name, call in _PERMUTATION_ENTRIES:
         for kind, bad in _PERMUTATIONS.items():
             yield name, kind, bad, call, gftdual.IndexOutOfRangeError
@@ -179,6 +198,8 @@ def test_the_valid_inputs_of_the_table_are_accepted():
     # so that each row above fails on its bad input alone
     for _, call, _ in _SCALAR_ENTRIES:
         call(2)
+    for _, call, _ in _REAL_ENTRIES:
+        call(0.5)
     for _, call in _PERMUTATION_ENTRIES:
         call([2, 0, 1])
     for _, call, valid, _ in _MATRIX_ENTRIES:
