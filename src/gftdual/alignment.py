@@ -166,6 +166,17 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
     starts still running.  Returns the AlignmentSolution of the best
     start (ties keep the earliest).  trace, when given (one start only,
     else ValueError), receives the objective after every half-step.
+
+    CDPM defers the matching while it would keep the permutations.  A
+    full iteration solves both assignments exactly; when it gains at
+    least epsilon and keeps both permutations, the start turns lazy and
+    its half-steps become CD's with those permutations fixed, against
+    the operand A[l, k] = V1[p2(k), l] V2[p1(l), k] (diag = d1 A, then
+    d2 A'), until an iteration gains less than epsilon.  The next
+    iteration is full again, and a start converges only on a full
+    iteration that gains less than epsilon, so both matchings of a
+    converged start are exact for its final phases.  Every iteration,
+    lazy or full, counts towards iterations and max_iterations.
     """
     count, n = d1.shape
     if trace is not None and count != 1:
@@ -180,26 +191,26 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
         fixed = (v1, v2)
         v1 = v1.astype(complex)
         v2 = v2.astype(complex)
+        gathered = (v2, v1)
         # CDPM's workspaces, allocated once per descent: respond fills a
         # prefix of each for every block with out=
         size = min(count, block) * n * n
         products = np.empty(size, dtype=complex)
         scores = np.empty(size, dtype=complex)
         magnitudes = np.empty(size)
+        # the lazy starts' operands, rows aligned with the running starts;
+        # a full start's row is multiplied and its product discarded, so
+        # every row starts finite
+        operands = np.zeros((count, n, n), dtype=complex)
     else:
         fixed = ((v1.T * v2).astype(complex), (v2.T * v1).astype(complex))
 
     def respond(a, vb, da, pa, pb_now=None):
-        """Best phases and permutations of side b against side a: the
-        objective is Re tr(Pb S Db) = sum_k Re(S[pb(k), k] db[k]) with
-        S = Va Da Pa Vb and a the fixed operand of side a.  Returns the
-        phases, their value, pb (None for CD) and, when pb_now is given,
-        the entries S[pb_now(k), k] that score side b's current state."""
-        if not update_permutations:
-            # diag(Va Da Vb)_k = sum_j Va[k, j] da[j] Vb[j, k]: one
-            # (R, n) x (n, n) product gives every start's diagonal
-            diag = da @ a
-            return _phases_of_diagonal(diag) + (None, diag)
+        """The matching of side b against side a: the objective is
+        Re tr(Pb S Db) = sum_k Re(S[pb(k), k] db[k]) with S = Va Da Pa Vb
+        and a the fixed operand of side a.  Returns the entries
+        S[pb(k), k] for the best pb, pb and, when pb_now is given, the
+        entries S[pb_now(k), k] that score side b's current state."""
         diag = np.empty(da.shape, dtype=complex)
         now = None if pb_now is None else np.empty(da.shape, dtype=complex)
         pb = np.empty(pa.shape, dtype=np.intp)
@@ -231,7 +242,34 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
             diag[part] = s[starts, pb[part], columns]
             if now is not None:
                 now[part] = s[starts, pb_now[part], columns]
-        return _phases_of_diagonal(diag) + (pb, now)
+        return diag, pb, now
+
+    def half_step(side, da, pa, pb, score=False):
+        """Best phases of side b against side a, their value, pb and, when
+        score is set, the entries that score side b's current state.
+        CD's diag(Va Da Vb)_k = sum_j Va[k, j] da[j] Vb[j, k] is one
+        (R, n) x (n, n) product for every start.  CDPM matches every
+        start when none is lazy; otherwise it takes every start's
+        operand product and, when some start is full, overwrites the
+        full starts' rows with their matching, the only split of the
+        stack."""
+        now = None
+        if not update_permutations:
+            diag = now = da @ fixed[side]
+        elif lazy_count == 0:
+            diag, pb, now = respond(fixed[side], gathered[side], da, pa,
+                                    pb if score else None)
+        else:
+            # da A (side 0) or A da (side 1) with each start's operand A
+            diag = (np.matmul(da[:, None, :], operands)[:, 0] if side == 0
+                    else np.matmul(operands, da[:, :, None])[:, :, 0])
+            if lazy_count < da.shape[0]:
+                full = ~lazy
+                pb = pb.copy()
+                diag[full], pb[full], _ = respond(
+                    fixed[side], gathered[side], da[full], pa[full])
+        phases, value = _phases_of_diagonal(diag)
+        return phases, value, pb, now
 
     d1 = d1.astype(complex)
     d2 = d2.astype(complex)
@@ -241,9 +279,11 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
     iterations = np.empty(count, dtype=int)
     converged = np.empty(count, dtype=bool)
     active = np.arange(count)
+    lazy = np.zeros(count, dtype=bool)
+    lazy_count = 0
     for it in range(config.max_iterations):
-        d2_next, half_value, pb, now = respond(
-            fixed[0], v2, d1, p1, p2 if it == 0 else None)
+        held = p1, p2
+        d2_next, half_value, p2, now = half_step(0, d1, p1, p2, it == 0)
         if it == 0:
             # the first product also scores the starts,
             # Re sum_k S[p2(k), k] d2[k]
@@ -251,16 +291,28 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
             if trace is not None:
                 trace.append(float(previous[0]))
         d2 = d2_next
-        if pb is not None:
-            p2 = pb
         if trace is not None:
             trace.append(float(half_value[0]))
-        d1, value, pb, _ = respond(fixed[1], v1, d2, p2)
-        if pb is not None:
-            p1 = pb
+        d1, value, p1, _ = half_step(1, d2, p2, p1)
         if trace is not None:
             trace.append(float(value[0]))
         done = value - previous < config.epsilon
+        if update_permutations:
+            # a full iteration that rises and keeps both permutations
+            # makes its start lazy; a lazy iteration that gains less than
+            # epsilon hands the start back to a full one, which alone may
+            # converge
+            settle = (~lazy & ~done & (p1 == held[0]).all(axis=1)
+                      & (p2 == held[1]).all(axis=1))
+            # built a score block of starts at a time, so that the
+            # temporaries stay as small as the score workspaces
+            rows = np.flatnonzero(settle)
+            for lo in range(0, rows.size, block):
+                r = rows[lo:lo + block]
+                operands[r] = (v1[p2[r][:, None, :], columns[:, None]]
+                               * v2[p1[r]])
+            lazy, done = lazy & ~done | settle, done & ~lazy
+            lazy_count = np.count_nonzero(lazy)
         leaving = done | (it + 1 == config.max_iterations)
         if leaving.any():
             gone = active[leaving]
@@ -275,6 +327,17 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
                 break
             d1, p1, d2, p2 = d1[staying], p1[staying], d2[staying], p2[staying]
             value = value[staying]
+            if update_permutations:
+                # a start leaves early only on a full iteration, so
+                # lazy_count still holds
+                lazy = lazy[staying]
+                # compacted in place, a block at a time: kept is
+                # increasing, so no block reads a row written before it
+                kept = np.flatnonzero(staying)
+                for lo in range(0, kept.size, block):
+                    r = kept[lo:lo + block]
+                    operands[lo:lo + r.size] = operands[r]
+                operands = operands[:kept.size]
         previous = value
     d1, p1, d2, p2 = final
     best = int(np.argmax(objectives))
@@ -301,14 +364,23 @@ def cd_align(v1, v2, config=SolverConfig(), init=None, trace=None):
 
 
 def cdpm_align(v1, v2, config=SolverConfig(), init=None, trace=None):
-    """CD extended with per-iteration exact max-assignment permutation updates.
+    """CD extended with exact max-assignment permutation updates, solved
+    lazily.
+
+    A full iteration matches each side exactly against the other.  While
+    full iterations keep both permutations, the start runs CD half-steps
+    with them fixed and solves the matching again only once its phases
+    gain less than config.epsilon in an iteration (_descend).  The
+    matching is exact at every full iteration and at convergence: a
+    start converges only on a full iteration that gains less than
+    epsilon.  iterations counts full and lazy iterations alike.
 
     init is an optional (d1, p1, d2, p2) tuple: vectors of length n for
     one start, or (R, n) stacks for R starts run together, of which the
     best is returned (ties keep the earliest).  The default start is
     all-ones phases and identity permutations.  trace, when a list,
     receives the objective value after the initialization and after
-    every half-step; it needs a single start.
+    every half-step, lazy ones included; it needs a single start.
     """
     return _descend(*_check_starts(v1, v2, init, True), config,
                     update_permutations=True, trace=trace)

@@ -1,11 +1,11 @@
 """Undirected weighted graphs, their constructors, and the input rules.
 
 The input rules are the library's one check each for counts
-(check_count), real settings (check_real), indices (as_indices),
-permutations (check_permutations), real matrices (as_real) and arrays
-that may be complex, bases and phases (as_numeric); every entry point
-that takes such an input calls them with its own documented error
-class.  Seeds follow rng.check_seed.
+(check_count), real settings and edge weights (check_real), indices
+(as_indices), permutations (check_permutations), real matrices
+(as_real) and arrays that may be complex, bases and phases
+(as_numeric); every entry point that takes such an input calls them
+with its own documented error class.  Seeds follow rng.check_seed.
 
 A graph on n vertices is stored as a dense symmetric adjacency matrix with
 an exactly zero diagonal and non-negative weights. Graphs are immutable
@@ -177,7 +177,8 @@ def new_graph(n: int, edges) -> Graph:
     n:
         Vertex count, n >= 1.
     edges:
-        Iterable of (i, j, w) with 0 <= i, j < n, i != j and w > 0.
+        Iterable of (i, j, w) with 0 <= i, j < n, i != j and w a
+        positive finite real number (check_real).
         Endpoint order is immaterial; a pair may appear at most once.
     """
     n = check_count(n, "vertex count", IndexOutOfRangeError)
@@ -199,13 +200,21 @@ def _add_edge(a, i, j, w) -> None:
         raise IndexOutOfRangeError(f"edge ({i}, {j}) outside 0..{n - 1}")
     if i == j:
         raise SelfLoopError(f"self loop at vertex {i}")
-    if not (0.0 < float(w) < np.inf):
-        raise NonPositiveWeightError(f"edge ({i}, {j}) has weight {w}")
+    w = _check_weight(w, f"edge ({i}, {j})")
     # every stored weight is positive, so a non-zero entry is an edge
     if a[i, j] != 0.0:
         raise DuplicateEdgeError(f"duplicate edge {(min(i, j), max(i, j))}")
-    a[i, j] = float(w)
-    a[j, i] = float(w)
+    a[i, j] = a[j, i] = w
+
+
+def _check_weight(w, where) -> float:
+    """w as a float by the real-setting rule (check_real): a real number,
+    not a bool or text, positive and finite; NonPositiveWeightError
+    naming where otherwise."""
+    try:
+        return check_real(w, "weight", NonPositiveWeightError)
+    except NonPositiveWeightError as exc:
+        raise NonPositiveWeightError(f"{where} has weight {w!r}") from exc
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -227,7 +236,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 def circulant(n: int, offsets) -> Graph:
     """Circulant graph: vertex i is joined to i +- k (mod n) with weight w.
 
-    ``offsets`` is an iterable of (k, w) with 1 <= k <= n//2 and w > 0.
+    ``offsets`` is an iterable of (k, w) with 1 <= k <= n//2 and w a
+    positive finite real number (check_real).
     A repeated offset overwrites the earlier weight.
     """
     n = check_count(n, "vertex count", IndexOutOfRangeError)
@@ -237,10 +247,9 @@ def circulant(n: int, offsets) -> Graph:
         k = as_indices(k, OffsetOutOfRangeError).item()
         if not (1 <= k <= n // 2):
             raise OffsetOutOfRangeError(f"offset {k} outside 1..{n // 2}")
-        if not (float(w) > 0.0):
-            raise NonPositiveWeightError(f"offset {k} has weight {w}")
+        w = _check_weight(w, f"offset {k}")
         j = (vertices + k) % n
-        a[vertices, j] = a[j, vertices] = float(w)
+        a[vertices, j] = a[j, vertices] = w
     return Graph(a)
 
 

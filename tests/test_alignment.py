@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from gftdual import alignment
 from gftdual.alignment import (CD, CDPM, ZERO_DIAGONAL_TOL, SolverConfig,
@@ -392,6 +393,92 @@ def test_cdpm_on_a_real_basis_matches_its_complex_cast(n):
                               cast.restart_iterations)
         assert np.array_equal(real.restart_converged, cast.restart_converged)
         assert abs(real.objective - cast.objective) <= 1e-12
+
+
+def _lazy_descent(v1, v2, config, start):
+    """The scalar, one-start reference of CDPM's lazy rule.  A full
+    iteration matches side 2 and then side 1 exactly (scipy's assignment
+    on |S|, S = V1 D1 P1 V2 and then V2 D2 P2 V1).  After a full
+    iteration that gains at least epsilon and keeps both permutations,
+    iterations are CD half-steps on A = V1[p2]' o V2[p1] until one gains
+    less than epsilon; only a full iteration converges.  Returns the
+    objective, the iteration count, the convergence flag and, per
+    iteration, whether it was lazy."""
+    n = v1.shape[0]
+    columns = np.arange(n)
+    d1, p1, d2, p2 = (np.asarray(part) for part in start)
+    previous = trace_objective(v1, d1, p1, v2, d2, p2)
+    lazy = False
+    kinds = []
+    for it in range(config.max_iterations):
+        kinds.append(lazy)
+        if lazy:
+            d2, _ = _masked_phases(d1 @ a)
+            d1, value = _masked_phases(a @ d2)
+            lazy = value - previous >= config.epsilon
+        else:
+            held = p1, p2
+            s = v1 @ np.diag(d1) @ v2[p1]
+            p2 = linear_sum_assignment(-np.abs(s).T)[1]
+            d2, _ = _masked_phases(s[p2, columns])
+            s = v2 @ np.diag(d2) @ v1[p2]
+            p1 = linear_sum_assignment(-np.abs(s).T)[1]
+            d1, value = _masked_phases(s[p1, columns])
+            if value - previous < config.epsilon:
+                return value, it + 1, True, kinds
+            lazy = (np.array_equal(p1, held[0])
+                    and np.array_equal(p2, held[1]))
+            # A[l, k] = V1[p2(k), l] V2[p1(l), k]
+            a = v1[p2].T * v2[p1]
+        previous = value
+    return previous, config.max_iterations, False, kinds
+
+
+@pytest.mark.parametrize("n, count, complex_valued, cap", [
+    (6, 20, False, 500), (10, 25, True, 500), (40, 25, False, 500),
+    (40, 12, True, 500), (12, 16, False, 9)])
+def test_lazy_descent_matches_the_scalar_reference(n, count, complex_valued,
+                                                   cap):
+    # at n = 40 the full starts take several score blocks; the cap of 9
+    # stops starts inside lazy and full iterations alike.  Random bases,
+    # since a small graph's symmetries can tie two matchings exactly,
+    # and rounding then picks either
+    rng = np.random.default_rng(n)
+    v1 = _random_unitary(rng, n, complex_valued)
+    v2 = _random_unitary(rng, n, complex_valued)
+    config = SolverConfig(max_iterations=cap)
+    starts = _seeded_starts(CDPM, n, count, seed=n)
+    stacked = cdpm_align(v1, v2, config,
+                         tuple(np.array(part) for part in zip(*starts)))
+    objectives, iterations, converged, kinds = zip(
+        *(_lazy_descent(v1, v2, config, start) for start in starts))
+    assert np.max(np.abs(stacked.restart_objectives - objectives)) <= 1e-12
+    assert np.array_equal(stacked.restart_iterations, iterations)
+    assert np.array_equal(stacked.restart_converged, converged)
+    # the stack ran with no lazy start, with some and with all of them
+    paths = set()
+    for it in range(max(iterations)):
+        running = [lazy[it] for lazy in kinds if len(lazy) > it]
+        paths.add((any(running), all(running)))
+    assert paths == {(False, False), (True, False), (True, True)}
+
+
+def test_converged_cdpm_answer_is_a_matching_fixed_point():
+    # a start converges only on a full iteration, so one more full
+    # iteration from a converged answer keeps both permutations
+    for n, seed in ((10, 60), (30, 62)):
+        v1 = _eigvecs(n, 0.4, seed)
+        v2 = _eigvecs(n, 0.4, seed + 1)
+        config = SolverConfig(restarts=20, seed=seed)
+        solution = multistart(CDPM, v1, v2, config)
+        assert solution.converged
+        again = cdpm_align(v1, v2, SolverConfig(max_iterations=1),
+                           (solution.d1, solution.p1, solution.d2,
+                            solution.p2))
+        assert np.array_equal(again.p1, solution.p1)
+        assert np.array_equal(again.p2, solution.p2)
+        assert again.objective - solution.objective < config.epsilon
+        assert again.converged
 
 
 def _perturbed(incumbent, seed, r):

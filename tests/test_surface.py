@@ -111,6 +111,10 @@ _REAL_ENTRIES = (
      gftdual.NonPositiveWeightError),
     ("dup_bound tol", lambda x: gftdual.dup_bound(
         gftdual.build_coupling(_V, _V), x), ValueError),
+    ("new_graph weight", lambda w: gftdual.new_graph(3, [(0, 1, w)]),
+     gftdual.NonPositiveWeightError),
+    ("circulant weight", lambda w: gftdual.circulant(6, [(1, w)]),
+     gftdual.NonPositiveWeightError),
 )
 # (entry point, call) for the permutation rule, IndexOutOfRangeError
 _PERMUTATION_ENTRIES = (
