@@ -176,7 +176,9 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
     iteration is full again, and a start converges only on a full
     iteration that gains less than epsilon, so both matchings of a
     converged start are exact for its final phases.  Every iteration,
-    lazy or full, counts towards iterations and max_iterations.
+    lazy or full, counts towards iterations and max_iterations.  A full
+    half-step scores a block of starts at a time, one product and one
+    solve_assignment_max call per block (respond).
     """
     count, n = d1.shape
     if trace is not None and count != 1:
@@ -184,20 +186,10 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
     columns = np.arange(n)
     block = max(1, _SCORE_BLOCK_ENTRIES // max(1, n * n))
     # the fixed operands, built once here rather than at every product:
-    # CD's diag(Va Da Vb) = da (Va' o Vb), CDPM's Va of S = Va Da Pa Vb
+    # CD's diag(Va Da Vb) = da (Va' o Vb), CDPM's Va and Vb of
+    # S = Va Da Pa Vb, the bases themselves
     if update_permutations:
-        # Va keeps the bases' dtype, so that a real basis forms S with
-        # real arithmetic; the gathered Vb rows come from complex copies
         fixed = (v1, v2)
-        v1 = v1.astype(complex)
-        v2 = v2.astype(complex)
-        gathered = (v2, v1)
-        # CDPM's workspaces, allocated once per descent: respond fills a
-        # prefix of each for every block with out=
-        size = min(count, block) * n * n
-        products = np.empty(size, dtype=complex)
-        scores = np.empty(size, dtype=complex)
-        magnitudes = np.empty(size)
         # the lazy starts' operands, rows aligned with the running starts;
         # a full start's row is multiplied and its product discarded, so
         # every row starts finite
@@ -205,12 +197,13 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
     else:
         fixed = ((v1.T * v2).astype(complex), (v2.T * v1).astype(complex))
 
-    def respond(a, vb, da, pa, pb_now=None):
+    def respond(side, da, pa, pb_now=None):
         """The matching of side b against side a: the objective is
-        Re tr(Pb S Db) = sum_k Re(S[pb(k), k] db[k]) with S = Va Da Pa Vb
-        and a the fixed operand of side a.  Returns the entries
-        S[pb(k), k] for the best pb, pb and, when pb_now is given, the
-        entries S[pb_now(k), k] that score side b's current state."""
+        Re tr(Pb S Db) = sum_k Re(S[pb(k), k] db[k]) with
+        S = Va Da Pa Vb.  Returns the entries S[pb(k), k] for the best
+        pb, pb and, when pb_now is given, the entries S[pb_now(k), k]
+        that score side b's current state."""
+        a, vb = fixed[side], fixed[1 - side]
         diag = np.empty(da.shape, dtype=complex)
         now = None if pb_now is None else np.empty(da.shape, dtype=complex)
         pb = np.empty(pa.shape, dtype=np.intp)
@@ -220,24 +213,12 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
             # product: S[:, r, :] = Va X[:, r, :], X[l, r, k] = da[r, l]
             # Vb[pa[r, l], k]
             m = da[part].shape[0]
-            used = m * n * n
-            # the permutation checks and LSAP keep pa in range, so clip
-            # never clips (and, unlike raise, does not buffer out)
-            x = np.take(vb, pa[part].T, axis=0, mode="clip",
-                        out=products[:used].reshape(n, m, n))
-            np.multiply(da[part].T[:, :, None], x, out=x)
+            x = (da[part].T[:, :, None] * vb[pa[part].T]).reshape(n, m * n)
             # a real Va multiplies the interleaved real and imaginary
             # parts of X in one real product; a complex Va sees X as is
-            x = x.reshape(n, m * n)
-            s = np.matmul(a, x.view(a.dtype),
-                          out=scores[:used].reshape(n, m * n).view(a.dtype))
-            s = s.view(complex).reshape(n, m, n).transpose(1, 0, 2)
-            # |S| in (start, column, row) order, so that the negated cost
-            # solve_assignment_max builds from its transpose is one
-            # contiguous pass
-            magnitude = np.abs(s.transpose(0, 2, 1),
-                               out=magnitudes[:used].reshape(m, n, n))
-            pb[part], _ = solve_assignment_max(magnitude.transpose(0, 2, 1))
+            s = (a @ x.view(a.dtype)).view(complex)
+            s = s.reshape(n, m, n).transpose(1, 0, 2)
+            pb[part], _ = solve_assignment_max(np.abs(s))
             starts = np.arange(m)[:, None]
             diag[part] = s[starts, pb[part], columns]
             if now is not None:
@@ -257,8 +238,7 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
         if not update_permutations:
             diag = now = da @ fixed[side]
         elif lazy_count == 0:
-            diag, pb, now = respond(fixed[side], gathered[side], da, pa,
-                                    pb if score else None)
+            diag, pb, now = respond(side, da, pa, pb if score else None)
         else:
             # da A (side 0) or A da (side 1) with each start's operand A
             diag = (np.matmul(da[:, None, :], operands)[:, 0] if side == 0
@@ -266,8 +246,7 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
             if lazy_count < da.shape[0]:
                 full = ~lazy
                 pb = pb.copy()
-                diag[full], pb[full], _ = respond(
-                    fixed[side], gathered[side], da[full], pa[full])
+                diag[full], pb[full], _ = respond(side, da[full], pa[full])
         phases, value = _phases_of_diagonal(diag)
         return phases, value, pb, now
 
@@ -305,7 +284,7 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
             settle = (~lazy & ~done & (p1 == held[0]).all(axis=1)
                       & (p2 == held[1]).all(axis=1))
             # built a score block of starts at a time, so that the
-            # temporaries stay as small as the score workspaces
+            # temporaries stay as small as a block's scores
             rows = np.flatnonzero(settle)
             for lo in range(0, rows.size, block):
                 r = rows[lo:lo + block]
@@ -452,9 +431,10 @@ def multistart(method, v1, v2, config=SolverConfig()):
     the best solution so far (_perturbed_starts), descent r again drawing
     from derive_stream(seed, r).  The best objective wins and ties keep
     the earliest descent; the restart_* arrays cover every descent in
-    draw order.
+    draw order.  method is read as str(method).upper(), ExperimentConfig's
+    rule; a name other than CD or CDPM raises ValueError.
     """
-    method = method.upper()
+    method = str(method).upper()
     if method not in (CD, CDPM):
         raise ValueError("method must be CD or CDPM, got %r" % (method,))
     # cd_align and cdpm_align check the pair; the starts need only n

@@ -17,7 +17,7 @@ from .alignment import (CD, CDPM, SolverConfig, dualness_from_objective,
 from .dup import build_coupling, dup_bound
 from .errors import (EmptyInputError, NonFiniteEntryError, ParseError,
                      ResampleCapExceeded)
-from .graphs import check_count, check_real, erdos_renyi
+from .graphs import check_count, check_real, erdos_renyi, parse_number
 from .rng import SplitMix64, check_seed
 from .spectral import eigendecompose, has_distinct_eigenvalues
 
@@ -180,6 +180,8 @@ def write_csv(records) -> str:
 
 
 def read_csv(text) -> list:
+    """Records of write_csv's text, numbers read by graphs.parse_number;
+    ParseError at the offending line otherwise."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -197,11 +199,15 @@ def read_csv(text) -> list:
                              line_number=index)
         try:
             record = ExperimentRecord(
-                n=int(parts[0]), p=float(parts[1]), trial=int(parts[2]),
-                method=parts[3], objective=float(parts[4]),
-                dualness=float(parts[5]), iterations=int(parts[6]),
-                restarts_used=int(parts[7]), resample_count=int(parts[8]),
-                wall_time_ms=int(parts[9]))
+                n=parse_number(parts[0], int),
+                p=parse_number(parts[1], float),
+                trial=parse_number(parts[2], int), method=parts[3],
+                objective=parse_number(parts[4], float),
+                dualness=parse_number(parts[5], float),
+                iterations=parse_number(parts[6], int),
+                restarts_used=parse_number(parts[7], int),
+                resample_count=parse_number(parts[8], int),
+                wall_time_ms=parse_number(parts[9], int))
         except ValueError as exc:
             raise ParseError("bad field: %s" % exc, line_number=index)
         if not np.isfinite([record.p, record.objective,

@@ -3,9 +3,10 @@
 The input rules are the library's one check each for counts
 (check_count), real settings and edge weights (check_real), indices
 (as_indices), permutations (check_permutations), real matrices
-(as_real) and arrays that may be complex, bases and phases
-(as_numeric); every entry point that takes such an input calls them
-with its own documented error class.  Seeds follow rng.check_seed.
+(as_real), arrays that may be complex, bases and phases
+(as_numeric), and numbers read from text (parse_number); every entry
+point that takes such an input calls them with its own documented
+error class.  Seeds follow rng.check_seed.
 
 A graph on n vertices is stored as a dense symmetric adjacency matrix with
 an exactly zero diagonal and non-negative weights. Graphs are immutable
@@ -14,9 +15,10 @@ after construction: the adjacency array is copied and marked read-only.
 File format
 -----------
 Line 1 holds the vertex count N. Each following non-empty line is
-``i j w`` with 0-indexed endpoints and a positive weight. Lines starting
-with ``#`` are comments. The writer emits edges sorted by (i, j) with
-shortest round-trip decimal weights, so write(read(s)) is a canonical form.
+``i j w`` with 0-indexed endpoints and a positive weight, all plain ASCII
+numbers (parse_number). Lines starting with ``#`` are comments. The writer
+emits edges sorted by (i, j) with shortest round-trip decimal weights, so
+write(read(s)) is a canonical form.
 """
 
 from __future__ import annotations
@@ -301,12 +303,23 @@ def write_graph(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_number(token: str, kind):
+    """token read by kind, int or float, which must be plain ASCII with no
+    digit separator; ValueError otherwise.  int() and float() alone would
+    read "1_0" as 10 and an Arabic-Indic three as 3, which no writer here
+    emits."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"{token!r} is not a plain ASCII number")
+    return kind(token)
+
+
 def read_graph(text: str) -> Graph:
     """Parse the text format.
 
-    Raises ParseError for a line that does not parse, and new_graph's
-    errors for an edge it rejects; either error's line_number is the
-    offending line, and its message starts with it.
+    Numbers are read by parse_number.  Raises ParseError for a line
+    that does not parse, and new_graph's errors for an edge it rejects;
+    either error's line_number is the offending line, and its message
+    starts with it.
     """
     a = None
     for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -318,7 +331,7 @@ def read_graph(text: str) -> Graph:
             if len(tokens) != 1:
                 raise ParseError("expected a single vertex count", line_number)
             try:
-                n = int(tokens[0])
+                n = parse_number(tokens[0], int)
             except ValueError:
                 raise ParseError(f"bad vertex count {tokens[0]!r}", line_number) from None
             if n < 1:
@@ -331,8 +344,8 @@ def read_graph(text: str) -> Graph:
         if len(tokens) != 3:
             raise ParseError("expected 'i j w'", line_number)
         try:
-            i, j = int(tokens[0]), int(tokens[1])
-            w = float(tokens[2])
+            i, j = parse_number(tokens[0], int), parse_number(tokens[1], int)
+            w = parse_number(tokens[2], float)
         except ValueError:
             raise ParseError(f"bad edge line {line!r}", line_number) from None
         try:

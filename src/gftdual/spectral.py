@@ -159,16 +159,16 @@ def check_basis_pair(v1, v2):
 
 
 def gft(decomposition: SpectralDecomposition, signal: np.ndarray) -> np.ndarray:
-    """Graph Fourier transform V^T x of a vertex signal."""
-    x = np.asarray(signal)
+    """Graph Fourier transform V^T x of a vertex signal (as_numeric)."""
+    x = as_numeric(signal, "signal")
     if x.shape != (decomposition.n,):
         raise SizeMismatchError(f"signal length {x.shape} != ({decomposition.n},)")
     return decomposition.vectors.T @ x
 
 
 def igft(decomposition: SpectralDecomposition, spectrum: np.ndarray) -> np.ndarray:
-    """Inverse transform V x_hat back to the vertex domain."""
-    x = np.asarray(spectrum)
+    """Inverse transform V x_hat back to the vertex domain (as_numeric)."""
+    x = as_numeric(spectrum, "spectrum")
     if x.shape != (decomposition.n,):
         raise SizeMismatchError(f"spectrum length {x.shape} != ({decomposition.n},)")
     return decomposition.vectors @ x

@@ -160,6 +160,20 @@ def test_read_csv_rejects_non_finite_numbers(row):
     assert info.value.line_number == 3
 
 
+@pytest.mark.parametrize("row", [
+    "1_0,0.4,0,CD,5.0,1.0,3,3,0,2",
+    "6,0.4,0,CD,1_0.5,1.0,3,3,0,2",
+    "6,0.4,0,CD,5.0,1.0,\u0663,3,0,2",
+    "6,0.\u0664,0,CD,5.0,1.0,3,3,0,2",
+])
+def test_read_csv_refuses_digit_separators_and_non_ascii_digits(row):
+    # int() and float() would read each of these as a valid number
+    good_row = "6,0.4,0,CD,5.0,1.0,3,3,0,2"
+    with pytest.raises(ParseError) as info:
+        read_csv(CSV_HEADER + "\n" + good_row + "\n" + row + "\n")
+    assert info.value.line_number == 3
+
+
 @pytest.mark.parametrize("field,value", [
     ("p", float("nan")),
     ("objective", float("inf")),

@@ -389,6 +389,22 @@ def test_read_graph_errors_carry_line_numbers():
         read_graph("3\n0 1 1.0\n1 0 1.0\n")
 
 
+@pytest.mark.parametrize("text, line_number", [
+    ("1_0\n", 1),
+    ("\u0663\n", 1),
+    ("12\n0 1_1 1.0\n", 2),
+    ("12\n0 \u0661 1.0\n", 2),
+    ("12\n0 1 1_0.5\n", 2),
+    ("12\n0 1 \uff12.5\n", 2),
+])
+def test_read_graph_refuses_digit_separators_and_non_ascii_digits(
+        text, line_number):
+    # int() and float() would read each of these as a valid number
+    with pytest.raises(ParseError) as info:
+        read_graph(text)
+    assert info.value.line_number == line_number
+
+
 @pytest.mark.parametrize("text, error, line_number", [
     ("8\n0 9 1.0\n", IndexOutOfRangeError, 2),
     ("# header\n8\n\n3 3 1.0\n", SelfLoopError, 4),

@@ -45,7 +45,8 @@ def test_every_exported_error_class_is_raised():
 # ------------------------------------------------------------ input rules
 
 _GRAPH = gftdual.new_graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
-_V = gftdual.eigendecompose(_GRAPH).vectors
+_DECOMPOSITION = gftdual.eigendecompose(_GRAPH)
+_V = _DECOMPOSITION.vectors
 _ONES = np.ones(3)
 _IDENTITY = np.arange(3)
 _SOLUTION = gftdual.cdpm_align(_V, _V)
@@ -155,6 +156,18 @@ _NUMERIC_ENTRIES = (
         _V, _V, init=(d, _IDENTITY, _ONES, _IDENTITY)), _ONES),
     ("cd_align init d2", lambda d: gftdual.cd_align(_V, _V,
                                                     init=(_ONES, d)), _ONES),
+    ("gft signal", lambda x: gftdual.gft(_DECOMPOSITION, x), _ONES),
+    ("igft spectrum", lambda x: gftdual.igft(_DECOMPOSITION, x), _ONES),
+)
+# methods that are not strings, which ExperimentConfig's rule,
+# str(m).upper(), turns into no method name
+_METHODS = {"int": 5, "none": None, "float": 2.5}
+# (entry point, call) for the method rule, ValueError
+_METHOD_ENTRIES = (
+    ("multistart method", lambda m: gftdual.multistart(
+        m, _V, _V, gftdual.SolverConfig(restarts=2))),
+    ("run_pair method", lambda m: gftdual.run_pair(
+        _GRAPH, _GRAPH, m, gftdual.SolverConfig(restarts=2))),
 )
 # (entry point, call) for the phases of the start rule, NonUnitPhaseError
 _PHASE_ENTRIES = (
@@ -186,6 +199,9 @@ def _rows():
                    gftdual.SizeMismatchError)
     for name, call in _PHASE_ENTRIES:
         yield name, "nan", [np.nan, 1.0, 1.0], call, gftdual.NonUnitPhaseError
+    for name, call in _METHOD_ENTRIES:
+        for kind, bad in _METHODS.items():
+            yield name, kind, bad, call, ValueError
 
 
 _ROWS = list(_rows())
@@ -213,3 +229,5 @@ def test_the_valid_inputs_of_the_table_are_accepted():
         call(np.asarray(valid, dtype=complex))
     for _, call in _PHASE_ENTRIES:
         call([1.0, -1.0, 1j])
+    for _, call in _METHOD_ENTRIES:
+        call("cdpm")
