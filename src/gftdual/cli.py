@@ -16,7 +16,8 @@ from .errors import (GftDualError, IndexOutOfRangeError,
                      NonPositiveWeightError, OffsetOutOfRangeError)
 from .experiment import (ExperimentConfig, plot_fig1, read_csv,
                          run_experiment, write_csv)
-from .graphs import circulant, erdos_renyi, read_graph_file, write_graph
+from .graphs import (circulant, erdos_renyi, parse_number, read_graph_file,
+                     write_graph)
 from .spectral import decompose_pair
 
 NUMBER_FORMAT = "%.12g"
@@ -39,6 +40,17 @@ def _emit(text, path):
             handle.write(text)
 
 
+def _number(kind):
+    """An argparse type that reads its value by graphs.parse_number, so
+    that "1_0" and non-ASCII digits are usage errors."""
+    def read(token):
+        try:
+            return parse_number(token, kind)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
 def _parse_offsets(text):
     offsets = []
     for item in text.split(","):
@@ -47,14 +59,15 @@ def _parse_offsets(text):
             continue
         if ":" in item:
             k, w = item.split(":", 1)
-            offsets.append((int(k), float(w)))
+            offsets.append((parse_number(k, int), parse_number(w, float)))
         else:
-            offsets.append((int(item), 1.0))
+            offsets.append((parse_number(item, int), 1.0))
     return offsets
 
 
 def _parse_n_list(text):
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return tuple(parse_number(part.strip(), int)
+                 for part in text.split(",") if part.strip())
 
 
 def _solver_config(args):
@@ -67,11 +80,13 @@ def _solver_config(args):
 def _add_solver_flags(parser, defaults):
     """--restarts, --epsilon, --max-iter and --seed, defaulting to the
     fields of defaults, a SolverConfig or an ExperimentConfig."""
-    parser.add_argument("--restarts", type=int, default=defaults.restarts)
-    parser.add_argument("--epsilon", type=float, default=defaults.epsilon)
-    parser.add_argument("--max-iter", type=int,
+    parser.add_argument("--restarts", type=_number(int),
+                        default=defaults.restarts)
+    parser.add_argument("--epsilon", type=_number(float),
+                        default=defaults.epsilon)
+    parser.add_argument("--max-iter", type=_number(int),
                         default=defaults.max_iterations)
-    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--seed", type=_number(int), default=defaults.seed)
 
 
 def _generated_graph(args):
@@ -83,8 +98,9 @@ def _generated_graph(args):
                       else ("--circulant", args.circulant))
     try:
         if args.er is not None:
-            return erdos_renyi(int(args.er[0]), float(args.er[1]), args.seed)
-        return circulant(int(args.circulant[0]),
+            return erdos_renyi(parse_number(args.er[0], int),
+                               parse_number(args.er[1], float), args.seed)
+        return circulant(parse_number(args.circulant[0], int),
                          _parse_offsets(args.circulant[1]))
     except (ValueError, IndexOutOfRangeError, NonPositiveWeightError,
             OffsetOutOfRangeError) as exc:
@@ -171,7 +187,7 @@ def _build_parser():
                      help="Erdos-Renyi G(N, P)")
     gen.add_argument("--circulant", nargs=2, metavar=("N", "OFFSETS"),
                      help="circulant on N vertices, OFFSETS like 1:1.0,2:0.5")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_number(int), default=0)
     gen.add_argument("-o", "--output", default=None)
     gen.set_defaults(handler=_cmd_gen, configure=_generated_graph)
 
@@ -205,8 +221,9 @@ def _build_parser():
     experiment.add_argument("--n", default=",".join(str(n) for n in
                                                     defaults.n_values),
                             help="comma-separated sizes")
-    experiment.add_argument("--p", type=float, default=defaults.p)
-    experiment.add_argument("--trials", type=int, default=defaults.trials)
+    experiment.add_argument("--p", type=_number(float), default=defaults.p)
+    experiment.add_argument("--trials", type=_number(int),
+                            default=defaults.trials)
     _add_solver_flags(experiment, defaults)
     experiment.add_argument("--methods",
                             default=",".join(defaults.methods).lower())

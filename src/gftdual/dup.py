@@ -8,15 +8,15 @@ the semidefinite program
 
 whose dual  minimize 1'nu  subject to  diag(nu) - W PSD  yields a valid
 upper bound from ANY feasible nu.  A low-rank coordinate-ascent pass
-runs until its duality gap is at most tol, which gives a dual iterate
-within tol of the relaxation's optimum.  One eigenvalue-oracle round
-certifies it: the eigendecomposition of diag(nu) - W gives its minimum
-eigenvalue, and its bottom eigenvectors are the cuts of a master linear
-program whose solution is a second candidate.  The cheaper candidate,
-shifted along the diagonal by its eigenvalue deficit, is re-checked up
-to tol by a fresh eigendecomposition.  The bound is thus within tol of
-the relaxation's optimum, and valid up to tol * 2n for unit-modulus
-phases.
+runs until its duality gap is at most DEFAULT_TOL, which gives a dual
+iterate within DEFAULT_TOL of the relaxation's optimum.  One
+eigenvalue-oracle round certifies it: the eigendecomposition of
+diag(nu) - W gives its minimum eigenvalue, and its bottom eigenvectors
+are the cuts of a master linear program, whose value is reported.  The
+iterate, shifted along the diagonal by its eigenvalue deficit, is
+re-checked up to DEFAULT_TOL by a fresh eigendecomposition.  The bound
+is thus within DEFAULT_TOL of the relaxation's optimum, and valid up to
+DEFAULT_TOL * 2n for unit-modulus phases.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalBreakdown, SizeMismatchError
-from .graphs import as_real, check_real
+from .graphs import as_real
 from .lp import LinearProgram, solve_lp
 from .rng import derive_stream
 from .spectral import check_basis_pair, jacobi_eigh
@@ -78,15 +78,14 @@ class CouplingMatrix:
 @dataclass(frozen=True, eq=False)
 class BoundResult:
     """Certified bound: bound = sum(nu), with nu feasible for the dual up
-    to DEFAULT_TOL on lambda_min: the smallest floating eigenvalue of
-    diag(nu) - W is at least -tol, not exactly non-negative, so x'Wx <=
-    bound + tol * x'x (tol * 2n for unit-modulus x).
+    to tol = DEFAULT_TOL on lambda_min: the smallest floating eigenvalue
+    of diag(nu) - W is at least -tol, not exactly non-negative, so x'Wx
+    <= bound + tol * x'x (tol * 2n for unit-modulus x).
 
-    min_eig_residual is the minimum eigenvalue of the chosen candidate,
-    the ascent's iterate or the master LP's solution, before its diagonal
-    repair.  cuts counts the oracle's cuts, the eigenvectors at the bottom
-    of the spectrum; master_history holds the master linear program's
-    value, one entry for the one oracle round.
+    min_eig_residual is lambda_min at the ascent's iterate, before its
+    diagonal repair.  cuts counts the oracle's cuts, the eigenvectors at
+    the bottom of the spectrum; master_history holds the master linear
+    program's value, one entry for the one oracle round.
 
     sweeps counts the sweeps of the coordinate ascent, and gap is bound
     minus the ascent's primal value <W, RR'>, a lower bound on the
@@ -241,29 +240,26 @@ def _solve_master(cuts, rhs):
     return float(np.dot(objective, nu)), nu
 
 
-def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
+def dup_bound(w: CouplingMatrix) -> BoundResult:
     """Certified upper bound: min 1'nu over diag(nu) - W PSD, plus repair.
 
     Deterministic: the coordinate-ascent initialization uses a fixed
     internal seed.  The ascent stops once its duality gap is at most
-    tol (DEFAULT_TOL by default), so the bound is within tol of the
-    relaxation's optimum (BoundResult.gap).  One oracle eigensolve of
-    diag(nu) - W at the ascent's iterate gives lambda_min and the cuts of
-    the master LP; the cheaper of the two candidates, each shifted by
-    max(0, -lambda_min), is re-verified by a fresh eigendecomposition:
-    lambda_min(diag(nu) - W) >= -tol, up to tol and not exactly, so
-    bound = sum(nu) dominates x'Wx up to tol * 2n for every
-    unit-modulus x, real or complex.
+    DEFAULT_TOL, so the bound is within DEFAULT_TOL of the relaxation's
+    optimum (BoundResult.gap).  One oracle eigensolve of diag(nu) - W at
+    the ascent's iterate gives lambda_min and the cuts of the master LP;
+    the iterate, shifted by max(0, -lambda_min), is re-verified by a
+    fresh eigendecomposition: lambda_min(diag(nu) - W) >= -DEFAULT_TOL,
+    up to DEFAULT_TOL and not exactly, so bound = sum(nu) dominates x'Wx
+    up to DEFAULT_TOL * 2n for every unit-modulus x, real or complex.
     """
     if not isinstance(w, CouplingMatrix):
         raise SizeMismatchError("dup_bound expects a CouplingMatrix")
-    tol = check_real(tol, "tol")
     matrix = w.w
-    m = matrix.shape[0]
 
     # stage 1: near-optimal dual iterate from the low-rank ascent
     x, primal, sweeps = _mixing_dual(matrix, derive_stream(_MIXING_SEED, 0),
-                                     tol)
+                                     DEFAULT_TOL)
 
     # stage 2: the eigenvectors at the bottom of the spectrum, orthonormal
     # and so never duplicates, are the master LP's cuts
@@ -271,29 +267,21 @@ def dup_bound(w: CouplingMatrix, tol: float = DEFAULT_TOL) -> BoundResult:
     lam_min = float(eigenvalues[0])
     threshold = max(_NEAR_NULL_FLOOR, 10.0 * abs(lam_min))
     cuts = vectors[:, :np.count_nonzero(eigenvalues <= threshold)].T
-    master_value, nu_master = _solve_master(
+    master_value, _ = _solve_master(
         cuts, np.array([float(v @ matrix @ v) for v in cuts]))
 
-    # stage 3: the cheaper repaired candidate, re-checked from scratch
-    chosen, chosen_lam = x, lam_min
-    master_eigs, _ = jacobi_eigh(np.diag(nu_master) - matrix)
-    lam_master = float(master_eigs[0])
-    if lam_master >= -tol:
-        repaired_master = nu_master.sum() + m * max(0.0, -lam_master)
-        if repaired_master < chosen.sum() + m * max(0.0, -chosen_lam):
-            chosen, chosen_lam = nu_master, lam_master
-    nu = chosen + max(0.0, -chosen_lam)
+    # stage 3: the repaired iterate, re-checked from scratch
+    nu = x + max(0.0, -lam_min)
     for _ in range(3):
         fresh, _ = jacobi_eigh(np.diag(nu) - matrix)
-        if fresh[0] >= -tol:
+        if fresh[0] >= -DEFAULT_TOL:
             break
         nu = nu + (-float(fresh[0]))
     else:
         raise NumericalBreakdown(
             "feasibility repair failed to certify the bound")
-    nu = np.asarray(nu, dtype=float)
     nu.setflags(write=False)
     bound = float(nu.sum())
-    return BoundResult(nu=nu, bound=bound, min_eig_residual=chosen_lam,
+    return BoundResult(nu=nu, bound=bound, min_eig_residual=lam_min,
                        cuts=len(cuts), master_history=(master_value,),
                        sweeps=sweeps, gap=bound - primal)

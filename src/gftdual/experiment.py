@@ -180,8 +180,9 @@ def write_csv(records) -> str:
 
 
 def read_csv(text) -> list:
-    """Records of write_csv's text, numbers read by graphs.parse_number;
-    ParseError at the offending line otherwise."""
+    """Records of write_csv's text, numbers read by graphs.parse_number,
+    methods from METHODS and integer fields non-negative; ParseError at
+    the offending line otherwise."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -213,6 +214,14 @@ def read_csv(text) -> list:
         if not np.isfinite([record.p, record.objective,
                             record.dualness]).all():
             raise ParseError("p, objective and dualness must be finite",
+                             line_number=index)
+        if record.method not in METHODS:
+            raise ParseError("unknown method %r" % record.method,
+                             line_number=index)
+        if min(record.n, record.trial, record.iterations,
+               record.restarts_used, record.resample_count,
+               record.wall_time_ms) < 0:
+            raise ParseError("integer fields must be non-negative",
                              line_number=index)
         records.append(record)
     return records

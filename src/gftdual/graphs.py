@@ -305,10 +305,10 @@ def write_graph(graph: Graph) -> str:
 
 def parse_number(token: str, kind):
     """token read by kind, int or float, which must be plain ASCII with no
-    digit separator; ValueError otherwise.  int() and float() alone would
-    read "1_0" as 10 and an Arabic-Indic three as 3, which no writer here
-    emits."""
-    if not token.isascii() or "_" in token:
+    digit separator and no surrounding whitespace; ValueError otherwise.
+    int() and float() alone would read "1_0" as 10, an Arabic-Indic three
+    as 3 and " 6" as 6, which no writer here emits."""
+    if not token.isascii() or "_" in token or token.strip() != token:
         raise ValueError(f"{token!r} is not a plain ASCII number")
     return kind(token)
 

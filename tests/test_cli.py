@@ -292,3 +292,33 @@ def test_gen_option_values_are_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "usage:" in err and message in err, argv
     assert not (tmp_path / "g.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--er", "1_0", "0.4"],
+    ["gen", "--er", "10", "0.\u0664"],
+    ["gen", "--er", "10", "0.4", "--seed", "1_0"],
+    ["gen", "--circulant", "\u0661\u0662", "1:1"],
+    ["gen", "--circulant", "12", "1_0:1"],
+    ["gen", "--circulant", "12", "1:1_0"],
+    ["gen", "--circulant", "12", "\u0661"],
+    ["experiment", "--n", "1_0"],
+    ["experiment", "--n", "6,\u0668"],
+    ["experiment", "--p", "0.4_0"],
+    ["experiment", "--trials", "1_0"],
+    ["experiment", "--restarts", "2_0"],
+    ["experiment", "--epsilon", "1e-1_0"],
+    ["experiment", "--max-iter", "1_0"],
+    ["experiment", "--seed", "\u0663"],
+    ["dualness", "g1.txt", "g2.txt", "--restarts", " 5"],
+    ["dualness", "g1.txt", "g2.txt", "--seed", "5 "],
+], ids=lambda argv: " ".join(argv))
+def test_numeric_options_follow_the_parse_number_rule(argv, capsys):
+    # int() and float() would read each value as a valid number: 10, 0.4,
+    # 12 and so on
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage:" in err and "not a plain ASCII number" in err

@@ -188,12 +188,18 @@ def test_bound_is_deterministic():
 
 def test_bound_reports_sweeps_and_gap():
     coupling = build_coupling(*_pair(seed=10))
-    for tol in (dup.DEFAULT_TOL, 1e-4):
-        result = dup_bound(coupling, tol=tol)
-        # the gap is tested at chunk ends, and certified before the cap
-        assert 0 < result.sweeps < dup._MIXING_SWEEP_CAP
-        assert result.sweeps % dup._MIXING_CHUNK == 0
-        assert -1e-12 <= result.gap <= tol + 1e-12
+    result = dup_bound(coupling)
+    # the gap is tested at chunk ends, and certified before the cap
+    assert 0 < result.sweeps < dup._MIXING_SWEEP_CAP
+    assert result.sweeps % dup._MIXING_CHUNK == 0
+    assert -1e-12 <= result.gap <= dup.DEFAULT_TOL + 1e-12
+    # the ascent stops at its own tol: a looser one stops at a chunk end
+    # no later than DEFAULT_TOL's, with its gap below it
+    nu, primal, sweeps = dup._mixing_dual(
+        coupling.w, derive_stream(dup._MIXING_SEED, 0), 1e-4)
+    assert 0 < sweeps <= result.sweeps
+    assert sweeps % dup._MIXING_CHUNK == 0
+    assert -1e-12 <= nu.sum() - primal <= 1e-4
     # no coupling of size 0 exists to report on
     with pytest.raises(SizeMismatchError):
         CouplingMatrix(np.zeros((0, 0)))
@@ -216,6 +222,35 @@ def test_bound_reports_the_single_ascent(monkeypatch):
         coupling.w, derive_stream(dup._MIXING_SEED, 0), dup.DEFAULT_TOL)
     assert result.sweeps == sweeps
     assert result.gap == result.bound - primal
+
+
+def test_bound_makes_two_eigensolves(monkeypatch):
+    # the oracle at the ascent's iterate and the fresh re-check of its
+    # repair; the master LP's point is never eigensolved
+    calls = []
+    jacobi_eigh = dup.jacobi_eigh
+
+    def counting(matrix):
+        calls.append(matrix)
+        return jacobi_eigh(matrix)
+
+    monkeypatch.setattr(dup, "jacobi_eigh", counting)
+    dup_bound(build_coupling(*_pair(seed=10)))
+    assert len(calls) == 2
+
+
+def test_bound_reads_only_the_master_value(monkeypatch):
+    couplings = [build_coupling(*_pair(seed=seed)) for seed in (0, 10, 20)]
+    expected = [dup_bound(coupling) for coupling in couplings]
+    solve_master = dup._solve_master
+    monkeypatch.setattr(dup, "_solve_master",
+                        lambda cuts, rhs: (solve_master(cuts, rhs)[0], None))
+    for coupling, before in zip(couplings, expected):
+        after = dup_bound(coupling)
+        assert after.nu.tobytes() == before.nu.tobytes()
+        for name in ("bound", "min_eig_residual", "cuts", "master_history",
+                     "sweeps", "gap"):
+            assert getattr(after, name) == getattr(before, name), name
 
 
 def _sweep_coupling(config, n, trial):
@@ -567,8 +602,9 @@ def test_build_coupling_validation():
 def test_dup_bound_argument_validation():
     with pytest.raises(SizeMismatchError):
         dup_bound(np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        dup_bound(CouplingMatrix(np.zeros((1, 1))), tol=0.0)
+    # the ascent's tolerance is DEFAULT_TOL, not an argument
+    with pytest.raises(TypeError):
+        dup_bound(CouplingMatrix(np.zeros((1, 1))), tol=1e-4)
 
 
 def _enumerated_bound(v1, v2):

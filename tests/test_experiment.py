@@ -165,9 +165,32 @@ def test_read_csv_rejects_non_finite_numbers(row):
     "6,0.4,0,CD,1_0.5,1.0,3,3,0,2",
     "6,0.4,0,CD,5.0,1.0,\u0663,3,0,2",
     "6,0.\u0664,0,CD,5.0,1.0,3,3,0,2",
+    " 6,0.4 ,0,cd?,5.0,1.0,3,3,0,2",
+    " 6,0.4,0,CD,5.0,1.0,3,3,0,2",
+    "6,0.4 ,0,CD,5.0,1.0,3,3,0,2",
+    "6,0.4,0,CD,5.0,1.0,3,3,0,2\t",
 ])
 def test_read_csv_refuses_digit_separators_and_non_ascii_digits(row):
-    # int() and float() would read each of these as a valid number
+    # int() and float() would read each of these as a valid number,
+    # surrounding whitespace included
+    good_row = "6,0.4,0,CD,5.0,1.0,3,3,0,2"
+    with pytest.raises(ParseError) as info:
+        read_csv(CSV_HEADER + "\n" + good_row + "\n" + row + "\n")
+    assert info.value.line_number == 3
+
+
+@pytest.mark.parametrize("row", [
+    "6,0.4,0,cd?,5.0,1.0,3,3,0,2",
+    "6,0.4,0,cd,5.0,1.0,3,3,0,2",
+    "6,0.4,0,,5.0,1.0,3,3,0,2",
+    "6,0.4,-3,CD,5.0,-1.0,-3,3,0,-2",
+    "-6,0.4,0,CD,5.0,1.0,3,3,0,2",
+    "6,0.4,0,CD,5.0,1.0,3,-3,0,2",
+    "6,0.4,0,CD,5.0,1.0,3,3,-1,2",
+    "6,0.4,0,CD,5.0,1.0,3,3,0,-2",
+])
+def test_read_csv_refuses_methods_and_counts_write_csv_never_writes(row):
+    # a method outside METHODS, or a negative integer field
     good_row = "6,0.4,0,CD,5.0,1.0,3,3,0,2"
     with pytest.raises(ParseError) as info:
         read_csv(CSV_HEADER + "\n" + good_row + "\n" + row + "\n")

@@ -10,8 +10,8 @@ from gftdual.errors import (DuplicateEdgeError, IndexOutOfRangeError,
                             ParseError, SelfLoopError, SizeMismatchError)
 from gftdual.graphs import (Graph, check_permutation, circulant, erdos_renyi,
                             invert_permutation, is_circulant, new_graph,
-                            permute_graph, read_graph, read_graph_file,
-                            write_graph, write_graph_file)
+                            parse_number, permute_graph, read_graph,
+                            read_graph_file, write_graph, write_graph_file)
 from gftdual.rng import SplitMix64
 from oracles import permutation_matrix
 
@@ -403,6 +403,17 @@ def test_read_graph_refuses_digit_separators_and_non_ascii_digits(
     with pytest.raises(ParseError) as info:
         read_graph(text)
     assert info.value.line_number == line_number
+
+
+def test_parse_number_refuses_surrounding_whitespace():
+    assert parse_number("6", int) == 6
+    assert parse_number("-0.5", float) == -0.5
+    for token in (" 6", "6 ", "6\n", "\t0.4"):
+        with pytest.raises(ValueError, match="plain ASCII"):
+            parse_number(token, float)
+    # read_graph splits its lines, so padded lines still read
+    graph = read_graph("  3 \n\t0  1   2.5 \n")
+    assert graph.adjacency[0, 1] == 2.5
 
 
 @pytest.mark.parametrize("text, error, line_number", [

@@ -110,8 +110,6 @@ _REAL_ENTRIES = (
      ValueError),
     ("erdos_renyi p", lambda x: gftdual.erdos_renyi(3, x, 0),
      gftdual.NonPositiveWeightError),
-    ("dup_bound tol", lambda x: gftdual.dup_bound(
-        gftdual.build_coupling(_V, _V), x), ValueError),
     ("new_graph weight", lambda w: gftdual.new_graph(3, [(0, 1, w)]),
      gftdual.NonPositiveWeightError),
     ("circulant weight", lambda w: gftdual.circulant(6, [(1, w)]),
