@@ -57,13 +57,13 @@ def _interval_is_empty(program):
     a = program.constraints[:, 0]
     b = program.rhs - _SLACK
     zero = np.abs(a) <= _HIGHS_SMALL_MATRIX_VALUE
-    if np.any(b[zero] > 0.0):
+    if (b > 0.0).any(where=zero):
         return True
-    a, b = a[~zero], b[~zero]
-    up = a > 0.0
-    lo = np.max(b[up] / a[up],
-                initial=-_SLACK if program.nonnegative else -np.inf)
-    hi = np.min(b[~up] / a[~up], initial=np.inf)
+    # rows read as zeros take no ratio, and no part in the bounds below
+    ratio = np.divide(b, a, out=np.zeros_like(b), where=~zero)
+    lo = ratio.max(where=a > _HIGHS_SMALL_MATRIX_VALUE,
+                   initial=-_SLACK if program.nonnegative else -np.inf)
+    hi = ratio.min(where=a < -_HIGHS_SMALL_MATRIX_VALUE, initial=np.inf)
     return bool(lo - hi > _SLACK * max(1.0, abs(lo), abs(hi)))
 
 

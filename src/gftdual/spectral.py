@@ -82,7 +82,8 @@ def eigendecompose(graph: Graph) -> SpectralDecomposition:
     w, v = jacobi_eigh(graph.adjacency)
     # argmax returns the first maximum: the lowest row on ties
     lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    v = np.where(lead < 0.0, -v, v)
+    # eigh's output is our own, so the flip may overwrite it
+    np.negative(v, out=v, where=lead < 0.0)
     return SpectralDecomposition(w, v)
 
 

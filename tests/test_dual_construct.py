@@ -13,7 +13,9 @@ from gftdual.dual_construct import (FEASIBLE, INFEASIBLE,
                                     verify_dual_witness)
 from gftdual.errors import (NonFiniteEntryError, NonOrthogonalInputError,
                             SizeMismatchError)
-from gftdual.graphs import circulant, erdos_renyi, new_graph, permute_graph
+from gftdual.graphs import (Graph, circulant, erdos_renyi, new_graph,
+                            permute_graph)
+from gftdual.rng import SplitMix64
 from gftdual.spectral import dft_matrix, eigendecompose
 
 WITNESS_TOL = 1e-7
@@ -149,6 +151,51 @@ def test_candidate_adjacency_formula():
     expected = sum(lam[k] * np.outer(v[k], v[k]) for k in range(5))
     assert np.max(np.abs(a - expected)) <= 1e-12
     assert np.max(np.abs(a - a.T)) <= 1e-12
+
+
+def _cycles():
+    return [circulant(n, [(1, 1)]) for n in range(2, 17)]
+
+
+def test_feasible_adjacency_is_an_exactly_symmetric_graph():
+    # the candidate adjacency is a product whose a_ij and a_ji round
+    # apart (C4 by 8.9e-16), so Graph refused the adjacency it returned
+    seeds = SplitMix64(11)
+    graphs = _cycles() + [erdos_renyi(n, 0.5, seeds.next_uint64())
+                          for n in range(2, 11) for _ in range(100)]
+    feasible = 0
+    for g in graphs:
+        result = construct_dual(g)
+        if result.status != FEASIBLE:
+            continue
+        feasible += 1
+        assert np.array_equal(Graph(result.adjacency).adjacency,
+                              result.adjacency)
+        assert max(verify_dual_witness(g, result.lambda_)) <= WITNESS_TOL
+    assert feasible >= 80
+
+
+def test_checked_and_unchecked_entry_points_agree():
+    # construct_dual skips the check of the vectors it computed itself;
+    # the checked entry point must give the same bytes on the same basis
+    rng = np.random.default_rng(31)
+    graphs = _cycles()
+    for i in range(120):
+        g = erdos_renyi(2 + i % 20, 0.2 + 0.1 * (i % 6), 5000 + i)
+        graphs.append(_weighted(g, rng) if i % 3 == 0 else g)
+    feasible = 0
+    for g in graphs:
+        unchecked = construct_dual(g)
+        checked = construct_dual_from_vectors(eigendecompose(g).vectors)
+        assert checked.status == unchecked.status
+        if unchecked.status == FEASIBLE:
+            feasible += 1
+            assert checked.lambda_.tobytes() == unchecked.lambda_.tobytes()
+            assert checked.adjacency.tobytes() == \
+                unchecked.adjacency.tobytes()
+        else:
+            assert checked.lambda_ is checked.adjacency is None
+    assert feasible >= 5
 
 
 def test_construct_from_vectors_validation():

@@ -193,6 +193,33 @@ def test_one_variable_certificate_agrees_with_linprog(rows, nonnegative):
     assert reference.status == 2
 
 
+def _reference_interval_is_empty(program):
+    """The one-variable test as boolean-index copies of the rows, the
+    form the library used before its one-pass reductions."""
+    a = program.constraints[:, 0]
+    b = program.rhs - lp._SLACK
+    zero = np.abs(a) <= lp._HIGHS_SMALL_MATRIX_VALUE
+    if np.any(b[zero] > 0.0):
+        return True
+    a, b = a[~zero], b[~zero]
+    up = a > 0.0
+    lo = np.max(b[up] / a[up],
+                initial=-lp._SLACK if program.nonnegative else -np.inf)
+    hi = np.min(b[~up] / a[~up], initial=np.inf)
+    return bool(lo - hi > lp._SLACK * max(1.0, abs(lo), abs(hi)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_coefficients, _coefficients), max_size=8),
+       nonnegative=st.booleans())
+def test_one_variable_certificate_matches_its_reference(rows, nonnegative):
+    a = np.array([row[0] for row in rows]).reshape(len(rows), 1)
+    b = np.array([row[1] for row in rows])
+    program = _program([0.0], a, b, nonnegative)
+    assert lp._interval_is_empty(program) is \
+        _reference_interval_is_empty(program)
+
+
 def test_free_and_bounded_variables():
     a = np.array([[1.0]])
     b = np.array([-3.0])

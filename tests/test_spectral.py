@@ -115,10 +115,14 @@ def _star(n):
 
 
 def test_sign_rule_equals_per_column_rule():
-    # K2, the 4-cycle and stars have columns whose largest magnitude is
-    # tied between rows; the lowest such row decides the sign
+    # K2, the 4-cycle, stars and the 6-vertex path have columns whose
+    # largest magnitude is tied between rows; the lowest such row
+    # decides the sign.  Stars and two disjoint edges hold exact zeros,
+    # which the latter flips to -0.0, as -v does
     graphs = [new_graph(2, [(0, 1, 1.0)]), circulant(4, [(1, 1.0)]),
-              _star(3), _star(5), _star(8)]
+              _star(3), _star(5), _star(8),
+              new_graph(6, [(i, i + 1, 1.0) for i in range(5)]),
+              new_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])]
     graphs += [erdos_renyi(n, p, seed) for n in (1, 2, 7, 16, 30)
                for p in (0.2, 0.5, 0.9) for seed in range(3)]
     for g in graphs:

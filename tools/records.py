@@ -6,7 +6,12 @@ of seeds 0, 1, 5 and 1009, joined in that order with every wall time
 zero, and written by one write_csv.  Three hashes are printed: one over
 all rows, one over the CD and DUP rows alone, which a change to CDPM
 leaves as they are, and one over the CDPM rows alone, so that a change
-shows which method's records it moved.  BLAS runs on one thread, since
+shows which method's records it moved.
+
+A fourth hash covers the dual construction: the status and the repr of
+every lambda_ entry that construct_dual gives on a fixed batch, the
+G(n, 0.5) graphs of seeds 0-4 for each n = 6-25 and then the cycles
+circulant(n, [(1, 1)]) for n = 2-16.  BLAS runs on one thread, since
 a threaded reduction may round differently; the numpy and scipy
 versions are printed with the hashes, since another build may round the
 eigensolver differently too.
@@ -31,15 +36,32 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy  # noqa: E402
 import scipy  # noqa: E402
 
+from gftdual.dual_construct import construct_dual  # noqa: E402
 from gftdual.experiment import (CD, CDPM, DUP,  # noqa: E402
                                 ExperimentConfig, run_experiment, write_csv)
+from gftdual.graphs import circulant, erdos_renyi  # noqa: E402
 
 SEEDS = (0, 1, 5, 1009)
 TRIALS = 4
+CONSTRUCT_SEEDS = range(5)
 
 
 def _sha256(records):
     return hashlib.sha256(write_csv(records).encode()).hexdigest()
+
+
+def _construct_lines():
+    """One line per graph of the construct batch: the status, then the
+    repr of every lambda_ entry."""
+    graphs = [erdos_renyi(n, 0.5, seed) for n in range(6, 26)
+              for seed in CONSTRUCT_SEEDS]
+    graphs += [circulant(n, [(1, 1)]) for n in range(2, 17)]
+    lines = []
+    for graph in graphs:
+        result = construct_dual(graph)
+        lam = () if result.lambda_ is None else result.lambda_.tolist()
+        lines.append(" ".join([result.status] + [repr(x) for x in lam]))
+    return lines
 
 
 def main():
@@ -55,6 +77,9 @@ def main():
     print("all %s %d rows" % (_sha256(records), len(records)))
     print("cd+dup %s %d rows" % (_sha256(cd_dup), len(cd_dup)))
     print("cdpm %s %d rows" % (_sha256(cdpm), len(cdpm)))
+    lines = _construct_lines()
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+    print("construct %s %d graphs" % (digest.hexdigest(), len(lines)))
 
 
 if __name__ == "__main__":
