@@ -116,7 +116,7 @@ def _cmd_gen(args):
 def _cmd_dualness(args):
     g1 = read_graph_file(args.graph1)
     g2 = read_graph_file(args.graph2)
-    solution = run_pair(g1, g2, args.method.upper(), args.config)
+    solution = run_pair(g1, g2, args.method, args.config)
     sys.stdout.write("objective " + NUMBER_FORMAT % solution.objective + "\n")
     sys.stdout.write("dualness " + NUMBER_FORMAT % solution.dualness + "\n")
     return 0
@@ -157,7 +157,7 @@ def _experiment_config(args):
         n_values=_parse_n_list(args.n), p=args.p, trials=args.trials,
         restarts=args.restarts, epsilon=args.epsilon,
         max_iterations=args.max_iter, seed=args.seed,
-        methods=tuple(m.strip().upper() for m in args.methods.split(",")))
+        methods=tuple(m.strip() for m in args.methods.split(",")))
 
 
 def _cmd_experiment(args):

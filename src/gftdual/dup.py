@@ -8,9 +8,11 @@ the semidefinite program
 
 whose dual  minimize 1'nu  subject to  diag(nu) - W PSD  yields a valid
 upper bound from ANY feasible nu.  A low-rank coordinate-ascent pass
-runs until its duality gap is at most DEFAULT_TOL, which gives a dual
-iterate within DEFAULT_TOL of the relaxation's optimum.  One
-eigenvalue-oracle round certifies it: the eigendecomposition of
+runs until its duality gap is at most DEFAULT_TOL: its stop test reads
+nu as the row norms of WR and factors diag(nu + s) - W, for a shift
+s <= DEFAULT_TOL / 2n, and that same nu is the dual iterate, within
+DEFAULT_TOL of the relaxation's optimum, that the bound starts from.
+One eigenvalue-oracle round certifies it: the eigendecomposition of
 diag(nu) - W gives its minimum eigenvalue, and its bottom eigenvectors
 are the cuts of a master linear program, whose value is reported.  The
 iterate, shifted along the diagonal by its eigenvalue deficit, is
@@ -141,23 +143,23 @@ def _mixing_dual(w, stream, tol):
     The ascent stops once its duality gap is at most tol (see _ascend),
     so <W, RR'> is then within tol of the relaxation's optimum.
 
-    Returns (nu, primal, sweeps): the row norms of WR, <W, RR'> and the
-    number of sweeps run.
+    Returns (nu, primal, sweeps): the row norms of WR and <W, RR'> that
+    the ascent's last gap test read (_gap_certified), and the number of
+    sweeps run.
     """
     m = w.shape[0]
     rank = int(np.ceil(np.sqrt(2.0 * m))) + 1
     r = _gaussian(stream, m, rank)
     r /= np.linalg.norm(r, axis=1)[:, None]
-    sweeps = _ascend(w[:m // 2, m // 2:], r, tol)
-    wr = w @ r
-    return (np.linalg.norm(wr, axis=1), float(np.einsum("ij,ij->", r, wr)),
-            sweeps)
+    return _ascend(w, r, tol)
 
 
-def _ascend(b, r, tol):
-    """Two-block sweeps on the unit rows r = [R1; R2], in place, until
-    the duality gap is certified at most tol (_gap_certified) or
-    _MIXING_SWEEP_CAP sweeps have run; returns the number of sweeps.
+def _ascend(w, r, tol):
+    """Two-block sweeps on the unit rows r = [R1; R2], in place, with B
+    the upper-right block of w, until the duality gap is certified at
+    most tol (_gap_certified) or _MIXING_SWEEP_CAP sweeps have run;
+    returns (nu, primal, sweeps), with nu and primal from the last gap
+    test.
 
     Sweeps run in chunks of _MIXING_CHUNK (the last one shortened so the
     cap stays exact) and the gap is tested at the end of each chunk.  A
@@ -165,7 +167,8 @@ def _ascend(b, r, tol):
     its start, sweep by sweep, through the guarded _normalize_rows,
     which keeps such rows unchanged.
     """
-    n, rank = b.shape[0], r.shape[1]
+    n, rank = w.shape[0] // 2, r.shape[1]
+    b = w[:n, n:]
     r1, r2 = r[:n], r[n:]
     start = np.empty_like(r)
     # norms[2s] and norms[2s + 1] divide R1 and R2 in sweep s of a chunk
@@ -195,38 +198,35 @@ def _ascend(b, r, tol):
                 _normalize_rows(b @ r2, r1)
                 _normalize_rows(b.T @ r1, r2)
         sweeps += length
-        if _gap_certified(b, r, tol):
+        certified, nu, primal = _gap_certified(w, r, tol)
+        if certified:
             break
-    return sweeps
+    return nu, primal, sweeps
 
 
-def _gap_certified(b, r, tol):
-    """Whether the duality gap at the unit rows r = [R1; R2] is at most tol.
+def _gap_certified(w, r, tol):
+    """(certified, nu, primal) at the unit rows r: nu the row norms of
+    WR, primal = <W, RR'>, and whether the duality gap is at most tol.
 
-    With nu the row norms of WR, c = sum(nu) - <W, RR'> is never negative
-    (each unit row r_i has r_i . (WR)_i <= nu_i).  If c < tol and
-    diag(nu) + sI - W with s = (tol - c) / m has a Cholesky factor, then
-    nu + s is dual feasible with value <W, RR'> + tol, so the primal
-    value <W, RR'> and that dual value bracket the relaxation's optimum
-    within tol.  A NaN in c fails the test.  The factorization only
-    decides when to stop; dup_bound certifies its bound separately.
+    c = sum(nu) - primal is never negative (each unit row r_i has
+    r_i . (WR)_i <= nu_i).  If c < tol and diag(nu + s) - W with
+    s = (tol - c) / m has a Cholesky factor, then nu + s is dual
+    feasible with value primal + tol, so primal and that dual value
+    bracket the relaxation's optimum within tol.  A NaN in c fails the
+    test.  The factorization only decides when to stop; dup_bound
+    certifies its bound separately, starting from this nu.
     """
-    n = b.shape[0]
-    wr = np.concatenate((b @ r[n:], b.T @ r[:n]))
-    nu = np.sqrt(np.einsum("ij,ij->i", wr, wr))
-    c = nu.sum() - np.einsum("ij,ij->", r, wr)
-    if not c < tol:
-        return False
-    m = 2 * n
-    shifted = np.zeros((m, m))
-    shifted[:n, n:] = -b
-    shifted[n:, :n] = -b.T
-    shifted[np.diag_indices(m)] = nu + (tol - c) / m
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    wr = w @ r
+    nu = np.linalg.norm(wr, axis=1)
+    primal = float(np.einsum("ij,ij->", r, wr))
+    c = nu.sum() - primal
+    if c < tol:
+        try:
+            np.linalg.cholesky(np.diag(nu + (tol - c) / w.shape[0]) - w)
+            return True, nu, primal
+        except np.linalg.LinAlgError:
+            pass
+    return False, nu, primal
 
 
 def _solve_master(cuts, rhs):

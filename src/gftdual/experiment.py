@@ -7,6 +7,7 @@ is sequenced so a given method's records do not depend on which other
 methods were requested.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -15,8 +16,8 @@ import numpy as np
 from .alignment import (CD, CDPM, SolverConfig, dualness_from_objective,
                         multistart)
 from .dup import build_coupling, dup_bound
-from .errors import (EmptyInputError, NonFiniteEntryError, ParseError,
-                     ResampleCapExceeded)
+from .errors import (EmptyInputError, IndexOutOfRangeError,
+                     NonFiniteEntryError, ParseError, ResampleCapExceeded)
 from .graphs import check_count, check_real, erdos_renyi, parse_number
 from .rng import SplitMix64, check_seed
 from .spectral import eigendecompose, has_distinct_eigenvalues
@@ -161,17 +162,38 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic):
     return records
 
 
+def _check_record(r):
+    """Raise unless read_csv reads the record r back as it is: p,
+    objective and dualness must be finite (NonFiniteEntryError), method
+    one of METHODS and the integer fields integers >= 0
+    (IndexOutOfRangeError)."""
+    if not np.isfinite([r.p, r.objective, r.dualness]).all():
+        raise NonFiniteEntryError(
+            "p, objective and dualness must be finite, got %r, %r and %r"
+            % (r.p, r.objective, r.dualness))
+    if r.method not in METHODS:
+        raise IndexOutOfRangeError("unknown method %r" % (r.method,))
+    for name in ("n", "trial", "iterations", "restarts_used",
+                 "resample_count", "wall_time_ms"):
+        value = getattr(r, name)
+        # written so that NaN fails it
+        if not (isinstance(value, numbers.Real) and value % 1 == 0
+                and value >= 0):
+            raise IndexOutOfRangeError(
+                "%s must be an integer >= 0, got %r" % (name, value))
+
+
 def write_csv(records) -> str:
     """Rows in the given order; floats via repr so parsing is exact.
-    p, objective and dualness must be finite (NonFiniteEntryError), as
-    read_csv requires, so that every CSV written here reads back."""
+    Every record must pass read_csv's checks, so that every CSV written
+    here reads back as the same records: p, objective and dualness
+    finite (NonFiniteEntryError), method one of METHODS and the integer
+    fields integers >= 0 (IndexOutOfRangeError)."""
     if not records:
         raise EmptyInputError("no records to write")
     lines = [CSV_HEADER]
     for r in records:
-        if not np.isfinite([r.p, r.objective, r.dualness]).all():
-            raise NonFiniteEntryError(
-                "p, objective and dualness must be finite, got %r" % (r,))
+        _check_record(r)
         lines.append("%d,%s,%d,%s,%s,%s,%d,%d,%d,%d" % (
             r.n, repr(float(r.p)), r.trial, r.method,
             repr(float(r.objective)), repr(float(r.dualness)),
@@ -180,9 +202,9 @@ def write_csv(records) -> str:
 
 
 def read_csv(text) -> list:
-    """Records of write_csv's text, numbers read by graphs.parse_number,
-    methods from METHODS and integer fields non-negative; ParseError at
-    the offending line otherwise."""
+    """Records of write_csv's text, numbers read by graphs.parse_number:
+    p, objective and dualness finite, method one of METHODS and integer
+    fields >= 0; ParseError at the offending line otherwise."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -209,20 +231,11 @@ def read_csv(text) -> list:
                 restarts_used=parse_number(parts[7], int),
                 resample_count=parse_number(parts[8], int),
                 wall_time_ms=parse_number(parts[9], int))
+            _check_record(record)
         except ValueError as exc:
             raise ParseError("bad field: %s" % exc, line_number=index)
-        if not np.isfinite([record.p, record.objective,
-                            record.dualness]).all():
-            raise ParseError("p, objective and dualness must be finite",
-                             line_number=index)
-        if record.method not in METHODS:
-            raise ParseError("unknown method %r" % record.method,
-                             line_number=index)
-        if min(record.n, record.trial, record.iterations,
-               record.restarts_used, record.resample_count,
-               record.wall_time_ms) < 0:
-            raise ParseError("integer fields must be non-negative",
-                             line_number=index)
+        except (NonFiniteEntryError, IndexOutOfRangeError) as exc:
+            raise ParseError(str(exc), line_number=index)
         records.append(record)
     return records
 

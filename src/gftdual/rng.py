@@ -68,13 +68,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def words(self, k: int) -> np.ndarray:
-        """The next k raw words as a uint64 array; the state advances
-        exactly as k calls of next_uint64 would advance it."""
-        block = derived_words(self._state, 1, k)[0]
-        self._state = (self._state + k * _GAMMA) & _MASK64
-        return block
-
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return float(self.randoms(1)[0])

@@ -421,10 +421,7 @@ def test_gaussian_block_equals_scalar_draws():
 def _dual_readout(b, r):
     """W = [[0, B], [B', 0]], the row norms nu of WR and
     c = sum(nu) - <W, RR'>."""
-    n = b.shape[0]
-    w = np.zeros((2 * n, 2 * n))
-    w[:n, n:] = b
-    w[n:, :n] = b.T
+    w = CouplingMatrix(b).w
     wr = w @ r
     nu = np.linalg.norm(wr, axis=1)
     return w, nu, nu.sum() - np.sum(r * wr)
@@ -470,7 +467,7 @@ def _assert_chunked_ascent_is_exact(b, r):
     expected = r.copy()
     sweeps = _per_sweep_ascent(b, expected)
     got = r.copy()
-    assert dup._ascend(b, got, dup.DEFAULT_TOL) == sweeps
+    assert dup._ascend(CouplingMatrix(b).w, got, dup.DEFAULT_TOL)[2] == sweeps
     assert np.array_equal(got, expected, equal_nan=True)
     return sweeps
 
@@ -486,8 +483,8 @@ def test_gap_rule_certifies_just_past_its_threshold():
     w, nu, c = _dual_readout(b, r)
     threshold = c - 12 * np.linalg.eigvalsh(np.diag(nu) - w)[0]
     assert c > 1e-3 * threshold
-    assert dup._gap_certified(b, r, threshold * (1.0 + 1e-4))
-    assert not dup._gap_certified(b, r, threshold * (1.0 - 1e-4))
+    assert dup._gap_certified(w, r, threshold * (1.0 + 1e-4))[0]
+    assert not dup._gap_certified(w, r, threshold * (1.0 - 1e-4))[0]
 
 
 def test_chunked_ascent_stops_inside_a_chunk():
@@ -527,7 +524,7 @@ def test_chunked_ascent_replays_dead_and_overflowing_rows(monkeypatch):
     dead[0] = 0.0
     kept = r.copy()
     _assert_chunked_ascent_is_exact(dead, kept)
-    dup._ascend(dead, kept, dup.DEFAULT_TOL)
+    dup._ascend(CouplingMatrix(dead).w, kept, dup.DEFAULT_TOL)
     assert np.array_equal(kept[0], r[0])
     # squared norms overflow to inf: not finite, so replayed as well; the
     # gap is infinite, so the ascent runs to the cap
@@ -553,8 +550,37 @@ def test_chunked_ascent_replays_an_infinite_norm_at_a_chunk_end(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         assert _assert_chunked_ascent_is_exact(b, r) == 5
         ascended = r.copy()
-        dup._ascend(b, ascended, dup.DEFAULT_TOL)
+        dup._ascend(CouplingMatrix(b).w, ascended, dup.DEFAULT_TOL)
     assert np.isnan(ascended[3:5]).all()
+
+
+@pytest.mark.parametrize("n", [10, 15, 20, 25, 30])
+def test_ascent_returns_the_nu_its_stop_test_certified(n):
+    # the ascent stops on a factorization of diag(nu + s) - W for the
+    # very nu and primal value it returns, which dup_bound starts from
+    config = ExperimentConfig(trials=4, seed=5)
+    for trial in range(config.trials):
+        w = _sweep_coupling(config, n, trial).w
+        nu, primal, sweeps = dup._mixing_dual(
+            w, derive_stream(dup._MIXING_SEED, 0), dup.DEFAULT_TOL)
+        assert sweeps < dup._MIXING_SWEEP_CAP
+        c = nu.sum() - primal
+        assert c < dup.DEFAULT_TOL
+        np.linalg.cholesky(
+            np.diag(nu + (dup.DEFAULT_TOL - c) / w.shape[0]) - w)
+
+
+def test_capped_ascent_returns_the_nu_of_its_final_rows(monkeypatch):
+    # the gap is never certified in 37 sweeps, so the readout is the last
+    # chunk's, taken at the rows the ascent leaves behind
+    monkeypatch.setattr(dup, "_MIXING_SWEEP_CAP", 2 * dup._MIXING_CHUNK + 5)
+    b, r = _ascent_start(6, 2)
+    w = CouplingMatrix(b).w
+    nu, primal, sweeps = dup._ascend(w, r, dup.DEFAULT_TOL)
+    assert sweeps == dup._MIXING_SWEEP_CAP
+    wr = w @ r
+    assert np.array_equal(nu, np.linalg.norm(wr, axis=1))
+    assert primal == float(np.einsum("ij,ij->", r, wr))
 
 
 def test_coupling_validation():

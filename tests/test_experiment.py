@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gftdual import experiment
-from gftdual.errors import (EmptyInputError, NonFiniteEntryError, ParseError,
+from gftdual.errors import (EmptyInputError, IndexOutOfRangeError,
+                            NonFiniteEntryError, ParseError,
                             ResampleCapExceeded)
 from gftdual.alignment import CDPM
 from gftdual.experiment import (CSV_HEADER, DUP, METHODS, PLOT_BOTTOM,
@@ -202,15 +203,24 @@ def test_read_csv_refuses_methods_and_counts_write_csv_never_writes(row):
     ("objective", float("inf")),
     ("dualness", float("inf")),
     ("objective", -float("inf")),
+    ("method", "XX"),
+    ("iterations", -3),
+    ("iterations", 3.7),
 ])
 def test_write_csv_refuses_what_read_csv_refuses(field, value):
-    # an inf objective used to be written, and read_csv then failed at
-    # line 2: every CSV write_csv produces must read back
+    # an inf objective, a method outside METHODS or a negative count used
+    # to be written, and read_csv then failed at line 2; 3.7 iterations
+    # were written as 3: every CSV write_csv produces must read back as
+    # the records it was given
     good = ExperimentRecord(6, 0.4, 0, "CD", 5.0, 1.0, 1, 1, 0, 1)
     bad = ExperimentRecord(**{**good.__dict__, field: value})
     assert read_csv(write_csv([good])) == [good]
-    with pytest.raises(NonFiniteEntryError, match="finite"):
-        write_csv([good, bad])
+    if field in ("p", "objective", "dualness"):
+        with pytest.raises(NonFiniteEntryError, match="finite"):
+            write_csv([good, bad])
+    else:
+        with pytest.raises(IndexOutOfRangeError, match=field):
+            write_csv([good, bad])
 
 
 def test_resample_cap_on_degenerate_cell():

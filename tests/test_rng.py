@@ -161,23 +161,6 @@ def test_derived_words_wraps_and_rejects_negative_sizes():
         derived_words(0, 2, -1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.one_of(st.integers(2**64 - 40, 2**64 - 1),
-                      st.integers(0, 2**64 - 1)),
-       skip=st.integers(0, 3), k=st.integers(0, 40))
-def test_words_equal_scalar_draws(seed, skip, k):
-    # seeds near 2**64 make the state wrap during the block
-    block, scalar = SplitMix64(seed), SplitMix64(seed)
-    for _ in range(skip):
-        assert block.next_uint64() == scalar.next_uint64()
-    words = block.words(k)
-    assert words.shape == (k,) and words.dtype == np.uint64
-    assert [int(w) for w in words] == [scalar.next_uint64()
-                                       for _ in range(k)]
-    # the state advanced by exactly k words
-    assert block.next_uint64() == scalar.next_uint64()
-
-
 def test_randoms_equal_scalar_draws():
     # the reference words, as (w >> 11) * 2**-53 in Python arithmetic;
     # seed 2**64 - 3 makes the derived streams wrap around 2**64
@@ -193,5 +176,3 @@ def test_randoms_equal_scalar_draws():
     for r in range(5):
         assert rows[r].tolist() == [(w >> 11) * 2.0**-53
                                     for w in _reference(seed + r, 3)]
-    with pytest.raises(ValueError):
-        SplitMix64(0).words(-1)

@@ -11,7 +11,12 @@ shows which method's records it moved.
 A fourth hash covers the dual construction: the status and the repr of
 every lambda_ entry that construct_dual gives on a fixed batch, the
 G(n, 0.5) graphs of seeds 0-4 for each n = 6-25 and then the cycles
-circulant(n, [(1, 1)]) for n = 2-16.  BLAS runs on one thread, since
+circulant(n, [(1, 1)]) for n = 2-16.  A fifth covers every field of
+the DUP bounds behind the sweeps' DUP rows, which the CSV shows only
+through objective (bound) and iterations (cuts): the bytes of nu, then
+the reprs of bound, min_eig_residual, cuts, master_history, sweeps and
+gap.  The bounds are recorded as the sweeps compute them, so none is
+computed twice.  BLAS runs on one thread, since
 a threaded reduction may round differently; the numpy and scipy
 versions are printed with the hashes, since another build may round the
 eigensolver differently too.
@@ -36,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy  # noqa: E402
 import scipy  # noqa: E402
 
+from gftdual import experiment  # noqa: E402
 from gftdual.dual_construct import construct_dual  # noqa: E402
 from gftdual.experiment import (CD, CDPM, DUP,  # noqa: E402
                                 ExperimentConfig, run_experiment, write_csv)
@@ -64,7 +70,24 @@ def _construct_lines():
     return lines
 
 
+def _bounds_sha256(bounds):
+    digest = hashlib.sha256()
+    for b in bounds:
+        digest.update(b.nu.tobytes())
+        digest.update(repr((b.bound, b.min_eig_residual, b.cuts,
+                            b.master_history, b.sweeps, b.gap)).encode())
+    return digest.hexdigest()
+
+
 def main():
+    bounds = []
+    dup_bound = experiment.dup_bound
+
+    def recording(coupling):
+        bounds.append(dup_bound(coupling))
+        return bounds[-1]
+
+    experiment.dup_bound = recording
     records = [record for seed in SEEDS
                for record in run_experiment(
                    ExperimentConfig(trials=TRIALS, seed=seed),
@@ -80,6 +103,7 @@ def main():
     lines = _construct_lines()
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
     print("construct %s %d graphs" % (digest.hexdigest(), len(lines)))
+    print("dup %s %d bounds" % (_bounds_sha256(bounds), len(bounds)))
 
 
 if __name__ == "__main__":
