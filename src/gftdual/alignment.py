@@ -58,7 +58,7 @@ class SolverConfig:
         object.__setattr__(self, "seed", check_seed(self.seed, ValueError))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentSolution:
     """The best start's phases, permutations, objective and descent, with
     every start's iteration count, convergence flag and final objective

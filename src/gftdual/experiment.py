@@ -5,11 +5,18 @@ eigenvalues is sampled (resampling rejected pairs up to a cap), each
 requested method is run, and one record per method is emitted.  Seeding
 is sequenced so a given method's records do not depend on which other
 methods were requested.
+
+ExperimentRecord's annotated fields are the one definition of a record:
+the CSV's columns, their order and each column's kind (int, float or
+the method, a str).  write_csv, read_csv and plot_fig1 derive from them
+and share one check, so every record one of them accepts, the others
+accept too.
 """
 
+import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,9 +33,6 @@ DUP = "DUP"
 METHODS = (CD, CDPM, DUP)
 
 RESAMPLE_CAP = 100
-
-CSV_HEADER = ("n,p,trial,method,objective,dualness,iterations,"
-              "restarts_used,resample_count,wall_time_ms")
 
 # plot geometry: the data rectangle of the 800x600 canvas
 PLOT_LEFT = 70.0
@@ -98,6 +102,12 @@ class ExperimentRecord:
     wall_time_ms: int
 
 
+# (name, kind) of every column in CSV order; the kinds are classes, as
+# this module does not postpone the evaluation of annotations
+_COLUMNS = tuple((f.name, f.type) for f in fields(ExperimentRecord))
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
+
+
 def _sample_pair(n, p, pair_seed):
     """Draw G(n, p) pairs until both graphs have distinct eigenvalues."""
     stream = SplitMix64(pair_seed)
@@ -163,48 +173,47 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic):
 
 
 def _check_record(r):
-    """Raise unless read_csv reads the record r back as it is: p,
-    objective and dualness must be finite (NonFiniteEntryError), method
-    one of METHODS and the integer fields integers >= 0
-    (IndexOutOfRangeError)."""
-    if not np.isfinite([r.p, r.objective, r.dualness]).all():
-        raise NonFiniteEntryError(
-            "p, objective and dualness must be finite, got %r, %r and %r"
-            % (r.p, r.objective, r.dualness))
-    if r.method not in METHODS:
-        raise IndexOutOfRangeError("unknown method %r" % (r.method,))
-    for name in ("n", "trial", "iterations", "restarts_used",
-                 "resample_count", "wall_time_ms"):
+    """Raise unless the record r is one that write_csv writes, read_csv
+    reads back as it is and plot_fig1 draws, column by column: a float
+    field must be a finite real number (NonFiniteEntryError, also for
+    text, None or a complex value), an int field an integer >= 0 and the
+    method one of METHODS (IndexOutOfRangeError)."""
+    for name, kind in _COLUMNS:
         value = getattr(r, name)
+        real = isinstance(value, numbers.Real)
+        if kind is float and not (real and math.isfinite(value)):
+            raise NonFiniteEntryError(
+                "%s must be a finite real number, got %r" % (name, value))
         # written so that NaN fails it
-        if not (isinstance(value, numbers.Real) and value % 1 == 0
-                and value >= 0):
+        if kind is int and not (real and value % 1 == 0 and value >= 0):
             raise IndexOutOfRangeError(
                 "%s must be an integer >= 0, got %r" % (name, value))
+        if kind is str and value not in METHODS:
+            raise IndexOutOfRangeError("unknown method %r" % (value,))
 
 
 def write_csv(records) -> str:
-    """Rows in the given order; floats via repr so parsing is exact.
-    Every record must pass read_csv's checks, so that every CSV written
-    here reads back as the same records: p, objective and dualness
-    finite (NonFiniteEntryError), method one of METHODS and the integer
-    fields integers >= 0 (IndexOutOfRangeError)."""
+    """Rows in the given order, one column per ExperimentRecord field,
+    each written as str of the value cast to the field's kind: an int
+    field in decimal, a float field as its repr, so parsing is exact,
+    and the method as it is.  Every record must pass _check_record, the
+    check read_csv applies, so that every CSV written here reads back
+    as the same records."""
     if not records:
         raise EmptyInputError("no records to write")
     lines = [CSV_HEADER]
     for r in records:
         _check_record(r)
-        lines.append("%d,%s,%d,%s,%s,%s,%d,%d,%d,%d" % (
-            r.n, repr(float(r.p)), r.trial, r.method,
-            repr(float(r.objective)), repr(float(r.dualness)),
-            r.iterations, r.restarts_used, r.resample_count, r.wall_time_ms))
+        lines.append(",".join(str(kind(getattr(r, name)))
+                              for name, kind in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def read_csv(text) -> list:
-    """Records of write_csv's text, numbers read by graphs.parse_number:
-    p, objective and dualness finite, method one of METHODS and integer
-    fields >= 0; ParseError at the offending line otherwise."""
+    """Records of write_csv's text, one column per ExperimentRecord
+    field: numbers read by graphs.parse_number as the field's kind, the
+    method as it is, and every record passed through _check_record;
+    ParseError at the offending line otherwise."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -217,20 +226,13 @@ def read_csv(text) -> list:
     records = []
     for index, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != 10:
-            raise ParseError("expected 10 fields, got %d" % len(parts),
-                             line_number=index)
+        if len(parts) != len(_COLUMNS):
+            raise ParseError("expected %d fields, got %d" % (
+                len(_COLUMNS), len(parts)), line_number=index)
         try:
-            record = ExperimentRecord(
-                n=parse_number(parts[0], int),
-                p=parse_number(parts[1], float),
-                trial=parse_number(parts[2], int), method=parts[3],
-                objective=parse_number(parts[4], float),
-                dualness=parse_number(parts[5], float),
-                iterations=parse_number(parts[6], int),
-                restarts_used=parse_number(parts[7], int),
-                resample_count=parse_number(parts[8], int),
-                wall_time_ms=parse_number(parts[9], int))
+            record = ExperimentRecord(*(
+                part if kind is str else parse_number(part, kind)
+                for part, (_, kind) in zip(parts, _COLUMNS)))
             _check_record(record)
         except ValueError as exc:
             raise ParseError("bad field: %s" % exc, line_number=index)
@@ -283,9 +285,15 @@ def plot_fig1(records) -> str:
     (pad = 5% of the mean range, or 1.0 if the range is zero) mapped
     linearly onto y in [550, 30].  Coordinates are written with two
     decimals.
+
+    Every record must pass _check_record, as for write_csv, so that a
+    record write_csv refuses raises the same error here rather than
+    being drawn (a NaN objective would be drawn at cy="nan").
     """
     if not records:
         raise EmptyInputError("no records to plot")
+    for r in records:
+        _check_record(r)
     series = _mean_series(records)
     x_of, y_of, all_n, (y_lo, y_hi) = _axis_transforms(series)
 
@@ -323,7 +331,7 @@ def plot_fig1(records) -> str:
                  % (0.5 * (PLOT_TOP + PLOT_BOTTOM),
                     0.5 * (PLOT_TOP + PLOT_BOTTOM)))
     for offset, (method, pairs) in enumerate(sorted(series.items())):
-        color = _METHOD_COLORS.get(method, "#7f7f7f")
+        color = _METHOD_COLORS[method]
         points = " ".join("%.2f,%.2f" % (x_of(n), y_of(v)) for n, v in pairs)
         parts.append('<polyline fill="none" stroke="%s" stroke-width="2" '
                      'points="%s"/>' % (color, points))

@@ -264,6 +264,20 @@ def test_multistart_deterministic_and_matches_manual_restart():
     assert single.objective == manual.objective
 
 
+def test_solutions_compare_by_identity_and_hash():
+    # the generated __eq__ compared the array fields, so == on two equal
+    # solutions raised and the frozen class had no __hash__; a solution,
+    # like every other result type, is compared as one object
+    rng = np.random.default_rng(6)
+    q1 = _random_unitary(rng, 6)
+    q2 = _random_unitary(rng, 6)
+    first = multistart(CD, q1, q2, SolverConfig(restarts=3))
+    second = multistart(CD, q1, q2, SolverConfig(restarts=3))
+    assert np.array_equal(first.d1, second.d1)
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+
+
 def _seeded_starts(method, n, count, seed):
     """The starts multistart draws: restart r from derive_stream(seed, r)."""
     return [_random_init(derive_stream(seed, r), n, method == CDPM)

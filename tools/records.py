@@ -16,10 +16,11 @@ the DUP bounds behind the sweeps' DUP rows, which the CSV shows only
 through objective (bound) and iterations (cuts): the bytes of nu, then
 the reprs of bound, min_eig_residual, cuts, master_history, sweeps and
 gap.  The bounds are recorded as the sweeps compute them, so none is
-computed twice.  BLAS runs on one thread, since
-a threaded reduction may round differently; the numpy and scipy
-versions are printed with the hashes, since another build may round the
-eigensolver differently too.
+computed twice.  A sixth covers the SVG that plot_fig1 draws from all
+rows, so that a change to the figure shows too.  BLAS runs on one
+thread, since a threaded reduction may round differently; the numpy and
+scipy versions are printed with the hashes, since another build may
+round the eigensolver differently too.
 
 Run from anywhere; it imports the package from this checkout's src:
 
@@ -44,7 +45,8 @@ import scipy  # noqa: E402
 from gftdual import experiment  # noqa: E402
 from gftdual.dual_construct import construct_dual  # noqa: E402
 from gftdual.experiment import (CD, CDPM, DUP,  # noqa: E402
-                                ExperimentConfig, run_experiment, write_csv)
+                                ExperimentConfig, plot_fig1, run_experiment,
+                                write_csv)
 from gftdual.graphs import circulant, erdos_renyi  # noqa: E402
 
 SEEDS = (0, 1, 5, 1009)
@@ -104,6 +106,7 @@ def main():
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
     print("construct %s %d graphs" % (digest.hexdigest(), len(lines)))
     print("dup %s %d bounds" % (_bounds_sha256(bounds), len(bounds)))
+    print("plot %s" % hashlib.sha256(plot_fig1(records).encode()).hexdigest())
 
 
 if __name__ == "__main__":
