@@ -7,18 +7,18 @@ the semidefinite program
     maximize <W, X>  subject to  X PSD, diag(X) = 1,
 
 whose dual  minimize 1'nu  subject to  diag(nu) - W PSD  yields a valid
-upper bound from ANY feasible nu.  A low-rank coordinate-ascent pass
-runs until its duality gap is at most DEFAULT_TOL: its stop test reads
-nu as the row norms of WR and factors diag(nu + s) - W, for a shift
-s <= DEFAULT_TOL / 2n, and that same nu is the dual iterate, within
-DEFAULT_TOL of the relaxation's optimum, that the bound starts from.
-One eigenvalue-oracle round certifies it: the eigendecomposition of
-diag(nu) - W gives its minimum eigenvalue, and its bottom eigenvectors
-are the cuts of a master linear program, whose value is reported.  The
-iterate, shifted along the diagonal by its eigenvalue deficit, is
-re-checked up to DEFAULT_TOL by a fresh eigendecomposition.  The bound
-is thus within DEFAULT_TOL of the relaxation's optimum, and valid up to
-DEFAULT_TOL * 2n for unit-modulus phases.
+upper bound from ANY feasible nu, with tol = DEFAULT_TOL * max(1, max|b|)
+in the coupling's own units.  A low-rank coordinate-ascent pass runs
+until its duality gap is at most tol: its stop test reads nu as the row
+norms of WR and factors diag(nu + s) - W, for a shift s <= tol / 2n,
+and that same nu is the dual iterate, within tol of the relaxation's
+optimum, that the bound starts from.  One eigenvalue-oracle round
+certifies it: the eigendecomposition of diag(nu) - W gives its minimum
+eigenvalue, and its bottom eigenvectors are the cuts of a master linear
+program, whose value is reported.  The iterate is shifted once along
+the diagonal by its eigenvalue deficit and re-checked once, up to tol,
+by a fresh eigendecomposition.  The bound is thus within tol of the
+relaxation's optimum, and valid up to tol * 2n for unit-modulus phases.
 """
 
 from dataclasses import dataclass, field
@@ -80,12 +80,13 @@ class CouplingMatrix:
 @dataclass(frozen=True, eq=False)
 class BoundResult:
     """Certified bound: bound = sum(nu), with nu feasible for the dual up
-    to tol = DEFAULT_TOL on lambda_min: the smallest floating eigenvalue
-    of diag(nu) - W is at least -tol, not exactly non-negative, so x'Wx
-    <= bound + tol * x'x (tol * 2n for unit-modulus x).
+    to tol = DEFAULT_TOL * max(1, max|b|) on lambda_min: the smallest
+    floating eigenvalue of diag(nu) - W is at least -tol, not exactly
+    non-negative, so x'Wx <= bound + tol * x'x (tol * 2n for
+    unit-modulus x).
 
     min_eig_residual is lambda_min at the ascent's iterate, before its
-    diagonal repair.  cuts counts the oracle's cuts, the eigenvectors at
+    one diagonal shift.  cuts counts the oracle's cuts, the eigenvectors at
     the bottom of the spectrum; master_history holds the master linear
     program's value, one entry for the one oracle round.
 
@@ -244,22 +245,25 @@ def dup_bound(w: CouplingMatrix) -> BoundResult:
     """Certified upper bound: min 1'nu over diag(nu) - W PSD, plus repair.
 
     Deterministic: the coordinate-ascent initialization uses a fixed
-    internal seed.  The ascent stops once its duality gap is at most
-    DEFAULT_TOL, so the bound is within DEFAULT_TOL of the relaxation's
-    optimum (BoundResult.gap).  One oracle eigensolve of diag(nu) - W at
-    the ascent's iterate gives lambda_min and the cuts of the master LP;
-    the iterate, shifted by max(0, -lambda_min), is re-verified by a
-    fresh eigendecomposition: lambda_min(diag(nu) - W) >= -DEFAULT_TOL,
-    up to DEFAULT_TOL and not exactly, so bound = sum(nu) dominates x'Wx
-    up to DEFAULT_TOL * 2n for every unit-modulus x, real or complex.
+    internal seed.  With tol = DEFAULT_TOL * max(1, max|b|), the ascent
+    stops once its duality gap is at most tol, so the bound is within
+    tol of the relaxation's optimum (BoundResult.gap).  One oracle
+    eigensolve of diag(nu) - W at the ascent's iterate gives lambda_min
+    and the cuts of the master LP; the iterate, shifted once by
+    max(0, -lambda_min), is re-checked once by a fresh
+    eigendecomposition: lambda_min(diag(nu) - W) >= -tol, up to tol and
+    not exactly, so bound = sum(nu) dominates x'Wx up to tol * 2n for
+    every unit-modulus x, real or complex.  Raises NumericalBreakdown
+    if the re-check fails.
     """
     if not isinstance(w, CouplingMatrix):
         raise SizeMismatchError("dup_bound expects a CouplingMatrix")
     matrix = w.w
+    tol = DEFAULT_TOL * max(1.0, float(np.max(np.abs(w.b))))
 
     # stage 1: near-optimal dual iterate from the low-rank ascent
     x, primal, sweeps = _mixing_dual(matrix, derive_stream(_MIXING_SEED, 0),
-                                     DEFAULT_TOL)
+                                     tol)
 
     # stage 2: the eigenvectors at the bottom of the spectrum, orthonormal
     # and so never duplicates, are the master LP's cuts
@@ -270,14 +274,9 @@ def dup_bound(w: CouplingMatrix) -> BoundResult:
     master_value, _ = _solve_master(
         cuts, np.array([float(v @ matrix @ v) for v in cuts]))
 
-    # stage 3: the repaired iterate, re-checked from scratch
+    # stage 3: the repaired iterate, re-checked once from scratch
     nu = x + max(0.0, -lam_min)
-    for _ in range(3):
-        fresh, _ = jacobi_eigh(np.diag(nu) - matrix)
-        if fresh[0] >= -DEFAULT_TOL:
-            break
-        nu = nu + (-float(fresh[0]))
-    else:
+    if jacobi_eigh(np.diag(nu) - matrix)[0][0] < -tol:
         raise NumericalBreakdown(
             "feasibility repair failed to certify the bound")
     nu.setflags(write=False)

@@ -1,4 +1,5 @@
-"""Test oracles: exhaustive assignment and explicit permutation matrices."""
+"""Test oracles: exhaustive assignment and explicit permutation matrices,
+and the scaled coupling blocks that DUP's tolerance is tested on."""
 
 import itertools
 
@@ -25,3 +26,14 @@ def permutation_matrix(perm):
     mat = np.zeros((n, n))
     mat[np.arange(n), perm] = 1.0
     return mat
+
+
+def scaled_blocks():
+    """(scale, b) for 15 Gaussian n x n blocks, 3 <= n < 15, per scale
+    1, 1e4, 1e6, 1e8, 1e10 and 1e12 in that order, all drawn from one
+    np.random.default_rng(1)."""
+    rng = np.random.default_rng(1)
+    for scale in (1.0, 1e4, 1e6, 1e8, 1e10, 1e12):
+        for _ in range(15):
+            n = rng.integers(3, 15)
+            yield scale, rng.normal(size=(n, n)) * scale

@@ -278,6 +278,12 @@ def test_invalid_config_surfaces_as_solver_error(tmp_path, capsys):
         assert "usage:" in err and message in err, argv
 
 
+def test_gen_circulant_skips_empty_offset_items(tmp_path):
+    gaps = _gen(tmp_path, "gaps.txt", "--circulant", "6", "1,,2")
+    plain = _gen(tmp_path, "plain.txt", "--circulant", "6", "1,2")
+    assert open(gaps).read() == open(plain).read()
+
+
 def test_gen_option_values_are_usage_errors(tmp_path, capsys):
     for argv, message in (
             (["--er", "abc", "0.4"], "--er abc 0.4"),

@@ -20,6 +20,7 @@ from gftdual.experiment import ExperimentConfig, _sample_pair
 from gftdual.graphs import Graph, erdos_renyi
 from gftdual.rng import SplitMix64, derive_stream
 from gftdual.spectral import eigendecompose
+from oracles import scaled_blocks
 
 
 def _eigvecs(n, p, seed):
@@ -237,6 +238,40 @@ def test_bound_makes_two_eigensolves(monkeypatch):
     monkeypatch.setattr(dup, "jacobi_eigh", counting)
     dup_bound(build_coupling(*_pair(seed=10)))
     assert len(calls) == 2
+
+
+def test_failed_recheck_raises_after_two_eigensolves(monkeypatch):
+    # the repaired iterate is re-checked once: a second eigensolve below
+    # -tol raises instead of shifting again
+    coupling = build_coupling(*_pair(seed=10))
+    calls = []
+    jacobi_eigh = dup.jacobi_eigh
+
+    def failing(matrix):
+        calls.append(matrix)
+        eigenvalues, vectors = jacobi_eigh(matrix)
+        if len(calls) == 2:
+            eigenvalues = eigenvalues.copy()
+            eigenvalues[0] = -2.0 * dup.DEFAULT_TOL
+        return eigenvalues, vectors
+
+    monkeypatch.setattr(dup, "jacobi_eigh", failing)
+    with pytest.raises(NumericalBreakdown,
+                       match="feasibility repair failed to certify"):
+        dup_bound(coupling)
+    assert len(calls) == 2
+
+
+def test_bound_holds_at_every_coupling_scale():
+    # the tolerance is relative to max|b|: an absolute one left the
+    # repair uncertified at 1e10 and 1e12 and capped some ascents
+    for scale, b in scaled_blocks():
+        coupling = CouplingMatrix(b)
+        result = dup_bound(coupling)
+        assert result.sweeps < dup._MIXING_SWEEP_CAP, scale
+        tol = DEFAULT_TOL * max(1.0, float(np.max(np.abs(b))))
+        certificate = np.diag(result.nu) - coupling.w
+        assert np.linalg.eigvalsh(certificate)[0] >= -tol, scale
 
 
 def test_bound_reads_only_the_master_value(monkeypatch):
@@ -628,7 +663,7 @@ def test_build_coupling_validation():
 def test_dup_bound_argument_validation():
     with pytest.raises(SizeMismatchError):
         dup_bound(np.zeros((4, 4)))
-    # the ascent's tolerance is DEFAULT_TOL, not an argument
+    # the tolerance comes from the coupling, not from an argument
     with pytest.raises(TypeError):
         dup_bound(CouplingMatrix(np.zeros((1, 1))), tol=1e-4)
 

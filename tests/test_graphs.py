@@ -374,6 +374,10 @@ def test_read_graph_errors_carry_line_numbers():
         read_graph("x\n")
     assert info.value.line_number == 1
     with pytest.raises(ParseError) as info:
+        read_graph("3 4\n")
+    assert info.value.line_number == 1
+    assert "expected a single vertex count" in str(info.value)
+    with pytest.raises(ParseError) as info:
         read_graph("3\n0 1 1.0\n0 2 oops\n")
     assert info.value.line_number == 3
     with pytest.raises(ParseError):

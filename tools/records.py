@@ -17,12 +17,16 @@ through objective (bound) and iterations (cuts): the bytes of nu, then
 the reprs of bound, min_eig_residual, cuts, master_history, sweeps and
 gap.  The bounds are recorded as the sweeps compute them, so none is
 computed twice.  A sixth covers the SVG that plot_fig1 draws from all
-rows, so that a change to the figure shows too.  BLAS runs on one
-thread, since a threaded reduction may round differently; the numpy and
-scipy versions are printed with the hashes, since another build may
-round the eigensolver differently too.
+rows, so that a change to the figure shows too.  A seventh, dup-scale,
+covers the same fields of the DUP bounds of the tests' scaled coupling
+blocks (tests/oracles.py scaled_blocks, Gaussian blocks at scales 1 to
+1e12), so that a change to how DUP certifies large couplings shows.
+BLAS runs on one thread, since a threaded reduction may round
+differently; the numpy and scipy versions are printed with the hashes,
+since another build may round the eigensolver differently too.
 
-Run from anywhere; it imports the package from this checkout's src:
+Run from anywhere; it imports the package from this checkout's src, and
+scaled_blocks from its tests:
 
     python tools/records.py
 """
@@ -37,17 +41,20 @@ from pathlib import Path
 for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                   "MKL_NUM_THREADS"):
     os.environ[_variable] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+_ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 
 import numpy  # noqa: E402
 import scipy  # noqa: E402
 
 from gftdual import experiment  # noqa: E402
 from gftdual.dual_construct import construct_dual  # noqa: E402
+from gftdual.dup import CouplingMatrix  # noqa: E402
 from gftdual.experiment import (CD, CDPM, DUP,  # noqa: E402
                                 ExperimentConfig, plot_fig1, run_experiment,
                                 write_csv)
 from gftdual.graphs import circulant, erdos_renyi  # noqa: E402
+from oracles import scaled_blocks  # noqa: E402
 
 SEEDS = (0, 1, 5, 1009)
 TRIALS = 4
@@ -107,6 +114,8 @@ def main():
     print("construct %s %d graphs" % (digest.hexdigest(), len(lines)))
     print("dup %s %d bounds" % (_bounds_sha256(bounds), len(bounds)))
     print("plot %s" % hashlib.sha256(plot_fig1(records).encode()).hexdigest())
+    scaled = [dup_bound(CouplingMatrix(b)) for _, b in scaled_blocks()]
+    print("dup-scale %s %d bounds" % (_bounds_sha256(scaled), len(scaled)))
 
 
 if __name__ == "__main__":
