@@ -20,7 +20,7 @@ from .errors import NonUnitPhaseError, SizeMismatchError, NotCirculantError
 from .graphs import (Graph, as_numeric, check_count, check_permutation,
                      check_permutations, check_real, invert_permutation,
                      is_circulant)
-from .rng import check_seed, derived_randoms
+from .rng import check_integer, check_seed, derived_randoms
 from .spectral import (check_basis_pair, check_same_size, check_square,
                        decompose_pair, dft_matrix)
 
@@ -420,38 +420,37 @@ def _joined(runs, name):
 def multistart(method, v1, v2, config=SolverConfig()):
     """Best of config.restarts seeded descents of CD or CDPM.
 
-    Seeded descent r starts from the first random() floats of
-    derive_stream(seed, r) (_random_starts): phases uniform on the unit
-    circle and, for CDPM, permutations uniform as the ranks of floats
-    (SplitMix64.permutation).  CD runs all config.restarts descents from
-    such starts, as one stacked descent.  CDPM runs the first
-    ceil(restarts / 2) so, as one stacked descent, and spends the rest
-    as an iterated local search: at most _PERTURB_ROUNDS stacked rounds
-    of near-equal size (earlier rounds one larger) whose starts perturb
-    the best solution so far (_perturbed_starts), descent r again drawing
-    from derive_stream(seed, r).  The best objective wins and ties keep
-    the earliest descent; the restart_* arrays cover every descent in
-    draw order.  method is read as str(method).upper(), ExperimentConfig's
-    rule; a name other than CD or CDPM raises ValueError.
+    Both methods follow one schedule.  Seeded descent r starts from the
+    first random() floats of derive_stream(seed, r) (_random_starts):
+    phases uniform on the unit circle and, for CDPM, permutations
+    uniform as the ranks of floats (SplitMix64.permutation).  The first
+    descents, all config.restarts of them for CD and ceil(restarts / 2)
+    for CDPM, run from such starts as one stacked descent.  CDPM spends
+    the rest as an iterated local search: at most _PERTURB_ROUNDS stacked
+    rounds of near-equal size (earlier rounds one larger) whose starts
+    perturb the best solution so far (_perturbed_starts), descent r again
+    drawing from derive_stream(seed, r).  The best objective wins and
+    ties keep the earliest descent; the restart_* arrays cover every
+    descent in draw order.  method is read as str(method).upper(),
+    ExperimentConfig's rule; a name other than CD or CDPM raises
+    ValueError.
     """
     method = str(method).upper()
     if method not in (CD, CDPM):
         raise ValueError("method must be CD or CDPM, got %r" % (method,))
     # cd_align and cdpm_align check the pair; the starts need only n
     n = check_square(v1, "V1").shape[0]
-    if method == CD:
-        return cd_align(v1, v2, config, _random_starts(
-            config.seed, config.restarts, n, False))
-    first = -(-config.restarts // 2)
-    best = cdpm_align(v1, v2, config,
-                      _random_starts(config.seed, first, n, True))
+    cdpm = method == CDPM
+    align = cdpm_align if cdpm else cd_align
+    first = -(-config.restarts // 2) if cdpm else config.restarts
+    best = align(v1, v2, config, _random_starts(config.seed, first, n, cdpm))
     runs = [best]
     left = config.restarts - first
     rounds = min(_PERTURB_ROUNDS, left)
     for k in range(rounds):
         count = left // rounds + (k < left % rounds)
-        run = cdpm_align(v1, v2, config,
-                         _perturbed_starts(best, config.seed, first, count))
+        run = align(v1, v2, config,
+                    _perturbed_starts(best, config.seed, first, count))
         runs.append(run)
         first += count
         if run.objective > best.objective:
@@ -498,9 +497,10 @@ def isomorphism_transport(solution: AlignmentSolution, p, side):
     If side graph's vertices are relabelled by p (its eigenvector matrix
     becoming V[p_inverse]), the returned solution achieves the identical
     objective on the relabelled pair: the opposite-side permutation
-    absorbs p.
+    absorbs p.  side must be the integer (rng.check_integer) 1 or 2, else
+    ValueError.
     """
-    if side not in (1, 2):
+    if check_integer(side, "side", ValueError) not in (1, 2):
         raise ValueError("side must be 1 or 2")
     n = solution.d1.shape[0]
     p = check_permutation(p, n)

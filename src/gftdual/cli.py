@@ -51,23 +51,22 @@ def _number(kind):
     return read
 
 
+def _items(text):
+    """The comma-separated items of text, each stripped, empty ones
+    dropped: the one reading of --n, --methods and the --circulant
+    offsets."""
+    return [item for item in map(str.strip, text.split(",")) if item]
+
+
 def _parse_offsets(text):
     offsets = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in _items(text):
         if ":" in item:
             k, w = item.split(":", 1)
             offsets.append((parse_number(k, int), parse_number(w, float)))
         else:
             offsets.append((parse_number(item, int), 1.0))
     return offsets
-
-
-def _parse_n_list(text):
-    return tuple(parse_number(part.strip(), int)
-                 for part in text.split(",") if part.strip())
 
 
 def _solver_config(args):
@@ -154,10 +153,10 @@ def _cmd_circulant_check(args):
 
 def _experiment_config(args):
     return ExperimentConfig(
-        n_values=_parse_n_list(args.n), p=args.p, trials=args.trials,
-        restarts=args.restarts, epsilon=args.epsilon,
-        max_iterations=args.max_iter, seed=args.seed,
-        methods=tuple(m.strip() for m in args.methods.split(",")))
+        n_values=[parse_number(n, int) for n in _items(args.n)],
+        p=args.p, trials=args.trials, restarts=args.restarts,
+        epsilon=args.epsilon, max_iterations=args.max_iter, seed=args.seed,
+        methods=_items(args.methods))
 
 
 def _cmd_experiment(args):

@@ -151,23 +151,19 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic):
                 if method == DUP:
                     result = dup_bound(build_coupling(dec1.vectors,
                                                       dec2.vectors))
-                    objective = result.bound
-                    dualness = dualness_from_objective(n, objective)
-                    iterations = result.cuts
-                    restarts_used = 0
+                    objective, iterations = result.bound, result.cuts
                 else:
                     solution = multistart(
                         method, dec1.vectors, dec2.vectors,
                         replace(solver, seed=method_seeds[method]))
                     objective = solution.objective
-                    dualness = solution.dualness
                     iterations = solution.iterations
-                    restarts_used = config.restarts
                 elapsed_ms = int(round((clock() - start) * 1000.0))
                 records.append(ExperimentRecord(
-                    n=int(n), p=float(config.p), trial=trial, method=method,
-                    objective=float(objective), dualness=float(dualness),
-                    iterations=int(iterations), restarts_used=restarts_used,
+                    n=n, p=config.p, trial=trial, method=method,
+                    objective=objective, iterations=iterations,
+                    dualness=dualness_from_objective(n, objective),
+                    restarts_used=0 if method == DUP else config.restarts,
                     resample_count=resamples, wall_time_ms=elapsed_ms))
     return records
 
@@ -198,7 +194,9 @@ def write_csv(records) -> str:
     field in decimal, a float field as its repr, so parsing is exact,
     and the method as it is.  Every record must pass _check_record, the
     check read_csv applies, so that every CSV written here reads back
-    as the same records."""
+    as the same records.  records may be any iterable; it is read
+    once."""
+    records = list(records)
     if not records:
         raise EmptyInputError("no records to write")
     lines = [CSV_HEADER]
@@ -288,8 +286,10 @@ def plot_fig1(records) -> str:
 
     Every record must pass _check_record, as for write_csv, so that a
     record write_csv refuses raises the same error here rather than
-    being drawn (a NaN objective would be drawn at cy="nan").
+    being drawn (a NaN objective would be drawn at cy="nan").  records
+    may be any iterable; it is read once.
     """
+    records = list(records)
     if not records:
         raise EmptyInputError("no records to plot")
     for r in records:

@@ -6,7 +6,9 @@ The input rules are the library's one check each for counts
 (as_real), arrays that may be complex, bases and phases
 (as_numeric), and numbers read from text (parse_number); every entry
 point that takes such an input calls them with its own documented
-error class.  Seeds follow rng.check_seed.
+error class.  Every integer, a count or a seed included, follows
+rng.check_integer, kept in rng since rng imports nothing from the
+package.
 
 A graph on n vertices is stored as a dense symmetric adjacency matrix with
 an exactly zero diagonal and non-negative weights. Graphs are immutable
@@ -24,7 +26,6 @@ write(read(s)) is a canonical form.
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,21 +40,16 @@ from .errors import (
     SelfLoopError,
     SizeMismatchError,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, check_integer
 
 
 # ------------------------------------------------------------ input rules
 
 
 def check_count(value, name, error=ValueError) -> int:
-    """value as an int, which must be an integer >= 1 and not a bool;
+    """value as an int, which must be an integer (rng.check_integer) >= 1;
     error, the caller's documented class, otherwise."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or isinstance(value, (bool, np.bool_)):
-        raise error(f"{name} must be an integer, got {value!r}")
+    count = check_integer(value, name, error)
     if count < 1:
         raise error(f"{name} must be >= 1, got {count}")
     return count

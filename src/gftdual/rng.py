@@ -19,9 +19,14 @@ rule: a random permutation of 0..n-1 is the stable argsort of n such
 floats (SplitMix64.permutation), so every permutation is equally likely
 up to ties among the floats.
 
-Seed rule (check_seed): a seed is any integer, numpy integers included,
-taken mod 2**64. A bool, a float (even 2.0) or a string is refused, since
-a cast would truncate 2.5 to seed 2 and read True as seed 1.
+Integer rule (check_integer): an integer input is any integer, numpy
+integers included, read by operator.index. A bool, a float (even 2.0)
+or a string is refused with the caller's documented error class, since a
+cast would truncate 2.5 to 2 and read True as 1. It is the library's one
+integer check: seeds (check_seed, taken mod 2**64), counts
+(graphs.check_count), derived_words' sizes, and with them the sizes of
+randoms, permutation and unit_phases, integer_below's bound and
+alignment.isomorphism_transport's side all go through it.
 """
 
 from __future__ import annotations
@@ -36,16 +41,21 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def check_seed(seed, error=TypeError) -> int:
-    """seed mod 2**64 as an int; seed must be an integer and not a bool,
-    error, the caller's documented class, otherwise."""
+def check_integer(value, name, error) -> int:
+    """value as an int; value must be an integer and not a bool, error,
+    the caller's documented class, otherwise."""
     try:
-        value = operator.index(seed)
+        integer = operator.index(value)
     except TypeError:
-        value = None
-    if value is None or isinstance(seed, (bool, np.bool_)):
-        raise error(f"seed must be an integer, got {seed!r}")
-    return value & _MASK64
+        integer = None
+    if integer is None or isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return integer
+
+
+def check_seed(seed, error=TypeError) -> int:
+    """seed mod 2**64 as an int, by the integer rule (check_integer)."""
+    return check_integer(seed, "seed", error) & _MASK64
 
 
 class SplitMix64:
@@ -75,11 +85,14 @@ class SplitMix64:
     def randoms(self, k: int) -> np.ndarray:
         """The next k random() floats as one array."""
         block = derived_randoms(self._state, 1, k)[0]
-        self._state = (self._state + k * _GAMMA) & _MASK64
+        # the checked size, an int even when k is a numpy integer
+        self._state = (self._state + block.size * _GAMMA) & _MASK64
         return block
 
     def integer_below(self, bound: int) -> int:
-        """Unbiased integer in [0, bound) via rejection sampling."""
+        """Unbiased integer in [0, bound) via rejection sampling; bound
+        must be an integer (check_integer) >= 1, else ValueError."""
+        bound = check_integer(bound, "bound", ValueError)
         if bound <= 0:
             raise ValueError("bound must be positive")
         limit = ((1 << 64) // bound) * bound
@@ -107,7 +120,10 @@ def derive_stream(seed: int, index: int) -> SplitMix64:
 def derived_words(seed: int, count: int, k: int) -> np.ndarray:
     """The first k words of derived streams 0..count-1 as a (count, k)
     uint64 array: row r equals k calls of derive_stream(seed, r).next_uint64().
+    count and k must be integers (check_integer) >= 0, else ValueError.
     """
+    count = check_integer(count, "count", ValueError)
+    k = check_integer(k, "k", ValueError)
     if count < 0 or k < 0:
         raise ValueError("count and k must be non-negative")
     # uint64 array arithmetic wraps mod 2**64, as the scalar masks do

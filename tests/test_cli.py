@@ -278,10 +278,23 @@ def test_invalid_config_surfaces_as_solver_error(tmp_path, capsys):
         assert "usage:" in err and message in err, argv
 
 
-def test_gen_circulant_skips_empty_offset_items(tmp_path):
-    gaps = _gen(tmp_path, "gaps.txt", "--circulant", "6", "1,,2")
-    plain = _gen(tmp_path, "plain.txt", "--circulant", "6", "1,2")
-    assert open(gaps).read() == open(plain).read()
+@pytest.mark.parametrize("command, gaps, plain", [
+    (["experiment", "--trials", "1", "--restarts", "2", "--n"], "6,,8", "6,8"),
+    (["experiment", "--trials", "1", "--restarts", "2", "--n", "6",
+      "--methods"], "cd,,dup", "cd,dup"),
+    (["gen", "--circulant", "6"], "1,,2", "1,2"),
+], ids=["n", "methods", "offsets"])
+def test_comma_lists_skip_empty_items(tmp_path, command, gaps, plain):
+    # every comma list is read by one rule; --methods cd,,dup failed on
+    # the method ''
+    outputs = []
+    for name, items in (("gaps", gaps), ("plain", plain)):
+        path = tmp_path / name
+        assert main([*command, items, "-o", str(path)]) == 0
+        # all but an experiment's last column, its wall time
+        outputs.append([line.rsplit(",", 1)[0]
+                        for line in path.read_text().splitlines()])
+    assert outputs[0] == outputs[1]
 
 
 def test_gen_option_values_are_usage_errors(tmp_path, capsys):

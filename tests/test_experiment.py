@@ -102,6 +102,8 @@ def test_csv_round_trip_is_exact(records):
     assert text.startswith(CSV_HEADER + "\n")
     assert text.endswith("\n")
     assert read_csv(text) == records
+    # an iterator is read once, to the same text
+    assert write_csv(iter(records)) == text
 
 
 def test_dup_rows_keep_the_csv_schema(monkeypatch):
@@ -123,8 +125,10 @@ def test_dup_rows_keep_the_csv_schema(monkeypatch):
 
 
 def test_write_csv_rejects_empty():
-    with pytest.raises(EmptyInputError):
-        write_csv([])
+    # an empty iterator too, which wrote a header read_csv refuses
+    for records in ([], iter([])):
+        with pytest.raises(EmptyInputError):
+            write_csv(records)
 
 
 def test_read_csv_errors_carry_line_numbers():
@@ -313,6 +317,9 @@ def test_plot_geometry_matches_documented_transform():
         _make_record(20, 0, "CDPM", 9.0),
     ]
     svg = plot_fig1(records)
+    # an iterator is read once: the record check consumed it, and the
+    # series then raised a bare IndexError
+    assert plot_fig1(iter(records)) == svg
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
     assert svg.count("<polyline ") == 2
@@ -366,5 +373,6 @@ def test_plot_constant_series_uses_unit_pad():
 
 
 def test_plot_rejects_empty():
-    with pytest.raises(EmptyInputError):
-        plot_fig1([])
+    for records in ([], iter([])):
+        with pytest.raises(EmptyInputError):
+            plot_fig1(records)

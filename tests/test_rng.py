@@ -64,8 +64,11 @@ def test_any_integer_is_a_seed_mod_2_64(seed):
     assert int(derived_words(seed, 1, 1)[0, 0]) == first
 
 
-@pytest.mark.parametrize("seed", [True, np.True_, 2.5, 2.0, np.float64(2.0),
-                                  "2", 2 + 0j, None])
+_NOT_INTEGERS = [True, np.True_, 2.5, 2.0, np.float64(2.0), "2", 2 + 0j,
+                 None]
+
+
+@pytest.mark.parametrize("seed", _NOT_INTEGERS)
 def test_seeds_that_are_not_integers_raise(seed):
     # a cast would run 2.5 as seed 2 and True as seed 1
     for call in (SplitMix64, check_seed, lambda s: derive_stream(s, 0),
@@ -75,6 +78,31 @@ def test_seeds_that_are_not_integers_raise(seed):
             call(seed)
     with pytest.raises(ValueError, match="seed must be an integer"):
         check_seed(seed, ValueError)
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS)
+def test_sizes_that_are_not_integers_raise(value):
+    # a cast would draw 2 floats for a size of 2.0 and 1 for True, and
+    # integer_below(2.5) returned 0.5
+    stream = SplitMix64(0)
+    for name, call in (("count", lambda c: derived_words(0, c, 3)),
+                       ("k", lambda k: derived_words(0, 2, k)),
+                       ("k", lambda k: derived_randoms(0, 2, k)),
+                       ("k", stream.randoms), ("k", stream.permutation),
+                       ("k", stream.unit_phases),
+                       ("bound", stream.integer_below)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call(value)
+    # no refused call moved the stream
+    assert stream.next_uint64() == SplitMix64(0).next_uint64()
+
+
+def test_numpy_integer_sizes_draw_like_ints():
+    # k * GAMMA overflowed an int64 k, so permutation(np.int64(5)) raised
+    for size in (np.int64(5), np.uint64(5), np.int8(5)):
+        block, plain = SplitMix64(7), SplitMix64(7)
+        assert np.array_equal(block.permutation(size), plain.permutation(5))
+        assert block.next_uint64() == plain.next_uint64()
 
 
 def test_random_unit_interval():

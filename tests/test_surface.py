@@ -69,7 +69,8 @@ def _matrices(valid):
             "complex": np.asarray(valid, dtype=complex), "nan": nan}
 
 
-# (entry point, call, error) for the count and index rules
+# (entry point, call, error) for the integer rule (rng.check_integer), its
+# counts, and the index rule
 _SCALAR_ENTRIES = (
     ("new_graph", lambda n: gftdual.new_graph(n, []),
      gftdual.IndexOutOfRangeError),
@@ -90,6 +91,16 @@ _SCALAR_ENTRIES = (
      gftdual.IndexOutOfRangeError),
     ("circulant offset", lambda k: gftdual.circulant(6, [(k, 1.0)]),
      gftdual.OffsetOutOfRangeError),
+    ("SplitMix64.integer_below",
+     lambda b: gftdual.SplitMix64(0).integer_below(b), ValueError),
+    ("SplitMix64.randoms", lambda k: gftdual.SplitMix64(0).randoms(k),
+     ValueError),
+    ("SplitMix64.permutation",
+     lambda n: gftdual.SplitMix64(0).permutation(n), ValueError),
+    ("SplitMix64.unit_phases",
+     lambda n: gftdual.SplitMix64(0).unit_phases(n), ValueError),
+    ("isomorphism_transport side", lambda side: gftdual.isomorphism_transport(
+        _SOLUTION, _IDENTITY, side), ValueError),
     ("SplitMix64 seed", gftdual.SplitMix64, TypeError),
     ("derive_stream index", lambda k: gftdual.derive_stream(0, k), TypeError),
     ("erdos_renyi seed", lambda s: gftdual.erdos_renyi(3, 0.5, s), TypeError),
