@@ -21,19 +21,22 @@ from .graphs import (Graph, as_numeric, check_count, check_permutation,
                      check_permutations, check_real, invert_permutation,
                      is_circulant)
 from .rng import check_integer, check_seed, derived_randoms
-from .spectral import (check_basis_pair, check_same_size, check_square,
-                       decompose_pair, dft_matrix)
+from .spectral import (check_basis_pair, check_same_size, decompose_pair,
+                       dft_matrix)
 
 ZERO_DIAGONAL_TOL = 1e-12
 CIRCULANT_DIAG_TOL = 1e-9
 UNIT_PHASE_TOL = 1e-9
 # CDPM forms the score matrices of at most this many complex entries at
-# once: one GEMM per block, without a full (R, n, n) stack in memory
+# once: one stacked product per block, without a full (R, n, n) stack in
+# memory
 _SCORE_BLOCK_ENTRIES = 2 ** 14
 
-# the iterated local search of multistart("CDPM"): at most this many
-# perturbation rounds (tuned on seeded sweeps, see CHANGES.md)
-_PERTURB_ROUNDS = 5
+# multistart("CDPM") runs its descents after block 0 in blocks of
+# _BLOCK, every _SEEDED_EVERY-th block seeded and the others perturbed
+# (tuned on pair seeds 30000 onwards, see CHANGES.md)
+_BLOCK = 9
+_SEEDED_EVERY = 6
 
 CD = "CD"
 CDPM = "CDPM"
@@ -177,8 +180,10 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
     iteration that gains less than epsilon, so both matchings of a
     converged start are exact for its final phases.  Every iteration,
     lazy or full, counts towards iterations and max_iterations.  A full
-    half-step scores a block of starts at a time, one product and one
-    solve_assignment_max call per block (respond).
+    half-step scores a block of starts at a time, one stacked product and
+    one solve_assignment_max call per block (respond), with one product
+    per start, so that a CDPM start descends bit for bit as it does
+    alone.
     """
     count, n = d1.shape
     if trace is not None and count != 1:
@@ -209,17 +214,17 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
         pb = np.empty(pa.shape, dtype=np.intp)
         for lo in range(0, da.shape[0], block):
             part = slice(lo, lo + block)
-            # S_r = Va Da_r Pa_r Vb for every start r of the block from one
-            # product: S[:, r, :] = Va X[:, r, :], X[l, r, k] = da[r, l]
-            # Vb[pa[r, l], k]
-            m = da[part].shape[0]
-            x = (da[part].T[:, :, None] * vb[pa[part].T]).reshape(n, m * n)
+            # S_r = Va X_r with X_r[l, k] = da[r, l] Vb[pa[r, l], k] for
+            # every start r of the block, one product per start in one
+            # stacked call, so that a start's S does not depend on the
+            # other starts of the stack (one product over all of them
+            # rounds a column by the number of columns)
+            x = da[part][:, :, None] * vb[pa[part]]
             # a real Va multiplies the interleaved real and imaginary
-            # parts of X in one real product; a complex Va sees X as is
-            s = (a @ x.view(a.dtype)).view(complex)
-            s = s.reshape(n, m, n).transpose(1, 0, 2)
+            # parts of X_r in one real product; a complex Va sees X_r as is
+            s = np.matmul(a, x.view(a.dtype)).view(complex)
             pb[part], _ = solve_assignment_max(np.abs(s))
-            starts = np.arange(m)[:, None]
+            starts = np.arange(s.shape[0])[:, None]
             diag[part] = s[starts, pb[part], columns]
             if now is not None:
                 now[part] = s[starts, pb_now[part], columns]
@@ -369,9 +374,9 @@ def _random_starts(seed, count, n, with_permutations):
     """Starts 0..count-1 as (R, n) stacks.  Start r reads the first 2n
     (CD) or 4n (CDPM) random() floats of derive_stream(seed, r): floats
     [0, n) and [n, 2n) times 2 pi are the angles of d1 and d2, and floats
-    [2n, 3n) and [3n, 4n), ranked, are p1 and p2.  So start r equals the
-    scalar draws unit_phases(n), unit_phases(n), permutation(n),
-    permutation(n) of that stream.
+    [2n, 3n) and [3n, 4n), ranked, are the permutations sigma1 and sigma2
+    (_seeded_starts).  So start r equals the scalar draws unit_phases(n),
+    unit_phases(n), permutation(n), permutation(n) of that stream.
     """
     sides = 4 if with_permutations else 2
     u = derived_randoms(seed, count, sides * n).reshape(count, sides, n)
@@ -411,52 +416,155 @@ def _perturbed_starts(solution, seed, first, count):
             np.tile(solution.d2, (count, 1)), perms[:, 1])
 
 
-def _joined(runs, name):
-    joined = np.concatenate([getattr(run, name) for run in runs])
-    joined.setflags(write=False)
-    return joined
+def _magnitude_matching(a, b):
+    """The permutation p, p[j] = i, that matches column j of a to row i
+    of b with the least sum of ||sort a[:, j] - sort b[i, :]||^2 over j
+    (solve_assignment_max on the negated costs)."""
+    columns = np.sort(a, axis=0).T
+    rows = np.sort(b, axis=1)
+    # cost[j, i], formed entry by entry, so that permuting the rows of b
+    # permutes its columns exactly
+    cost = columns[:, None, :] - rows[None, :, :]
+    np.square(cost, out=cost)
+    return solve_assignment_max(-cost.sum(axis=-1).T)[0]
+
+
+def _signature_start(v1, v2):
+    """The start (d1, p1, d2, p2) that reads only entry magnitudes
+    (Umeyama, IEEE TPAMI 10, 1988).  At an optimum of dualness 0, column
+    b of V1 and row p1(b) of V2 hold the same magnitudes, and so do
+    column d of V2 and row p2(d) of V1: p1 and p2 match them by their
+    sorted magnitudes.  The phases are those of the top singular pair of
+    M[l, m] = V1[p2(m), l] V2[p1(l), m], the objective's d1' M d2 at
+    these permutations.  Relabelling either graph's vertices carries the
+    start along."""
+    a1, a2 = np.abs(v1), np.abs(v2)
+    p1 = _magnitude_matching(a1, a2)
+    p2 = _magnitude_matching(a2, a1)
+    u, _, vh = np.linalg.svd(v1[p2].T * v2[p1])
+    # d1 = conj(u)/|u| and d2 = v/|v| for v = conj(vh[0])
+    d1, _ = _phases_of_diagonal(u[:, 0])
+    d2, _ = _phases_of_diagonal(vh[0])
+    return d1, p1, d2, p2
+
+
+def _seeded_starts(signature, seed, first, count):
+    """Seeded starts first..first+count-1 as (R, n) stacks, drawn on the
+    eigenvalue side: start r takes its phases and permutations sigma1,
+    sigma2 from derive_stream(seed, r) (_random_starts) and starts at
+    p1 = sig_p1[sigma1], p2 = sig_p2[sigma2] for the signature start's
+    permutations, so that a relabelling carries it along too."""
+    n = signature[1].shape[0]
+    d1, s1, d2, s2 = _random_starts(seed + first, count, n, True)
+    return d1, signature[1][s1], d2, signature[3][s2]
+
+
+def _first_seeded(n):
+    """The seeded descents of block 0 at size n: 9 from n = 11 on, and
+    1200 // n^2 below, where a fresh start finds a better basin more
+    often than a swap from the incumbent does (see CHANGES.md)."""
+    return max(9, 1200 // n ** 2)
+
+
+def _cdpm_search(v1, v2, config):
+    """multistart's CDPM search on the checked pair (v1, v2)."""
+    seed, restarts = config.seed, config.restarts
+    signature = _signature_start(v1, v2)
+    seeded = _first_seeded(v1.shape[0])
+    done = min(restarts, 1 + seeded)
+    starts = tuple(np.concatenate([one[None], many])[:done]
+                   for one, many in zip(signature, _seeded_starts(
+                       signature, seed, 1, seeded)))
+    best = cdpm_align(v1, v2, config, starts)
+    runs = [best]
+    while done < restarts:
+        count = min(_BLOCK, restarts - done)
+        if len(runs) % _SEEDED_EVERY == 0:
+            starts = _seeded_starts(signature, seed, done, count)
+        else:
+            starts = _perturbed_starts(best, seed, done, count)
+        run = cdpm_align(v1, v2, config, starts)
+        runs.append(run)
+        done += count
+        if run.objective > best.objective:
+            best = run
+    return _best_of(best, runs)
+
+
+def _best_of(best, runs):
+    """best, with the restart_* arrays of every run joined in run order
+    (read-only)."""
+    joined = {}
+    for name in ("restart_iterations", "restart_converged",
+                 "restart_objectives"):
+        joined[name] = np.concatenate([getattr(run, name) for run in runs])
+        joined[name].setflags(write=False)
+    return replace(best, **joined)
+
+
+def _magnitude_order(v1, v2):
+    """-1, 0 or 1 as the sorted entry magnitudes of v1 come before, equal
+    or after those of v2 lexicographically; relabelling and phases leave
+    it unchanged."""
+    k1, k2 = (np.sort(np.abs(v), axis=None).tolist() for v in (v1, v2))
+    return (k1 > k2) - (k1 < k2)
+
+
+def _swapped(solution):
+    """The solution of (V1, V2) from that of (V2, V1): tr(AB) = tr(BA)."""
+    return replace(solution, d1=solution.d2, p1=solution.p2,
+                   d2=solution.d1, p2=solution.p1)
 
 
 def multistart(method, v1, v2, config=SolverConfig()):
-    """Best of config.restarts seeded descents of CD or CDPM.
+    """Best of config.restarts descents of CD or CDPM.
 
-    Both methods follow one schedule.  Seeded descent r starts from the
-    first random() floats of derive_stream(seed, r) (_random_starts):
-    phases uniform on the unit circle and, for CDPM, permutations
-    uniform as the ranks of floats (SplitMix64.permutation).  The first
-    descents, all config.restarts of them for CD and ceil(restarts / 2)
-    for CDPM, run from such starts as one stacked descent.  CDPM spends
-    the rest as an iterated local search: at most _PERTURB_ROUNDS stacked
-    rounds of near-equal size (earlier rounds one larger) whose starts
-    perturb the best solution so far (_perturbed_starts), descent r again
-    drawing from derive_stream(seed, r).  The best objective wins and
-    ties keep the earliest descent; the restart_* arrays cover every
-    descent in draw order.  method is read as str(method).upper(),
-    ExperimentConfig's rule; a name other than CD or CDPM raises
-    ValueError.
+    CD runs one stacked cd_align on seeded starts: start r takes its
+    phases from the first random() floats of derive_stream(seed, r)
+    (_random_starts).
+
+    CDPM runs an iterated local search (Lourenco, Martin and Stuetzle,
+    2003) in which budget R runs the first R descents of any larger
+    budget, so its answer never falls as R grows.  Descent 0 starts at
+    the magnitude signature (_signature_start).  Block 0 stacks it on
+    _first_seeded(n) seeded descents: descent r draws phases and
+    permutations sigma1, sigma2 from derive_stream(seed, r) and starts at
+    p1 = sig_p1[sigma1], p2 = sig_p2[sigma2] (_seeded_starts).  Each later
+    block holds _BLOCK descents: block k is seeded alike when k is a
+    multiple of _SEEDED_EVERY, and otherwise its descents perturb the
+    best solution so far (_perturbed_starts), descent r drawing from
+    derive_stream(seed, r).  Every start is indexed by eigenvalues, so
+    relabelling a graph's vertices carries the answer along
+    (isomorphism_transport), unless the graph's symmetries tie the
+    signature's matchings.  CDPM solves the order whose first basis has
+    the lexicographically smaller sorted entry magnitudes and maps the
+    answer back, the solution (e1, q1, e2, q2) of (V2, V1) being
+    (e2, q2, e1, q1) of (V1, V2), so swapping the arguments swaps the
+    answer.  Equal magnitudes run both orders and keep the higher
+    objective (then the higher restart_objectives).
+
+    The best objective wins and ties keep the earliest descent; the
+    restart_* arrays cover every descent in draw order.  method is read
+    as str(method).upper(), ExperimentConfig's rule; a name other than
+    CD or CDPM raises ValueError.
     """
     method = str(method).upper()
     if method not in (CD, CDPM):
         raise ValueError("method must be CD or CDPM, got %r" % (method,))
-    # cd_align and cdpm_align check the pair; the starts need only n
-    n = check_square(v1, "V1").shape[0]
-    cdpm = method == CDPM
-    align = cdpm_align if cdpm else cd_align
-    first = -(-config.restarts // 2) if cdpm else config.restarts
-    best = align(v1, v2, config, _random_starts(config.seed, first, n, cdpm))
-    runs = [best]
-    left = config.restarts - first
-    rounds = min(_PERTURB_ROUNDS, left)
-    for k in range(rounds):
-        count = left // rounds + (k < left % rounds)
-        run = align(v1, v2, config,
-                    _perturbed_starts(best, config.seed, first, count))
-        runs.append(run)
-        first += count
-        if run.objective > best.objective:
-            best = run
-    return replace(best, **{name: _joined(runs, name) for name in (
-        "restart_iterations", "restart_converged", "restart_objectives")})
+    v1, v2, n = check_basis_pair(v1, v2)
+    if method == CD:
+        run = cd_align(v1, v2, config,
+                       _random_starts(config.seed, config.restarts, n, False))
+        return _best_of(run, [run])
+    order = _magnitude_order(v1, v2)
+    if order < 0:
+        return _cdpm_search(v1, v2, config)
+    if order > 0:
+        return _swapped(_cdpm_search(v2, v1, config))
+    runs = (_cdpm_search(v1, v2, config),
+            _swapped(_cdpm_search(v2, v1, config)))
+    return max(runs, key=lambda run: (run.objective,
+                                      run.restart_objectives.tolist()))
 
 
 def run_pair(g1: Graph, g2: Graph, method, config=SolverConfig()):

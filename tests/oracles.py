@@ -1,6 +1,7 @@
 """Test oracles: exhaustive assignment and explicit permutation matrices,
-the scaled coupling blocks that DUP's tolerance is tested on, and the
-certified optimum of the dualness objective at small n."""
+the scaled coupling blocks that DUP's tolerance is tested on, the
+certified optimum of the dualness objective at small n, and planted
+pairs whose optimum is known at any n."""
 
 import itertools
 
@@ -9,6 +10,9 @@ from scipy.optimize import linear_sum_assignment
 
 from gftdual.alignment import CD, SolverConfig, multistart
 from gftdual.dup import build_coupling, dup_bound
+from gftdual.graphs import erdos_renyi
+from gftdual.rng import SplitMix64
+from gftdual.spectral import eigendecompose
 
 
 def assignment_bruteforce(s):
@@ -82,3 +86,40 @@ def certified_optimum(v1, v2):
                 best = max(best, run.objective)
     assert highest <= best + margin, (highest, best)
     return best
+
+
+def planted_pair(n, seed, noise=0.0):
+    """(v1, v2, planted) for a pair with a planted solution.
+
+    V1 is the eigenbasis of erdos_renyi(n, 0.4, 7000 + seed).  Signs s1,
+    s2 (random() < 0.5 gives -1) and permutations p1, p2 are drawn from
+    SplitMix64(seed) in that order, and V2 = (S1 P1)' V1' (S2 P2)', the
+    eigenbasis of a relabelled exact dual, so planted = (s1, p1, s2, p2)
+    reaches objective n up to rounding (dualness 0).  With noise > 0, V2
+    is then replaced by the Q factor (signs fixed so that R has a positive
+    diagonal) of V2 + noise N / sqrt(n), N standard Gaussian from
+    np.random.default_rng(seed): the planted objective on that pair is a
+    lower bound on its optimum.
+    """
+    v1 = eigendecompose(erdos_renyi(n, 0.4, 7000 + seed)).vectors
+    stream = SplitMix64(seed)
+    s1 = np.where(stream.randoms(n) < 0.5, -1.0, 1.0)
+    p1 = stream.permutation(n)
+    s2 = np.where(stream.randoms(n) < 0.5, -1.0, 1.0)
+    p2 = stream.permutation(n)
+    q1 = s1[:, None] * permutation_matrix(p1)
+    q2 = s2[:, None] * permutation_matrix(p2)
+    v2 = q1.T @ v1.T @ q2.T
+    if noise > 0.0:
+        gauss = np.random.default_rng(seed).standard_normal((n, n))
+        q, r = np.linalg.qr(v2 + noise * gauss / np.sqrt(n))
+        v2 = q * np.sign(np.diagonal(r))
+    return v1, v2, (s1, p1, s2, p2)
+
+
+def planted_cases():
+    """(seed, noise) of the planted-dual gate: seeds 0-11 planted (noise
+    0), then seeds 12-19 near-dual with noise 0.02, 0.05, 0.1 and 0.2,
+    twice over."""
+    return ([(seed, 0.0) for seed in range(12)]
+            + [(12 + k, (0.02, 0.05, 0.1, 0.2)[k % 4]) for k in range(8)])
