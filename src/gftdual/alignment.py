@@ -27,11 +27,6 @@ from .spectral import (check_basis_pair, check_same_size, decompose_pair,
 ZERO_DIAGONAL_TOL = 1e-12
 CIRCULANT_DIAG_TOL = 1e-9
 UNIT_PHASE_TOL = 1e-9
-# CDPM forms the score matrices of at most this many complex entries at
-# once: one stacked product per block, without a full (R, n, n) stack in
-# memory
-_SCORE_BLOCK_ENTRIES = 2 ** 14
-
 # multistart("CDPM") runs its descents after block 0 in blocks of
 # _BLOCK, every _SEEDED_EVERY-th block seeded and the others perturbed
 # (tuned on pair seeds 30000 onwards, see CHANGES.md)
@@ -180,16 +175,14 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
     iteration that gains less than epsilon, so both matchings of a
     converged start are exact for its final phases.  Every iteration,
     lazy or full, counts towards iterations and max_iterations.  A full
-    half-step scores a block of starts at a time, one stacked product and
-    one solve_assignment_max call per block (respond), with one product
-    per start, so that a CDPM start descends bit for bit as it does
-    alone.
+    half-step scores all its starts with one stacked product, one product
+    per start, and one solve_assignment_max call (respond), so that a
+    CDPM start descends bit for bit as it does alone.
     """
     count, n = d1.shape
     if trace is not None and count != 1:
         raise ValueError("trace needs a single start, got %d" % count)
     columns = np.arange(n)
-    block = max(1, _SCORE_BLOCK_ENTRIES // max(1, n * n))
     # the fixed operands, built once here rather than at every product:
     # CD's diag(Va Da Vb) = da (Va' o Vb), CDPM's Va and Vb of
     # S = Va Da Pa Vb, the bases themselves
@@ -208,27 +201,20 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
         S = Va Da Pa Vb.  Returns the entries S[pb(k), k] for the best
         pb, pb and, when pb_now is given, the entries S[pb_now(k), k]
         that score side b's current state."""
-        a, vb = fixed[side], fixed[1 - side]
-        diag = np.empty(da.shape, dtype=complex)
-        now = None if pb_now is None else np.empty(da.shape, dtype=complex)
-        pb = np.empty(pa.shape, dtype=np.intp)
-        for lo in range(0, da.shape[0], block):
-            part = slice(lo, lo + block)
-            # S_r = Va X_r with X_r[l, k] = da[r, l] Vb[pa[r, l], k] for
-            # every start r of the block, one product per start in one
-            # stacked call, so that a start's S does not depend on the
-            # other starts of the stack (one product over all of them
-            # rounds a column by the number of columns)
-            x = da[part][:, :, None] * vb[pa[part]]
-            # a real Va multiplies the interleaved real and imaginary
-            # parts of X_r in one real product; a complex Va sees X_r as is
-            s = np.matmul(a, x.view(a.dtype)).view(complex)
-            pb[part], _ = solve_assignment_max(np.abs(s))
-            starts = np.arange(s.shape[0])[:, None]
-            diag[part] = s[starts, pb[part], columns]
-            if now is not None:
-                now[part] = s[starts, pb_now[part], columns]
-        return diag, pb, now
+        a = fixed[side]
+        # S_r = Va X_r with X_r[l, k] = da[r, l] Vb[pa[r, l], k] for every
+        # start r, one product per start in one stacked call, so that a
+        # start's S does not depend on the other starts of the stack (one
+        # product over all of them rounds a column by the number of
+        # columns).  A real Va multiplies the interleaved real and
+        # imaginary parts of X_r in one real product; a complex Va sees
+        # X_r as is.  X stays unnamed, so it is freed after the product
+        s = np.matmul(a, (da[:, :, None] * fixed[1 - side][pa])
+                      .view(a.dtype)).view(complex)
+        pb, _ = solve_assignment_max(np.abs(s))
+        starts = np.arange(s.shape[0])[:, None]
+        now = None if pb_now is None else s[starts, pb_now, columns]
+        return s[starts, pb, columns], pb, now
 
     def half_step(side, da, pa, pb, score=False):
         """Best phases of side b against side a, their value, pb and, when
@@ -288,13 +274,8 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
             # converge
             settle = (~lazy & ~done & (p1 == held[0]).all(axis=1)
                       & (p2 == held[1]).all(axis=1))
-            # built a score block of starts at a time, so that the
-            # temporaries stay as small as a block's scores
-            rows = np.flatnonzero(settle)
-            for lo in range(0, rows.size, block):
-                r = rows[lo:lo + block]
-                operands[r] = (v1[p2[r][:, None, :], columns[:, None]]
-                               * v2[p1[r]])
+            operands[settle] = (v1[p2[settle][:, None, :], columns[:, None]]
+                                * v2[p1[settle]])
             lazy, done = lazy & ~done | settle, done & ~lazy
             lazy_count = np.count_nonzero(lazy)
         leaving = done | (it + 1 == config.max_iterations)
@@ -315,13 +296,7 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
                 # a start leaves early only on a full iteration, so
                 # lazy_count still holds
                 lazy = lazy[staying]
-                # compacted in place, a block at a time: kept is
-                # increasing, so no block reads a row written before it
-                kept = np.flatnonzero(staying)
-                for lo in range(0, kept.size, block):
-                    r = kept[lo:lo + block]
-                    operands[lo:lo + r.size] = operands[r]
-                operands = operands[:kept.size]
+                operands = operands[staying]
         previous = value
     d1, p1, d2, p2 = final
     best = int(np.argmax(objectives))

@@ -367,11 +367,15 @@ def test_stacked_starts_return_earliest_best_run(method):
         assert np.array_equal(run.restart_converged, [run.converged])
 
 
+@pytest.mark.parametrize("cap", [6, 500])
 @pytest.mark.parametrize("complex_valued", [False, True])
-def test_cdpm_score_blocks_match_single_starts(complex_valued):
-    # at n = 40 CDPM forms the score matrices of 10 starts per block, so
-    # 25 starts take three blocks, the last one partial
-    n = 40
+@pytest.mark.parametrize("n, count", [(40, 25), (50, 13)])
+def test_cdpm_stacked_starts_descend_bit_for_bit_as_alone(n, count,
+                                                          complex_valued,
+                                                          cap):
+    # every start of a stack forms its scores with its own product, so it
+    # descends exactly as it does alone, whatever the stack's size; a cap
+    # of 6 stops starts mid-descent, a cap of 500 lets them converge
     v1 = _eigvecs(n, 0.4, 94)
     v2 = _eigvecs(n, 0.4, 95)
     if complex_valued:
@@ -379,22 +383,23 @@ def test_cdpm_score_blocks_match_single_starts(complex_valued):
         angles = np.random.default_rng(3).uniform(0, 2 * np.pi, (2, n))
         v1 = v1 * np.exp(1j * angles[0])
         v2 = v2 * np.exp(1j * angles[1])
-    config = SolverConfig(max_iterations=6)
-    starts = _seeded_starts(CDPM, n, 25, seed=8)
+    config = SolverConfig(max_iterations=cap)
+    starts = _seeded_starts(CDPM, n, count, seed=8)
     stacked = cdpm_align(v1, v2, config,
                          tuple(np.array(part) for part in zip(*starts)))
     single = [cdpm_align(v1, v2, config, start) for start in starts]
-    best = single[int(np.argmax([run.objective for run in single]))]
-    assert abs(stacked.objective - best.objective) <= 1e-12
-    assert np.array_equal(stacked.p1, best.p1)
-    assert np.array_equal(stacked.p2, best.p2)
-    recomputed = trace_objective(v1, stacked.d1, stacked.p1,
-                                 v2, stacked.d2, stacked.p2)
-    assert abs(recomputed - stacked.objective) <= 1e-12
+    assert np.array_equal(stacked.restart_objectives,
+                          [run.objective for run in single])
     assert np.array_equal(stacked.restart_iterations,
                           [run.iterations for run in single])
     assert np.array_equal(stacked.restart_converged,
                           [run.converged for run in single])
+    best = single[int(np.argmax([run.objective for run in single]))]
+    for name in ("p1", "p2", "d1", "d2"):
+        assert np.array_equal(getattr(stacked, name), getattr(best, name))
+    recomputed = trace_objective(v1, stacked.d1, stacked.p1,
+                                 v2, stacked.d2, stacked.p2)
+    assert abs(recomputed - stacked.objective) <= 1e-12
 
 
 @pytest.mark.parametrize("method", [CD, CDPM])
@@ -432,7 +437,7 @@ def test_start_converging_at_the_cap_reports_converged(method):
 def test_cdpm_on_a_real_basis_matches_its_complex_cast(n):
     # a real basis forms the score product with real arithmetic, its
     # complex cast with complex arithmetic: the descents agree up to
-    # rounding (at n = 40 the 12 starts take two score blocks)
+    # rounding
     v1 = _eigvecs(n, 0.4, 86)
     v2 = _eigvecs(n, 0.4, 87)
     starts = _seeded_starts(CDPM, n, 12, seed=10)
@@ -493,10 +498,9 @@ def _lazy_descent(v1, v2, config, start):
     (40, 12, True, 500), (12, 16, False, 9)])
 def test_lazy_descent_matches_the_scalar_reference(n, count, complex_valued,
                                                    cap):
-    # at n = 40 the full starts take several score blocks; the cap of 9
-    # stops starts inside lazy and full iterations alike.  Random bases,
-    # since a small graph's symmetries can tie two matchings exactly,
-    # and rounding then picks either
+    # the cap of 9 stops starts inside lazy and full iterations alike.
+    # Random bases, since a small graph's symmetries can tie two
+    # matchings exactly, and rounding then picks either
     rng = np.random.default_rng(n)
     v1 = _random_unitary(rng, n, complex_valued)
     v2 = _random_unitary(rng, n, complex_valued)
