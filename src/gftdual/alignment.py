@@ -37,6 +37,16 @@ CD = "CD"
 CDPM = "CDPM"
 
 
+def method_name(method, allowed):
+    """method read as str(method).upper(), the one reading of a method
+    name, which must be one of allowed; ValueError otherwise."""
+    name = str(method).upper()
+    if name not in allowed:
+        raise ValueError("unknown method %r, expected one of %s"
+                         % (method, ", ".join(allowed)))
+    return name
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Convergence threshold, iteration cap, restart count (the number of
@@ -520,12 +530,10 @@ def multistart(method, v1, v2, config=SolverConfig()):
 
     The best objective wins and ties keep the earliest descent; the
     restart_* arrays cover every descent in draw order.  method is read
-    as str(method).upper(), ExperimentConfig's rule; a name other than
-    CD or CDPM raises ValueError.
+    by method_name, as ExperimentConfig reads its methods; a name other
+    than CD or CDPM raises ValueError.
     """
-    method = str(method).upper()
-    if method not in (CD, CDPM):
-        raise ValueError("method must be CD or CDPM, got %r" % (method,))
+    method = method_name(method, (CD, CDPM))
     v1, v2, n = check_basis_pair(v1, v2)
     if method == CD:
         run = cd_align(v1, v2, config,

@@ -14,19 +14,19 @@ accept too.
 """
 
 import math
-import numbers
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .alignment import (CD, CDPM, SolverConfig, dualness_from_objective,
-                        multistart)
+                        method_name, multistart)
 from .dup import build_coupling, dup_bound
 from .errors import (EmptyInputError, IndexOutOfRangeError,
                      NonFiniteEntryError, ParseError, ResampleCapExceeded)
-from .graphs import check_count, check_real, erdos_renyi, parse_number
-from .rng import SplitMix64, check_seed
+from .graphs import (check_count, check_real, erdos_renyi, is_real,
+                     parse_number)
+from .rng import SplitMix64, check_integer
 from .spectral import eigendecompose, has_distinct_eigenvalues
 
 DUP = "DUP"
@@ -47,8 +47,29 @@ _METHOD_COLORS = {CD: "#1f77b4", CDPM: "#d62728", DUP: "#2ca02c"}
 _LEGEND_LABELS = {DUP: "DUP (bound on CD, identity permutations)"}
 
 
+def _items(values, name):
+    """values as a non-empty tuple; a str, a non-iterable or an empty
+    iterable raises ValueError naming the field."""
+    try:
+        items = () if isinstance(values, (str, bytes)) else tuple(values)
+    except TypeError:
+        items = ()
+    if not items:
+        raise ValueError("%s must be a non-empty list, got %r"
+                         % (name, values))
+    return items
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of one sweep.  n_values and methods are non-empty
+    lists, never a str or a non-iterable (ValueError naming the field):
+    n_values strictly ascending counts (graphs.check_count), methods
+    read by alignment.method_name with no repeats.  p lies in [0, 1]
+    and trials is a count.  epsilon, max_iterations, restarts and seed
+    are checked by building one SolverConfig and stored as it checked
+    them: a float, two ints and the seed mod 2**64 as an int."""
+
     n_values: tuple = (10, 15, 20, 25, 30)
     p: float = 0.4
     trials: int = 20
@@ -59,33 +80,22 @@ class ExperimentConfig:
     methods: tuple = METHODS
 
     def __post_init__(self):
-        values = tuple(check_count(n, "n_values") for n in self.n_values)
-        if not values:
-            raise ValueError("n_values must be non-empty")
+        values = tuple(check_count(n, "n_values")
+                       for n in _items(self.n_values, "n_values"))
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("n_values must be strictly ascending")
         object.__setattr__(self, "n_values", values)
         object.__setattr__(self, "p", check_real(self.p, "p", upper=1))
         object.__setattr__(self, "trials", check_count(self.trials, "trials"))
-        object.__setattr__(self, "seed", check_seed(self.seed, ValueError))
-        self._solver_config()
-        methods = tuple(str(m).upper() for m in self.methods)
-        if not methods:
-            raise ValueError("methods must be non-empty")
-        for m in methods:
-            if m not in METHODS:
-                raise ValueError("unknown method %r" % (m,))
+        solver = SolverConfig(self.epsilon, self.max_iterations,
+                              self.restarts, self.seed)
+        for name, value in asdict(solver).items():
+            object.__setattr__(self, name, value)
+        methods = tuple(method_name(m, METHODS)
+                        for m in _items(self.methods, "methods"))
         if len(set(methods)) != len(methods):
             raise ValueError("duplicate method in %r" % (methods,))
         object.__setattr__(self, "methods", methods)
-
-    def _solver_config(self):
-        """The CD/CDPM settings of this sweep, seed 0; raises ValueError
-        on an out-of-range epsilon, or a max_iterations or restarts that
-        is not an integer >= 1."""
-        return SolverConfig(epsilon=self.epsilon,
-                            max_iterations=self.max_iterations,
-                            restarts=self.restarts)
 
 
 @dataclass(frozen=True)
@@ -136,7 +146,6 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic):
     in (n, trial, METHODS) order, which is sorted by (n, trial, method).
     """
     records = []
-    solver = config._solver_config()
     sequencer = SplitMix64(config.seed)
     for n in config.n_values:
         for trial in range(config.trials):
@@ -155,7 +164,8 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic):
                 else:
                     solution = multistart(
                         method, dec1.vectors, dec2.vectors,
-                        replace(solver, seed=method_seeds[method]))
+                        SolverConfig(config.epsilon, config.max_iterations,
+                                     config.restarts, method_seeds[method]))
                     objective = solution.objective
                     iterations = solution.iterations
                 elapsed_ms = int(round((clock() - start) * 1000.0))
@@ -171,17 +181,19 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic):
 def _check_record(r):
     """Raise unless the record r is one that write_csv writes, read_csv
     reads back as it is and plot_fig1 draws, column by column: a float
-    field must be a finite real number (NonFiniteEntryError, also for
-    text, None or a complex value), an int field an integer >= 0 and the
-    method one of METHODS (IndexOutOfRangeError)."""
+    field (p, objective, dualness) must be a finite real number by
+    graphs.is_real, check_real's test (NonFiniteEntryError, also for a
+    bool, text, None or a complex value), an int field (n, trial,
+    iterations, restarts_used, resample_count, wall_time_ms) an integer
+    by rng.check_integer and >= 0, and the method one of METHODS
+    (IndexOutOfRangeError)."""
     for name, kind in _COLUMNS:
         value = getattr(r, name)
-        real = isinstance(value, numbers.Real)
-        if kind is float and not (real and math.isfinite(value)):
+        if kind is float and not (is_real(value) and math.isfinite(value)):
             raise NonFiniteEntryError(
                 "%s must be a finite real number, got %r" % (name, value))
-        # written so that NaN fails it
-        if kind is int and not (real and value % 1 == 0 and value >= 0):
+        if kind is int and check_integer(value, name,
+                                         IndexOutOfRangeError) < 0:
             raise IndexOutOfRangeError(
                 "%s must be an integer >= 0, got %r" % (name, value))
         if kind is str and value not in METHODS:

@@ -55,12 +55,19 @@ def check_count(value, name, error=ValueError) -> int:
     return count
 
 
+def is_real(value) -> bool:
+    """True for a real number (numbers.Real, numpy floats included) that
+    is not a bool: check_real's type test, which experiment's records
+    share."""
+    return (isinstance(value, numbers.Real)
+            and not isinstance(value, (bool, np.bool_)))
+
+
 def check_real(value, name, error=ValueError, upper=None) -> float:
-    """value as a float, which must be a real number and not a bool or
-    text, and finite: positive, or within [0, upper] when upper is given;
-    error, the caller's documented class, otherwise."""
-    if (not isinstance(value, numbers.Real)
-            or isinstance(value, (bool, np.bool_))):
+    """value as a float, which must be a real number (is_real), and
+    finite: positive, or within [0, upper] when upper is given; error,
+    the caller's documented class, otherwise."""
+    if not is_real(value):
         raise error(f"{name} must be a real number, got {value!r}")
     real = float(value)
     # written so that NaN fails both tests

@@ -58,8 +58,8 @@ class SpectralDecomposition:
     vectors: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.eigenvalues, dtype=float)
-        v = np.array(self.vectors, dtype=float)
+        w = as_real(self.eigenvalues, "eigenvalues").copy()
+        v = as_real(self.vectors, "vectors").copy()
         if v.ndim != 2 or v.shape[0] != v.shape[1] or w.shape != (v.shape[0],):
             raise SizeMismatchError("eigenvalues and vectors shapes disagree")
         w.flags.writeable = False
@@ -121,23 +121,19 @@ def decompose_pair(g1: Graph, g2: Graph):
     return decompositions
 
 
-def check_square(v, name):
-    """v as a square array: complex if v is complex, float otherwise;
-    text or object entries raise SizeMismatchError (as_numeric)."""
+def check_basis(v, name):
+    """v as a square array, complex if v is complex and float otherwise,
+    whose entries must be numeric (as_numeric: text and object entries
+    raise SizeMismatchError); it must be at least 1 x 1
+    (SizeMismatchError), finite (NonFiniteEntryError) and orthogonal
+    (unitary, if complex) within ORTHOGONALITY_TOL
+    (NonOrthogonalInputError)."""
     v = as_numeric(v, name)
     v = v.astype(complex if np.iscomplexobj(v) else float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise SizeMismatchError("%s must be square, got shape %s" % (name, v.shape))
-    return v
-
-
-def check_basis(v, name):
-    """v as check_square returns it, which must be at least 1 x 1, finite
-    and orthogonal (unitary, if complex) within ORTHOGONALITY_TOL."""
-    v = check_square(v, name)
+    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 1:
+        raise SizeMismatchError("%s must be square and at least 1 x 1, got "
+                                "shape %s" % (name, v.shape))
     n = v.shape[0]
-    if n < 1:
-        raise SizeMismatchError("%s must be at least 1 x 1, got 0 x 0" % name)
     if not np.isfinite(v).all():
         raise NonFiniteEntryError("%s has non-finite entries" % name)
     residual = np.max(np.abs(v.conj().T @ v - np.eye(n)))

@@ -213,6 +213,9 @@ def test_read_csv_refuses_methods_and_counts_write_csv_never_writes(row):
     ("p", "0.4"),
     ("objective", None),
     ("dualness", 1 + 0j),
+    ("trial", True),
+    ("iterations", 3.0),
+    ("p", True),
 ])
 def test_write_csv_refuses_what_read_csv_refuses(field, value):
     # an inf objective, a method outside METHODS or a negative count used
@@ -221,7 +224,9 @@ def test_write_csv_refuses_what_read_csv_refuses(field, value):
     # the records it was given.  plot_fig1 refuses the same records with
     # the same class (it drew a NaN objective at cy="nan"); a text, None
     # or complex float field is not finite either (write_csv raised a
-    # bare TypeError for them)
+    # bare TypeError for them); an int field follows the integer rule
+    # (rng.check_integer), which refuses True and 3.0, and a float field
+    # refuses a bool as check_real does
     good = ExperimentRecord(6, 0.4, 0, "CD", 5.0, 1.0, 1, 1, 0, 1)
     bad = ExperimentRecord(**{**good.__dict__, field: value})
     assert read_csv(write_csv([good])) == [good]
@@ -271,6 +276,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(methods=())
     assert ExperimentConfig(methods=("cd", "dup")).methods == ("CD", "DUP")
+    # a list field is a list: a str, None or a number raised a bare
+    # TypeError or was read item by item ("10" as n = 1 and 0)
+    for field, value in (("n_values", 10), ("n_values", "10"),
+                         ("methods", None), ("methods", "cd")):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+    # the solver settings are stored as SolverConfig checks them
+    config = ExperimentConfig(restarts=np.int64(5), epsilon=1)
+    assert type(config.restarts) is int and config.restarts == 5
+    assert type(config.epsilon) is float and config.epsilon == 1.0
     # a seed is any integer, taken mod 2**64
     for seed in (2.5, True, "3"):
         with pytest.raises(ValueError, match="seed must be an integer"):

@@ -3,6 +3,7 @@ error class is raised somewhere in the library, and every entry point
 meets each class of bad input with its documented error."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,7 @@ _V = _DECOMPOSITION.vectors
 _ONES = np.ones(3)
 _IDENTITY = np.arange(3)
 _SOLUTION = gftdual.cdpm_align(_V, _V)
+_RECORD = gftdual.ExperimentRecord(3, 0.4, 0, "CD", 2.0, 1.0, 1, 1, 0, 1)
 
 # one bad scalar per input class; 2 + 0j would cast to a valid 2
 _SCALARS = {"bool": True, "float": 2.5, "string": "2", "complex": 2 + 0j,
@@ -107,6 +109,8 @@ _SCALAR_ENTRIES = (
     ("SolverConfig.seed", lambda s: gftdual.SolverConfig(seed=s), ValueError),
     ("ExperimentConfig.seed",
      lambda s: gftdual.ExperimentConfig(seed=s), ValueError),
+    ("write_csv record trial", lambda t: gftdual.write_csv(
+        [replace(_RECORD, trial=t)]), gftdual.IndexOutOfRangeError),
 )
 # one bad real setting per input class; "1e-8" would parse, True read as 1
 _REALS = {"bool": True, "string": "1e-8", "complex": 0.5 + 0j,
@@ -143,6 +147,12 @@ _PERMUTATION_ENTRIES = (
 _MATRIX_ENTRIES = (
     ("Graph", gftdual.Graph, _GRAPH.adjacency,
      gftdual.NonPositiveWeightError),
+    ("SpectralDecomposition eigenvalues",
+     lambda w: gftdual.SpectralDecomposition(w, _V),
+     _DECOMPOSITION.eigenvalues, gftdual.NonFiniteEntryError),
+    ("SpectralDecomposition vectors",
+     lambda v: gftdual.SpectralDecomposition(_DECOMPOSITION.eigenvalues, v),
+     _V, gftdual.NonFiniteEntryError),
     ("jacobi_eigh", gftdual.jacobi_eigh, _GRAPH.adjacency,
      gftdual.NonFiniteEntryError),
     ("CouplingMatrix", gftdual.CouplingMatrix, _V,
@@ -168,11 +178,13 @@ _NUMERIC_ENTRIES = (
     ("gft signal", lambda x: gftdual.gft(_DECOMPOSITION, x), _ONES),
     ("igft spectrum", lambda x: gftdual.igft(_DECOMPOSITION, x), _ONES),
 )
-# methods that are not strings, which ExperimentConfig's rule,
+# methods that are not strings, which the method rule (alignment.method_name),
 # str(m).upper(), turns into no method name
 _METHODS = {"int": 5, "none": None, "float": 2.5}
 # (entry point, call) for the method rule, ValueError
 _METHOD_ENTRIES = (
+    ("ExperimentConfig.methods",
+     lambda m: gftdual.ExperimentConfig(methods=(m,))),
     ("multistart method", lambda m: gftdual.multistart(
         m, _V, _V, gftdual.SolverConfig(restarts=2))),
     ("run_pair method", lambda m: gftdual.run_pair(
