@@ -186,8 +186,11 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
     converged start are exact for its final phases.  Every iteration,
     lazy or full, counts towards iterations and max_iterations.  A full
     half-step scores all its starts with one stacked product, one product
-    per start, and one solve_assignment_max call (respond), so that a
-    CDPM start descends bit for bit as it does alone.
+    per start, and one solve_assignment_max call (respond).  CD's
+    half-step is one product over the running stack, which BLAS computes
+    row by row alike for two rows or more; a lone start's row is doubled
+    to take that kernel too.  So every start, CD or CDPM, descends bit
+    for bit as it does alone.
     """
     count, n = d1.shape
     if trace is not None and count != 1:
@@ -230,14 +233,19 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
         """Best phases of side b against side a, their value, pb and, when
         score is set, the entries that score side b's current state.
         CD's diag(Va Da Vb)_k = sum_j Va[k, j] da[j] Vb[j, k] is one
-        (R, n) x (n, n) product for every start.  CDPM matches every
-        start when none is lazy; otherwise it takes every start's
-        operand product and, when some start is full, overwrites the
-        full starts' rows with their matching, the only split of the
-        stack."""
+        (R, n) x (n, n) product for every start, at least two rows
+        long.  CDPM matches every start when none is lazy; otherwise it
+        takes every start's operand product and, when some start is
+        full, overwrites the full starts' rows with their matching, the
+        only split of the stack."""
         now = None
         if not update_permutations:
-            diag = now = da @ fixed[side]
+            # numpy sends a lone row to BLAS's matrix-vector kernel, which
+            # rounds otherwise than the matrix-matrix kernel of a larger
+            # stack; doubled, it takes the stack's kernel, so a start's
+            # product does not depend on how many starts are still running
+            rows = np.repeat(da, 2, axis=0) if da.shape[0] == 1 else da
+            diag = now = (rows @ fixed[side])[:da.shape[0]]
         elif lazy_count == 0:
             diag, pb, now = respond(side, da, pa, pb if score else None)
         else:
@@ -324,7 +332,8 @@ def cd_align(v1, v2, config=SolverConfig(), init=None, trace=None):
 
     init is an optional (d1, d2) pair: phase vectors of length n for one
     start, or (R, n) stacks for R starts run together, of which the best
-    is returned (ties keep the earliest).  The default start is all-ones
+    is returned (ties keep the earliest); each start descends bit for
+    bit as it does alone (_descend).  The default start is all-ones
     phases.  trace, when a list, receives the objective value after the
     initialization and after every half-step; it needs a single start.
     """
@@ -504,29 +513,31 @@ def _swapped(solution):
 def multistart(method, v1, v2, config=SolverConfig()):
     """Best of config.restarts descents of CD or CDPM.
 
+    For both methods budget R runs the first R descents of any larger
+    budget, so the answer never falls as R grows: every descent runs one
+    BLAS kernel whatever the stack it runs in (_descend).
+
     CD runs one stacked cd_align on seeded starts: start r takes its
     phases from the first random() floats of derive_stream(seed, r)
     (_random_starts).
 
     CDPM runs an iterated local search (Lourenco, Martin and Stuetzle,
-    2003) in which budget R runs the first R descents of any larger
-    budget, so its answer never falls as R grows.  Descent 0 starts at
-    the magnitude signature (_signature_start).  Block 0 stacks it on
-    _first_seeded(n) seeded descents: descent r draws phases and
-    permutations sigma1, sigma2 from derive_stream(seed, r) and starts at
-    p1 = sig_p1[sigma1], p2 = sig_p2[sigma2] (_seeded_starts).  Each later
-    block holds _BLOCK descents: block k is seeded alike when k is a
-    multiple of _SEEDED_EVERY, and otherwise its descents perturb the
+    2003).  Descent 0 starts at the magnitude signature (_signature_start).
+    Block 0 stacks it on _first_seeded(n) seeded descents: descent r draws
+    phases and permutations sigma1, sigma2 from derive_stream(seed, r) and
+    starts at p1 = sig_p1[sigma1], p2 = sig_p2[sigma2] (_seeded_starts).
+    Each later block holds _BLOCK descents: block k is seeded alike when k
+    is a multiple of _SEEDED_EVERY, and otherwise its descents perturb the
     best solution so far (_perturbed_starts), descent r drawing from
     derive_stream(seed, r).  Every start is indexed by eigenvalues, so
     relabelling a graph's vertices carries the answer along
     (isomorphism_transport), unless the graph's symmetries tie the
-    signature's matchings.  CDPM solves the order whose first basis has
-    the lexicographically smaller sorted entry magnitudes and maps the
-    answer back, the solution (e1, q1, e2, q2) of (V2, V1) being
-    (e2, q2, e1, q1) of (V1, V2), so swapping the arguments swaps the
-    answer.  Equal magnitudes run both orders and keep the higher
-    objective (then the higher restart_objectives).
+    signature's matchings.  CDPM solves the order whose first basis has the
+    lexicographically smaller sorted entry magnitudes and maps the answer
+    back, the solution (e1, q1, e2, q2) of (V2, V1) being (e2, q2, e1, q1)
+    of (V1, V2), so swapping the arguments swaps the answer.  Equal
+    magnitudes run both orders and keep the higher objective (then the
+    higher restart_objectives).
 
     The best objective wins and ties keep the earliest descent; the
     restart_* arrays cover every descent in draw order.  method is read

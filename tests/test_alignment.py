@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -345,9 +345,9 @@ def test_stacked_starts_return_earliest_best_run(method):
     stacked = align(v1, v2, config, stack)
     best = single[int(np.argmax([run.objective for run in single]))]
     assert best.converged and best.iterations < config.max_iterations
-    assert abs(stacked.objective - best.objective) <= 1e-12
-    assert np.max(np.abs(stacked.d1 - best.d1)) <= 1e-12
-    assert np.max(np.abs(stacked.d2 - best.d2)) <= 1e-12
+    assert stacked.objective == best.objective
+    assert np.array_equal(stacked.d1, best.d1)
+    assert np.array_equal(stacked.d2, best.d2)
     assert np.array_equal(stacked.p1, best.p1)
     assert np.array_equal(stacked.p2, best.p2)
     assert stacked.iterations == best.iterations
@@ -367,13 +367,34 @@ def test_stacked_starts_return_earliest_best_run(method):
         assert np.array_equal(run.restart_converged, [run.converged])
 
 
+@pytest.mark.parametrize("n", [2, 10, 50])
+def test_stacked_product_rows_do_not_depend_on_the_stack(n):
+    # the assumption under every start's descent and every budget's
+    # prefix: a row of a complex (M, n) x (n, n) product with M >= 2 is
+    # the same row of a larger stack's product, and a lone row doubled
+    # (CD's half-step) takes that kernel too
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((90, n)) + 1j * rng.standard_normal((90, n))
+    right = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    whole = stack @ right
+    for offset in (0, 1, 5):
+        for rows in range(2, 90 - offset):
+            part = stack[offset:offset + rows]
+            assert np.array_equal(part @ right,
+                                  whole[offset:offset + rows])
+        lone = stack[offset:offset + 1]
+        assert np.array_equal((np.repeat(lone, 2, axis=0) @ right)[:1],
+                              whole[offset:offset + 1])
+
+
 @pytest.mark.parametrize("cap", [6, 500])
 @pytest.mark.parametrize("complex_valued", [False, True])
 @pytest.mark.parametrize("n, count", [(40, 25), (50, 13)])
-def test_cdpm_stacked_starts_descend_bit_for_bit_as_alone(n, count,
-                                                          complex_valued,
-                                                          cap):
-    # every start of a stack forms its scores with its own product, so it
+@pytest.mark.parametrize("method", [CD, CDPM])
+def test_stacked_starts_descend_bit_for_bit_as_alone(method, n, count,
+                                                     complex_valued, cap):
+    # every start's product runs the one BLAS kernel of a stack, CDPM's
+    # one product per start and CD's a stack of at least two rows, so it
     # descends exactly as it does alone, whatever the stack's size; a cap
     # of 6 stops starts mid-descent, a cap of 500 lets them converge
     v1 = _eigvecs(n, 0.4, 94)
@@ -383,11 +404,12 @@ def test_cdpm_stacked_starts_descend_bit_for_bit_as_alone(n, count,
         angles = np.random.default_rng(3).uniform(0, 2 * np.pi, (2, n))
         v1 = v1 * np.exp(1j * angles[0])
         v2 = v2 * np.exp(1j * angles[1])
+    align = cd_align if method == CD else cdpm_align
     config = SolverConfig(max_iterations=cap)
-    starts = _seeded_starts(CDPM, n, count, seed=8)
-    stacked = cdpm_align(v1, v2, config,
-                         tuple(np.array(part) for part in zip(*starts)))
-    single = [cdpm_align(v1, v2, config, start) for start in starts]
+    starts = _seeded_starts(method, n, count, seed=8)
+    stacked = align(v1, v2, config,
+                    tuple(np.array(part) for part in zip(*starts)))
+    single = [align(v1, v2, config, start) for start in starts]
     assert np.array_equal(stacked.restart_objectives,
                           [run.objective for run in single])
     assert np.array_equal(stacked.restart_iterations,
@@ -799,14 +821,6 @@ def test_init_phases_must_be_finite_unit_modulus():
     cdpm_align(v1, v2, init=(near, perm, ones, perm))
 
 
-def test_multistart_more_restarts_never_worse():
-    v1 = _eigvecs(9, 0.4, 50)
-    v2 = _eigvecs(9, 0.4, 51)
-    few = multistart(CD, v1, v2, SolverConfig(restarts=2, seed=7))
-    many = multistart(CD, v1, v2, SolverConfig(restarts=25, seed=7))
-    assert many.objective >= few.objective
-
-
 def test_cdpm_beats_cd_on_seeded_pairs():
     for seed in (7, 11, 21):
         v1 = _eigvecs(12, 0.4, seed)
@@ -941,19 +955,35 @@ def test_cdpm_solves_both_orders_of_equal_magnitudes():
     assert forward.objective >= 8 - 1e-9
 
 
+def _unitary_pair(n, seed, complex_bases):
+    rng = np.random.default_rng(seed)
+    return (_random_unitary(rng, n, complex_bases),
+            _random_unitary(rng, n, complex_bases))
+
+
+def _sweep_bases(n, pair_seed):
+    dec1, dec2, _ = _sample_pair(n, 0.4, pair_seed)
+    return dec1.vectors, dec2.vectors
+
+
+@pytest.mark.parametrize("method", [CD, CDPM])
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(min_value=2, max_value=12),
+@given(bases=st.builds(_unitary_pair, st.integers(min_value=2, max_value=12),
+                       st.integers(min_value=0, max_value=2**32 - 1),
+                       st.booleans()),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
        budgets=st.lists(st.integers(min_value=1, max_value=80), min_size=2,
-                        max_size=2, unique=True),
-       complex_bases=st.booleans())
-def test_cdpm_budget_is_a_prefix(n, seed, budgets, complex_bases):
+                        max_size=2, unique=True))
+# a sweep pair whose CD descent 5 ends otherwise at budgets 20 and 50
+# when a lone running start takes BLAS's matrix-vector kernel, and few
+# against many restarts
+@example(bases=_sweep_bases(10, 1003), seed=3, budgets=[20, 50])
+@example(bases=(_eigvecs(9, 0.4, 50), _eigvecs(9, 0.4, 51)), seed=7,
+         budgets=[2, 25])
+def test_budget_is_a_prefix(method, bases, seed, budgets):
     # budget R runs the first R descents of any larger budget, so the
     # answer never falls as the budget grows
-    rng = np.random.default_rng(seed)
-    v1 = _random_unitary(rng, n, complex_bases)
-    v2 = _random_unitary(rng, n, complex_bases)
-    small, large = (multistart(CDPM, v1, v2,
+    small, large = (multistart(method, *bases,
                                SolverConfig(restarts=r, seed=seed))
                     for r in sorted(budgets))
     r = min(budgets)
