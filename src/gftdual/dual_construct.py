@@ -14,6 +14,10 @@ stochastic (largest singular value 1) and singular whenever V is an
 eigenvector matrix: the graph's own spectrum mu has E' mu = diag(A) = 0.
 So lambda = N t, with N an orthonormal basis of null(E) from one SVD,
 and the program is solved in t with only the sign and row-sum rows.
+A(L) is linear in lambda, so the rows are the entries A(N_c)_ij, i < j,
+and the row sums of the candidate adjacencies A(N_c) of the columns
+N_c of N: the rows, the FEASIBLE witness and verify_dual_witness all
+evaluate A through the one kernel _candidate_adjacency.
 null(E) is spanned by the right singular vectors whose singular values
 are at most NULL_SPACE_RTOL times the largest.  On 3826 G(n, p) graphs
 (n = 6-25, p = 0.2-0.7, 1000 of them with edge weights in 0.1-3) those
@@ -32,10 +36,11 @@ construct_dual does not check the eigenvectors it computed itself:
 LAPACK returns an orthogonal basis, so only construct_dual_from_vectors,
 whose V comes from the caller, runs as_real and check_basis.  Both
 share one construction.  On a 2-core x86-64 host with one BLAS thread,
-a call that the interval test answers took a median 110 us at n = 10
-and 320 us at n = 25; numpy's eigh and svd were 43% and 65% of that,
-and the rest was the assembly of the rows (20-45 us), the interval test
-(17-28 us) and the eigendecomposition's sign convention.
+a call that the interval test answers took a median 160-175 us at
+n = 10 and 390-410 us at n = 25.  numpy's eigh and svd together took
+36-41% of it at n = 10 and 64-79% at n = 25, the assembly of the rows
+20-21 us and 29-30 us, and the rest was the interval test and the
+eigendecomposition's sign convention.
 
 A FEASIBLE adjacency is the mean of the candidate A(L) and its
 transpose, clamped: the product rounds A_ij and A_ji apart, and the
@@ -82,25 +87,27 @@ def _null_basis(v):
 def _assemble(v, basis):
     """The program in free t, lambda = basis @ t: n(n-1)/2 off-diagonal
     sign rows >= 0, then n row-sum rows >= 1; the diagonal rows hold for
-    every t."""
+    every t.  Column c holds the entries i < j, then the row sums, of
+    A(N_c), N_c being column c of the basis."""
     n = v.shape[0]
     vertices = np.arange(n)
     # the pairs i < j in row-major order, as np.triu_indices(n, k=1)
     upper, lower = np.nonzero(vertices[:, None] < vertices)
-    signs = (v[:, upper] * v[:, lower]).T @ basis
-    row_sums = (v * v.sum(axis=1)[:, None]).T @ basis
-    rhs = np.zeros(len(signs) + n)
-    rhs[len(signs):] = 1.0
+    a = _candidate_adjacency(v, basis.T)
+    rows = np.concatenate((a[:, upper, lower], a.sum(axis=2)), axis=1).T
+    rhs = np.zeros(len(rows))
+    rhs[len(upper):] = 1.0
     return lp.LinearProgram(
         objective=np.zeros(basis.shape[1]),
-        constraints=np.concatenate((signs, row_sums)),
+        constraints=rows,
         rhs=rhs,
         nonnegative=False)
 
 
 def _candidate_adjacency(v, lam):
-    """A(L) = V' diag(lam) V assembled from the rows of a checked V."""
-    return v.T @ (lam[:, None] * v)
+    """A(L) = V' diag(lam) V assembled from the rows of a checked V; a
+    (k, n) stack of spectra gives the (k, n, n) stack of adjacencies."""
+    return v.T @ (lam[..., :, None] * v)
 
 
 def _construct(v) -> DualConstructionResult:

@@ -151,6 +151,13 @@ def test_candidate_adjacency_formula():
     expected = sum(lam[k] * np.outer(v[k], v[k]) for k in range(5))
     assert np.max(np.abs(a - expected)) <= 1e-12
     assert np.max(np.abs(a - a.T)) <= 1e-12
+    # a stack of spectra gives the stack of adjacencies, each bit for bit
+    # the adjacency of its spectrum alone
+    stack = rng.standard_normal((3, 5))
+    adjacencies = dual_construct._candidate_adjacency(v, stack)
+    assert adjacencies.shape == (3, 5, 5)
+    for lam, a in zip(stack, adjacencies):
+        assert np.array_equal(a, dual_construct._candidate_adjacency(v, lam))
 
 
 def _cycles():
@@ -326,11 +333,17 @@ def test_singular_values_clear_the_null_space_cutoff():
         assert np.all((s <= 1e-13) | (s >= 1e-8))
 
 
-def test_assembled_program_rows():
+@pytest.mark.parametrize("g, dimension", [
+    (erdos_renyi(7, 0.5, 3), 1),
+    (erdos_renyi(6, 0.5, 0), 2),
+    (circulant(6, [(1, 1.0)]), 4),
+], ids=["er7-seed3", "er6-seed0", "c6"])
+def test_assembled_program_rows(g, dimension):
     # n(n-1)/2 sign rows >= 0, then n row-sum rows >= 1, in free t
-    n = 7
-    v = eigendecompose(erdos_renyi(n, 0.5, 3)).vectors
+    n = g.n
+    v = eigendecompose(g).vectors
     basis = dual_construct._null_basis(v)
+    assert basis.shape[1] == dimension
     program = dual_construct._assemble(v, basis)
     pairs = n * (n - 1) // 2
     assert len(program.constraints) == pairs + n
@@ -338,10 +351,18 @@ def test_assembled_program_rows():
     assert np.array_equal(program.rhs,
                           np.concatenate((np.zeros(pairs), np.ones(n))))
     assert not program.nonnegative
+    # column c holds the entries A(N_c)_ij, i < j, then the row sums of
+    # A(N_c), bit for bit those of the one candidate adjacency kernel
+    upper, lower = np.triu_indices(n, k=1)
+    for c in range(basis.shape[1]):
+        a = dual_construct._candidate_adjacency(v, basis[:, c])
+        assert np.array_equal(program.constraints[:pairs, c],
+                              a[upper, lower])
+        assert np.array_equal(program.constraints[pairs:, c],
+                              a.sum(axis=1))
     # row (i, j), i < j, maps t to the entry A(L)_ij; then the row sums
     t = np.arange(1.0, basis.shape[1] + 1.0)
     a = dual_construct._candidate_adjacency(v, basis @ t)
-    upper, lower = np.triu_indices(n, k=1)
     assert np.allclose(program.constraints[:pairs] @ t, a[upper, lower],
                        atol=1e-12)
     assert np.allclose(program.constraints[pairs:] @ t, a.sum(axis=1),

@@ -21,6 +21,9 @@ rows, so that a change to the figure shows too.  A seventh, dup-scale,
 covers the same fields of the DUP bounds of the tests' scaled coupling
 blocks (tests/oracles.py scaled_blocks, Gaussian blocks at scales 1 to
 1e12), so that a change to how DUP certifies large couplings shows.
+An eighth, construct-status, covers the construct batch's statuses
+alone, one per line, so that a change which moves witness bits shows
+on its own whether any status moved.
 BLAS runs on one thread, since a threaded reduction may round
 differently; the numpy and scipy versions are printed with the hashes,
 since another build may round the eigensolver differently too.
@@ -63,6 +66,11 @@ CONSTRUCT_SEEDS = range(5)
 
 def _sha256(records):
     return hashlib.sha256(write_csv(records).encode()).hexdigest()
+
+
+def _lines_sha256(lines):
+    return hashlib.sha256(
+        "".join(line + "\n" for line in lines).encode()).hexdigest()
 
 
 def _construct_lines():
@@ -110,12 +118,14 @@ def main():
     print("cd+dup %s %d rows" % (_sha256(cd_dup), len(cd_dup)))
     print("cdpm %s %d rows" % (_sha256(cdpm), len(cdpm)))
     lines = _construct_lines()
-    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
-    print("construct %s %d graphs" % (digest.hexdigest(), len(lines)))
+    print("construct %s %d graphs" % (_lines_sha256(lines), len(lines)))
     print("dup %s %d bounds" % (_bounds_sha256(bounds), len(bounds)))
     print("plot %s" % hashlib.sha256(plot_fig1(records).encode()).hexdigest())
     scaled = [dup_bound(CouplingMatrix(b)) for _, b in scaled_blocks()]
     print("dup-scale %s %d bounds" % (_bounds_sha256(scaled), len(scaled)))
+    statuses = [line.split(" ", 1)[0] for line in lines]
+    print("construct-status %s %d graphs" % (_lines_sha256(statuses),
+                                             len(statuses)))
 
 
 if __name__ == "__main__":
