@@ -460,6 +460,13 @@ def _first_seeded(n):
     return max(9, 1200 // n ** 2)
 
 
+def _cd_search(v1, v2, config):
+    """multistart's CD search on the checked pair (v1, v2)."""
+    run = cd_align(v1, v2, config, _random_starts(
+        config.seed, config.restarts, v1.shape[0], False))
+    return _best_of(run, [run])
+
+
 def _cdpm_search(v1, v2, config):
     """multistart's CDPM search on the checked pair (v1, v2)."""
     seed, restarts = config.seed, config.restarts
@@ -517,6 +524,15 @@ def multistart(method, v1, v2, config=SolverConfig()):
     budget, so the answer never falls as R grows: every descent runs one
     BLAS kernel whatever the stack it runs in (_descend).
 
+    Both methods solve the order whose first basis has the
+    lexicographically smaller sorted entry magnitudes (_magnitude_order)
+    and map the answer back, the solution (e1, q1, e2, q2) of (V2, V1)
+    being (e2, q2, e1, q1) of (V1, V2), so swapping the arguments swaps
+    the answer.  Equal sorted magnitudes, as of a graph paired with
+    itself or with any relabelling of itself, run both orders, so 2R
+    descents, and keep the higher objective (then the higher
+    restart_objectives).
+
     CD runs one stacked cd_align on seeded starts: start r takes its
     phases from the first random() floats of derive_stream(seed, r)
     (_random_starts).
@@ -532,12 +548,7 @@ def multistart(method, v1, v2, config=SolverConfig()):
     derive_stream(seed, r).  Every start is indexed by eigenvalues, so
     relabelling a graph's vertices carries the answer along
     (isomorphism_transport), unless the graph's symmetries tie the
-    signature's matchings.  CDPM solves the order whose first basis has the
-    lexicographically smaller sorted entry magnitudes and maps the answer
-    back, the solution (e1, q1, e2, q2) of (V2, V1) being (e2, q2, e1, q1)
-    of (V1, V2), so swapping the arguments swaps the answer.  Equal
-    magnitudes run both orders and keep the higher objective (then the
-    higher restart_objectives).
+    signature's matchings.
 
     The best objective wins and ties keep the earliest descent; the
     restart_* arrays cover every descent in draw order.  method is read
@@ -545,18 +556,14 @@ def multistart(method, v1, v2, config=SolverConfig()):
     than CD or CDPM raises ValueError.
     """
     method = method_name(method, (CD, CDPM))
-    v1, v2, n = check_basis_pair(v1, v2)
-    if method == CD:
-        run = cd_align(v1, v2, config,
-                       _random_starts(config.seed, config.restarts, n, False))
-        return _best_of(run, [run])
+    search = _cd_search if method == CD else _cdpm_search
+    v1, v2, _ = check_basis_pair(v1, v2)
     order = _magnitude_order(v1, v2)
-    if order < 0:
-        return _cdpm_search(v1, v2, config)
-    if order > 0:
-        return _swapped(_cdpm_search(v2, v1, config))
-    runs = (_cdpm_search(v1, v2, config),
-            _swapped(_cdpm_search(v2, v1, config)))
+    runs = []
+    if order <= 0:
+        runs.append(search(v1, v2, config))
+    if order >= 0:
+        runs.append(_swapped(search(v2, v1, config)))
     return max(runs, key=lambda run: (run.objective,
                                       run.restart_objectives.tolist()))
 
