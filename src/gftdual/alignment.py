@@ -551,9 +551,10 @@ def multistart(method, v1, v2, config=SolverConfig()):
     signature's matchings.
 
     The best objective wins and ties keep the earliest descent; the
-    restart_* arrays cover every descent in draw order.  method is read
-    by method_name, as ExperimentConfig reads its methods; a name other
-    than CD or CDPM raises ValueError.
+    restart_* arrays cover the kept order's R descents in draw order, so
+    when equal magnitudes run both orders, the other order's R descents
+    are not in them.  method is read by method_name, as ExperimentConfig
+    reads its methods; a name other than CD or CDPM raises ValueError.
     """
     method = method_name(method, (CD, CDPM))
     search = _cd_search if method == CD else _cdpm_search

@@ -13,12 +13,15 @@ until its duality gap is at most tol: its stop test reads nu as the row
 norms of WR and factors diag(nu + s) - W, for a shift s <= tol / 2n,
 and that same nu is the dual iterate, within tol of the relaxation's
 optimum, that the bound starts from.  One eigenvalue-oracle round
-certifies it: the eigendecomposition of diag(nu) - W gives its minimum
+follows: the eigendecomposition of diag(nu) - W gives its minimum
 eigenvalue, and its bottom eigenvectors are the cuts of a master linear
 program, whose value is reported.  The iterate is shifted once along
-the diagonal by its eigenvalue deficit and re-checked once, up to tol,
-by a fresh eigendecomposition.  The bound is thus within tol of the
-relaxation's optimum, and valid up to tol * 2n for unit-modulus phases.
+the diagonal by its eigenvalue deficit, and the shifted nu is certified
+by the test the ascent stops on, one Cholesky factorization
+(_has_cholesky): diag(nu + tol) - W must have a factor, so diag(nu) - W
+is at least -tol on its spectrum, up to the factorization's rounding.
+The bound is thus within tol of the relaxation's optimum, and valid up
+to tol * 2n for unit-modulus phases.
 """
 
 from dataclasses import dataclass, field
@@ -80,10 +83,10 @@ class CouplingMatrix:
 @dataclass(frozen=True, eq=False)
 class BoundResult:
     """Certified bound: bound = sum(nu), with nu feasible for the dual up
-    to tol = DEFAULT_TOL * max(1, max|b|) on lambda_min: the smallest
-    floating eigenvalue of diag(nu) - W is at least -tol, not exactly
-    non-negative, so x'Wx <= bound + tol * x'x (tol * 2n for
-    unit-modulus x).
+    to tol = DEFAULT_TOL * max(1, max|b|): diag(nu + tol) - W has a
+    floating Cholesky factor, so lambda_min(diag(nu) - W) >= -tol up to
+    the factorization's rounding, not exactly non-negative, and
+    x'Wx <= bound + tol * x'x (tol * 2n for unit-modulus x).
 
     min_eig_residual is lambda_min at the ascent's iterate, before its
     one diagonal shift.  cuts counts the oracle's cuts, the eigenvectors at
@@ -214,20 +217,30 @@ def _gap_certified(w, r, tol):
     s = (tol - c) / m has a Cholesky factor, then nu + s is dual
     feasible with value primal + tol, so primal and that dual value
     bracket the relaxation's optimum within tol.  A NaN in c fails the
-    test.  The factorization only decides when to stop; dup_bound
-    certifies its bound separately, starting from this nu.
+    test.  dup_bound certifies its bound with the same factorization
+    test (_has_cholesky), at its repaired nu shifted by tol.
     """
     wr = w @ r
     nu = np.linalg.norm(wr, axis=1)
     primal = float(np.einsum("ij,ij->", r, wr))
     c = nu.sum() - primal
-    if c < tol:
-        try:
-            np.linalg.cholesky(np.diag(nu + (tol - c) / w.shape[0]) - w)
-            return True, nu, primal
-        except np.linalg.LinAlgError:
-            pass
-    return False, nu, primal
+    certified = c < tol and _has_cholesky(nu + (tol - c) / w.shape[0], w)
+    return certified, nu, primal
+
+
+def _has_cholesky(nu, w):
+    """Whether diag(nu) - w has a Cholesky factor with finite entries
+    (numpy.linalg.cholesky), so is positive definite in floating point.
+
+    This is DUP's one certificate test: the ascent's stop test and
+    dup_bound's re-check of its repaired bound both call it.  numpy
+    factors a matrix with NaN entries without raising, so a factor with
+    a non-finite entry fails the test.
+    """
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(np.diag(nu) - w)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def _solve_master(cuts, rhs):
@@ -250,11 +263,12 @@ def dup_bound(w: CouplingMatrix) -> BoundResult:
     tol of the relaxation's optimum (BoundResult.gap).  One oracle
     eigensolve of diag(nu) - W at the ascent's iterate gives lambda_min
     and the cuts of the master LP; the iterate, shifted once by
-    max(0, -lambda_min), is re-checked once by a fresh
-    eigendecomposition: lambda_min(diag(nu) - W) >= -tol, up to tol and
-    not exactly, so bound = sum(nu) dominates x'Wx up to tol * 2n for
-    every unit-modulus x, real or complex.  Raises NumericalBreakdown
-    if the re-check fails.
+    max(0, -lambda_min), is re-checked once by the Cholesky test the
+    ascent stops on: diag(nu + tol) - W must have a factor, so
+    lambda_min(diag(nu) - W) >= -tol up to the factorization's
+    rounding, not exactly, and bound = sum(nu) dominates x'Wx up to
+    tol * 2n for every unit-modulus x, real or complex.  Raises
+    NumericalBreakdown if the re-check fails.
     """
     if not isinstance(w, CouplingMatrix):
         raise SizeMismatchError("dup_bound expects a CouplingMatrix")
@@ -274,9 +288,10 @@ def dup_bound(w: CouplingMatrix) -> BoundResult:
     master_value, _ = _solve_master(
         cuts, np.array([float(v @ matrix @ v) for v in cuts]))
 
-    # stage 3: the repaired iterate, re-checked once from scratch
+    # stage 3: the repaired iterate, re-checked once by the stop test's
+    # factorization, shifted by tol
     nu = x + max(0.0, -lam_min)
-    if jacobi_eigh(np.diag(nu) - matrix)[0][0] < -tol:
+    if not _has_cholesky(nu + tol, matrix):
         raise NumericalBreakdown(
             "feasibility repair failed to certify the bound")
     nu.setflags(write=False)

@@ -225,9 +225,8 @@ def test_bound_reports_the_single_ascent(monkeypatch):
     assert result.gap == result.bound - primal
 
 
-def test_bound_makes_two_eigensolves(monkeypatch):
-    # the oracle at the ascent's iterate and the fresh re-check of its
-    # repair; the master LP's point is never eigensolved
+def _counting_eigensolves(monkeypatch):
+    """Rebind dup.jacobi_eigh to record each matrix it solves."""
     calls = []
     jacobi_eigh = dup.jacobi_eigh
 
@@ -236,30 +235,74 @@ def test_bound_makes_two_eigensolves(monkeypatch):
         return jacobi_eigh(matrix)
 
     monkeypatch.setattr(dup, "jacobi_eigh", counting)
+    return calls
+
+
+def test_bound_makes_one_eigensolve(monkeypatch):
+    # the oracle at the ascent's iterate; the repaired bound is re-checked
+    # by a factorization and the master LP's point is never eigensolved
+    calls = _counting_eigensolves(monkeypatch)
     dup_bound(build_coupling(*_pair(seed=10)))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
-def test_failed_recheck_raises_after_two_eigensolves(monkeypatch):
-    # the repaired iterate is re-checked once: a second eigensolve below
-    # -tol raises instead of shifting again
+def test_failed_recheck_raises_after_one_eigensolve(monkeypatch):
+    # the repaired iterate is re-checked once: a factorization that fails
+    # after the ascent raises instead of shifting again
     coupling = build_coupling(*_pair(seed=10))
-    calls = []
-    jacobi_eigh = dup.jacobi_eigh
+    calls = _counting_eigensolves(monkeypatch)
+    ascended = []
+    mixing_dual = dup._mixing_dual
+    has_cholesky = dup._has_cholesky
 
-    def failing(matrix):
-        calls.append(matrix)
-        eigenvalues, vectors = jacobi_eigh(matrix)
-        if len(calls) == 2:
-            eigenvalues = eigenvalues.copy()
-            eigenvalues[0] = -2.0 * dup.DEFAULT_TOL
-        return eigenvalues, vectors
+    def ascent(w, stream, tol):
+        result = mixing_dual(w, stream, tol)
+        ascended.append(True)
+        return result
 
-    monkeypatch.setattr(dup, "jacobi_eigh", failing)
+    def failing_after_the_ascent(nu, w):
+        return has_cholesky(nu, w) and not ascended
+
+    monkeypatch.setattr(dup, "_mixing_dual", ascent)
+    monkeypatch.setattr(dup, "_has_cholesky", failing_after_the_ascent)
     with pytest.raises(NumericalBreakdown,
                        match="feasibility repair failed to certify"):
         dup_bound(coupling)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_stop_test_and_recheck_share_one_factorization(monkeypatch):
+    # the ascent's last stop test factors at its certified nu + (tol - c)
+    # / m, and the re-check at the returned nu + tol, through one helper
+    coupling = build_coupling(*_pair(seed=10))
+    calls = []
+    has_cholesky = dup._has_cholesky
+
+    def recording(nu, w):
+        calls.append((nu, w, has_cholesky(nu, w)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(dup, "_has_cholesky", recording)
+    result = dup_bound(coupling)
+    stop, recheck = calls[-2:]
+    tol = dup.DEFAULT_TOL
+    nu, primal, _ = dup._mixing_dual(
+        coupling.w, derive_stream(dup._MIXING_SEED, 0), tol)
+    c = nu.sum() - primal
+    assert np.array_equal(stop[0], nu + (tol - c) / coupling.w.shape[0])
+    assert np.array_equal(recheck[0], result.nu + tol)
+    assert stop[1] is coupling.w and recheck[1] is coupling.w
+    assert stop[2] and recheck[2]
+
+
+def test_cholesky_test_refuses_what_is_not_positive_definite():
+    w = CouplingMatrix(np.array([[1.0]])).w
+    assert dup._has_cholesky(np.array([1.5, 1.5]), w)
+    # the smallest eigenvalue of diag(nu) - W is exactly 0 and then -0.5
+    assert not dup._has_cholesky(np.array([1.0, 1.0]), w)
+    assert not dup._has_cholesky(np.array([0.5, 0.5]), w)
+    # numpy factors a NaN diagonal without raising; the test still fails
+    assert not dup._has_cholesky(np.array([np.nan, 1.5]), w)
 
 
 def test_bound_holds_at_every_coupling_scale():
