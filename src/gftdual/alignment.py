@@ -173,7 +173,14 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
     and flag are written back once, and the working arrays shrink to the
     starts still running.  Returns the AlignmentSolution of the best
     start (ties keep the earliest).  trace, when given (one start only,
-    else ValueError), receives the objective after every half-step.
+    else ValueError), receives the start's objective and then the
+    objective after every half-step.
+
+    The first half-step replaces the start's second side (d2, and
+    CDPM's p2) with a best response, so a start's first gain is measured
+    from that half-step's value.  The start's d2 then enters only the
+    trace's first entry, and CDPM's p2 also the first test for turning
+    lazy.
 
     CDPM defers the matching while it would keep the permutations.  A
     full iteration solves both assignments exactly; when it gains at
@@ -208,12 +215,11 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
     else:
         fixed = ((v1.T * v2).astype(complex), (v2.T * v1).astype(complex))
 
-    def respond(side, da, pa, pb_now=None):
+    def respond(side, da, pa):
         """The matching of side b against side a: the objective is
         Re tr(Pb S Db) = sum_k Re(S[pb(k), k] db[k]) with
-        S = Va Da Pa Vb.  Returns the entries S[pb(k), k] for the best
-        pb, pb and, when pb_now is given, the entries S[pb_now(k), k]
-        that score side b's current state."""
+        S = Va Da Pa Vb.  Returns the entries S[pb(k), k] for the best pb,
+        and pb."""
         a = fixed[side]
         # S_r = Va X_r with X_r[l, k] = da[r, l] Vb[pa[r, l], k] for every
         # start r, one product per start in one stacked call, so that a
@@ -225,29 +231,25 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
         s = np.matmul(a, (da[:, :, None] * fixed[1 - side][pa])
                       .view(a.dtype)).view(complex)
         pb, _ = solve_assignment_max(np.abs(s))
-        starts = np.arange(s.shape[0])[:, None]
-        now = None if pb_now is None else s[starts, pb_now, columns]
-        return s[starts, pb, columns], pb, now
+        return s[np.arange(s.shape[0])[:, None], pb, columns], pb
 
-    def half_step(side, da, pa, pb, score=False):
-        """Best phases of side b against side a, their value, pb and, when
-        score is set, the entries that score side b's current state.
+    def half_step(side, da, pa, pb):
+        """Best phases of side b against side a, their value and pb.
         CD's diag(Va Da Vb)_k = sum_j Va[k, j] da[j] Vb[j, k] is one
         (R, n) x (n, n) product for every start, at least two rows
         long.  CDPM matches every start when none is lazy; otherwise it
         takes every start's operand product and, when some start is
         full, overwrites the full starts' rows with their matching, the
         only split of the stack."""
-        now = None
         if not update_permutations:
             # numpy sends a lone row to BLAS's matrix-vector kernel, which
             # rounds otherwise than the matrix-matrix kernel of a larger
             # stack; doubled, it takes the stack's kernel, so a start's
             # product does not depend on how many starts are still running
             rows = np.repeat(da, 2, axis=0) if da.shape[0] == 1 else da
-            diag = now = (rows @ fixed[side])[:da.shape[0]]
+            diag = (rows @ fixed[side])[:da.shape[0]]
         elif lazy_count == 0:
-            diag, pb, now = respond(side, da, pa, pb if score else None)
+            diag, pb = respond(side, da, pa)
         else:
             # da A (side 0) or A da (side 1) with each start's operand A
             diag = (np.matmul(da[:, None, :], operands)[:, 0] if side == 0
@@ -255,9 +257,9 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
             if lazy_count < da.shape[0]:
                 full = ~lazy
                 pb = pb.copy()
-                diag[full], pb[full], _ = respond(side, da[full], pa[full])
+                diag[full], pb[full] = respond(side, da[full], pa[full])
         phases, value = _phases_of_diagonal(diag)
-        return phases, value, pb, now
+        return phases, value, pb
 
     d1 = d1.astype(complex)
     d2 = d2.astype(complex)
@@ -269,19 +271,18 @@ def _descend(v1, v2, d1, p1, d2, p2, config, update_permutations, trace):
     active = np.arange(count)
     lazy = np.zeros(count, dtype=bool)
     lazy_count = 0
+    if trace is not None:
+        trace.append(trace_objective(v1, d1[0], p1[0], v2, d2[0], p2[0]))
     for it in range(config.max_iterations):
         held = p1, p2
-        d2_next, half_value, p2, now = half_step(0, d1, p1, p2, it == 0)
+        d2, half_value, p2 = half_step(0, d1, p1, p2)
         if it == 0:
-            # the first product also scores the starts,
-            # Re sum_k S[p2(k), k] d2[k]
-            previous = np.real(np.sum(now * d2, axis=1))
-            if trace is not None:
-                trace.append(float(previous[0]))
-        d2 = d2_next
+            # the first half-step replaced the start's second side, so the
+            # first gain is measured from its value
+            previous = half_value
         if trace is not None:
             trace.append(float(half_value[0]))
-        d1, value, p1, _ = half_step(1, d2, p2, p1)
+        d1, value, p1 = half_step(1, d2, p2, p1)
         if trace is not None:
             trace.append(float(value[0]))
         done = value - previous < config.epsilon
@@ -334,8 +335,10 @@ def cd_align(v1, v2, config=SolverConfig(), init=None, trace=None):
     start, or (R, n) stacks for R starts run together, of which the best
     is returned (ties keep the earliest); each start descends bit for
     bit as it does alone (_descend).  The default start is all-ones
-    phases.  trace, when a list, receives the objective value after the
-    initialization and after every half-step; it needs a single start.
+    phases.  The first half-step replaces the start's d2, which enters
+    only the trace's first entry.  trace, when a list, receives the
+    objective value after the initialization and after every half-step;
+    it needs a single start.
     """
     return _descend(*_check_starts(v1, v2, init, False), config,
                     update_permutations=False, trace=trace)
@@ -356,9 +359,11 @@ def cdpm_align(v1, v2, config=SolverConfig(), init=None, trace=None):
     init is an optional (d1, p1, d2, p2) tuple: vectors of length n for
     one start, or (R, n) stacks for R starts run together, of which the
     best is returned (ties keep the earliest).  The default start is
-    all-ones phases and identity permutations.  trace, when a list,
-    receives the objective value after the initialization and after
-    every half-step, lazy ones included; it needs a single start.
+    all-ones phases and identity permutations.  The first half-step
+    replaces the start's d2 and p2: d2 enters only the trace's first
+    entry, and p2 also the first test for turning lazy.  trace, when a
+    list, receives the objective value after the initialization and
+    after every half-step, lazy ones included; it needs a single start.
     """
     return _descend(*_check_starts(v1, v2, init, True), config,
                     update_permutations=True, trace=trace)
@@ -386,28 +391,26 @@ def _random_starts(seed, count, n, with_permutations):
 def _perturbed_starts(solution, seed, first, count):
     """Starts first..first+count-1 of the search as (R, n) stacks: each
     copies solution's phases and permutations, and start first + k swaps
-    one position pair (i, j), i != j, of p1 and then one of p2.
+    one position pair (i, j), i != j, of p1.  p2 is kept, since the first
+    half-step of a descent matches side 2 afresh (_descend).
 
-    Each pair comes from two random() floats u, v of
+    The pair comes from the first two random() floats u, v of
     derive_stream(seed, first + k) as i = int(u * n) and
     j = int(v * (n - 1)), plus 1 when j >= i, so one block of floats
-    gives every start's swaps; a size-1 pair has nothing to swap and its
+    gives every start's swap; a size-1 pair has nothing to swap and its
     starts are plain copies.
     """
     n = solution.p1.shape[0]
-    perms = np.tile(np.stack([solution.p1, solution.p2]), (count, 1, 1))
+    p1 = np.tile(solution.p1, (count, 1))
     if n > 1:
-        # (start, side, i or j)
-        u = derived_randoms(seed + first, count, 4).reshape(count, 2, 2)
-        i = (u[..., 0] * n).astype(np.intp)
-        j = (u[..., 1] * (n - 1)).astype(np.intp)
+        u = derived_randoms(seed + first, count, 2)
+        i = (u[:, 0] * n).astype(np.intp)
+        j = (u[:, 1] * (n - 1)).astype(np.intp)
         j += j >= i
-        starts = np.arange(count)[:, None]
-        sides = np.arange(2)
-        perms[starts, sides, i], perms[starts, sides, j] = (
-            perms[starts, sides, j], perms[starts, sides, i])
-    return (np.tile(solution.d1, (count, 1)), perms[:, 0],
-            np.tile(solution.d2, (count, 1)), perms[:, 1])
+        starts = np.arange(count)
+        p1[starts, i], p1[starts, j] = p1[starts, j], p1[starts, i]
+    return (np.tile(solution.d1, (count, 1)), p1,
+            np.tile(solution.d2, (count, 1)), np.tile(solution.p2, (count, 1)))
 
 
 def _magnitude_matching(a, b):
@@ -544,9 +547,11 @@ def multistart(method, v1, v2, config=SolverConfig()):
     starts at p1 = sig_p1[sigma1], p2 = sig_p2[sigma2] (_seeded_starts).
     Each later block holds _BLOCK descents: block k is seeded alike when k
     is a multiple of _SEEDED_EVERY, and otherwise its descents perturb the
-    best solution so far (_perturbed_starts), descent r drawing from
-    derive_stream(seed, r).  Every start is indexed by eigenvalues, so
-    relabelling a graph's vertices carries the answer along
+    best solution so far (_perturbed_starts): descent r swaps one
+    position pair of the incumbent's p1, drawn from the first two floats
+    of derive_stream(seed, r), and keeps its phases and p2 (its first
+    half-step matches side 2 afresh).  Every start is indexed by
+    eigenvalues, so relabelling a graph's vertices carries the answer along
     (isomorphism_transport), unless the graph's symmetries tie the
     signature's matchings.
 

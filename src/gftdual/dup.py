@@ -22,6 +22,14 @@ by the test the ascent stops on, one Cholesky factorization
 is at least -tol on its spectrum, up to the factorization's rounding.
 The bound is thus within tol of the relaxation's optimum, and valid up
 to tol * 2n for unit-modulus phases.
+
+A coupling with max|b| > 1 is bounded at the power-of-two scale 2^-e,
+e the binary exponent of max|b|, so that its entries lie below 1:
+HiGHS reads LP bounds of 1e20 and more as infinite, and the ascent's
+squared row norms overflow from about 1e150.  tol is scaled alike, and
+the results are scaled back; a power of two carries through every step
+without rounding (short of underflow).  A bound that is not finite in
+the coupling's own units raises NumericalBreakdown.
 """
 
 from dataclasses import dataclass, field
@@ -268,12 +276,24 @@ def dup_bound(w: CouplingMatrix) -> BoundResult:
     lambda_min(diag(nu) - W) >= -tol up to the factorization's
     rounding, not exactly, and bound = sum(nu) dominates x'Wx up to
     tol * 2n for every unit-modulus x, real or complex.  Raises
-    NumericalBreakdown if the re-check fails.
+    NumericalBreakdown if the re-check fails or the bound is not finite.
+
+    A coupling with max|b| > 1 is worked on as 2^-e W, e the binary
+    exponent of max|b| (numpy.frexp), with tol scaled alike; nu,
+    min_eig_residual, the master value and the primal value are scaled
+    back by 2^e.  A coupling with max|b| <= 1, as every one that
+    build_coupling makes, is worked on as W itself.
     """
     if not isinstance(w, CouplingMatrix):
         raise SizeMismatchError("dup_bound expects a CouplingMatrix")
-    matrix = w.w
-    tol = DEFAULT_TOL * max(1.0, float(np.max(np.abs(w.b))))
+    scale = float(np.max(np.abs(w.b)))
+    matrix, tol = w.w, DEFAULT_TOL * max(1.0, scale)
+    # a coupling above 1 is worked on at 2^-e times its size, max|b| in
+    # [1/2, 1), so that no square overflows and the master LP's bounds
+    # stay finite for HiGHS; a power of two scales every step exactly
+    e = int(np.frexp(scale)[1]) if scale > 1.0 else 0
+    if e:
+        matrix, tol = np.ldexp(matrix, -e), np.ldexp(tol, -e)
 
     # stage 1: near-optimal dual iterate from the low-rank ascent
     x, primal, sweeps = _mixing_dual(matrix, derive_stream(_MIXING_SEED, 0),
@@ -294,8 +314,15 @@ def dup_bound(w: CouplingMatrix) -> BoundResult:
     if not _has_cholesky(nu + tol, matrix):
         raise NumericalBreakdown(
             "feasibility repair failed to certify the bound")
+    # back to the coupling's own units, where the bound may overflow
+    with np.errstate(over="ignore"):
+        nu = np.ldexp(nu, e)
+        bound = float(nu.sum())
     nu.setflags(write=False)
-    bound = float(nu.sum())
-    return BoundResult(nu=nu, bound=bound, min_eig_residual=lam_min,
-                       cuts=len(cuts), master_history=(master_value,),
-                       sweeps=sweeps, gap=bound - primal)
+    if not np.isfinite(bound):
+        raise NumericalBreakdown("the bound %r is not finite" % bound)
+    return BoundResult(nu=nu, bound=bound,
+                       min_eig_residual=float(np.ldexp(lam_min, e)),
+                       cuts=len(cuts),
+                       master_history=(float(np.ldexp(master_value, e)),),
+                       sweeps=sweeps, gap=bound - float(np.ldexp(primal, e)))

@@ -65,8 +65,9 @@ class NonFiniteEntryError(GftDualError):
 
 
 class NumericalBreakdown(GftDualError):
-    """The LP solver stopped without an answer, or the bound's feasibility
-    repair could not certify its iterate."""
+    """The LP solver stopped without an answer, the bound's feasibility
+    repair could not certify its iterate, or the bound overflows to a
+    value that is not finite."""
 
 
 class NonOrthogonalInputError(GftDualError):

@@ -105,8 +105,7 @@ def test_phases_of_diagonal_fast_path_equals_masked_path():
 
 @pytest.mark.parametrize("complex_valued", [False, True])
 def test_first_trace_entry_scores_the_start(complex_valued):
-    # the descent scores its starts from the first half-step's product;
-    # that must agree with the objective of the start itself
+    # the trace's first entry is the objective of the start itself
     rng = np.random.default_rng(6)
     n = 11
     v1 = _random_unitary(rng, n, complex_valued)
@@ -483,13 +482,14 @@ def _lazy_descent(v1, v2, config, start):
     on |S|, S = V1 D1 P1 V2 and then V2 D2 P2 V1).  After a full
     iteration that gains at least epsilon and keeps both permutations,
     iterations are CD half-steps on A = V1[p2]' o V2[p1] until one gains
-    less than epsilon; only a full iteration converges.  Returns the
+    less than epsilon; only a full iteration converges.  The first
+    iteration's gain is measured from its first half-step.  Returns the
     objective, the iteration count, the convergence flag and, per
     iteration, whether it was lazy."""
     n = v1.shape[0]
     columns = np.arange(n)
     d1, p1, d2, p2 = (np.asarray(part) for part in start)
-    previous = trace_objective(v1, d1, p1, v2, d2, p2)
+    previous = None
     lazy = False
     kinds = []
     for it in range(config.max_iterations):
@@ -502,7 +502,10 @@ def _lazy_descent(v1, v2, config, start):
             held = p1, p2
             s = v1 @ np.diag(d1) @ v2[p1]
             p2 = linear_sum_assignment(-np.abs(s).T)[1]
-            d2, _ = _masked_phases(s[p2, columns])
+            d2, half_value = _masked_phases(s[p2, columns])
+            if previous is None:
+                # the first gain is measured from the first half-step
+                previous = half_value
             s = v2 @ np.diag(d2) @ v1[p2]
             p1 = linear_sum_assignment(-np.abs(s).T)[1]
             d1, value = _masked_phases(s[p1, columns])
@@ -529,6 +532,11 @@ def test_lazy_descent_matches_the_scalar_reference(n, count, complex_valued,
     v2 = _random_unitary(rng, n, complex_valued)
     config = SolverConfig(max_iterations=cap)
     starts = _seeded_starts(CDPM, n, count, seed=n)
+    # a converged start with a foreign d2, which its first half-step
+    # replaces
+    solution = cdpm_align(v1, v2, init=starts[0])
+    assert solution.converged
+    starts.append((solution.d1, solution.p1, starts[1][2], solution.p2))
     stacked = cdpm_align(v1, v2, config,
                          tuple(np.array(part) for part in zip(*starts)))
     objectives, iterations, converged, kinds = zip(
@@ -563,18 +571,17 @@ def test_converged_cdpm_answer_is_a_matching_fixed_point():
 
 
 def _perturbed(incumbent, seed, r):
-    """The start of search descent r: the incumbent's phases, and its
-    permutations with the transposition of each drawn from
-    derive_stream(seed, r), scalar draw by scalar draw."""
+    """The start of search descent r: the incumbent's phases and p2, and
+    its p1 with the transposition drawn from derive_stream(seed, r),
+    scalar draw by scalar draw."""
     n = incumbent.p1.shape[0]
     stream = derive_stream(seed, r)
-    perms = [incumbent.p1.copy(), incumbent.p2.copy()]
-    for p in perms:
-        i = int(stream.random() * n)
-        j = int(stream.random() * (n - 1))
-        j += j >= i
-        p[i], p[j] = p[j], p[i]
-    return incumbent.d1, perms[0], incumbent.d2, perms[1]
+    p1 = incumbent.p1.copy()
+    i = int(stream.random() * n)
+    j = int(stream.random() * (n - 1))
+    j += j >= i
+    p1[i], p1[j] = p1[j], p1[i]
+    return incumbent.d1, p1, incumbent.d2, incumbent.p2
 
 
 def _seeded(signature, seed, r):
@@ -1000,6 +1007,45 @@ def test_budget_is_a_prefix(method, bases, seed, budgets):
         assert np.array_equal(getattr(small, name),
                               getattr(large, name)[:r])
     assert large.objective >= small.objective
+
+
+@pytest.mark.parametrize("method", [CD, CDPM])
+@settings(max_examples=30, deadline=None)
+@given(bases=st.builds(_unitary_pair, st.integers(min_value=1, max_value=10),
+                       st.integers(min_value=0, max_value=2**32 - 1),
+                       st.booleans()),
+       start_seed=st.none() | st.integers(min_value=0, max_value=2**32 - 1),
+       d2_seed=st.none() | st.integers(min_value=0, max_value=2**32 - 1))
+# a sweep pair's default answer, restarted once with its own d2 and once
+# with ones: the ones ran 2 (CD) and 3 (CDPM) iterations, and its own d2
+# 1, when the first gain was measured from the start's objective
+@example(bases=_sweep_bases(10, 1002), start_seed=None, d2_seed=None)
+def test_descent_does_not_depend_on_the_start_d2(method, bases, start_seed,
+                                                 d2_seed):
+    # the first half-step replaces the start's d2 (and CDPM's p2), so two
+    # starts that differ only in d2 descend alike, bit for bit.  A start
+    # is drawn from derive_stream(start_seed, 0), or is the method's
+    # default answer when start_seed is None; its other d2 is drawn from
+    # derive_stream(d2_seed, 0), or is all ones when d2_seed is None
+    v1, v2 = bases
+    n = v1.shape[0]
+    align = cd_align if method == CD else cdpm_align
+    if start_seed is None:
+        solution = align(v1, v2)
+        start = (solution.d1, solution.p1, solution.d2, solution.p2)
+    else:
+        start = _random_init(derive_stream(start_seed, 0), n, True)
+    other = (np.ones(n) if d2_seed is None
+             else derive_stream(d2_seed, 0).unit_phases(n))
+    runs = []
+    for d2 in (start[2], other):
+        init = ((start[0], d2) if method == CD
+                else (start[0], start[1], d2, start[3]))
+        runs.append(align(v1, v2, SolverConfig(), init))
+    for name in ("d1", "d2", "p1", "p2", "objective", "iterations",
+                 "converged", "restart_iterations", "restart_converged",
+                 "restart_objectives"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
 
 
 def test_multistart_rejects_unknown_method():

@@ -317,6 +317,33 @@ def test_bound_holds_at_every_coupling_scale():
         assert np.linalg.eigvalsh(certificate)[0] >= -tol, scale
 
 
+@pytest.mark.parametrize("scale", [1e20, 1e100, 1e200, 1e300])
+def test_bound_holds_past_the_solvers_infinity(scale):
+    # HiGHS reads LP bounds of 1e20 and more as infinite, and the ascent's
+    # squared row norms overflow from about 1e150: a coupling above 1 is
+    # bounded at a power-of-two scale, so the bound scales with it
+    b = np.random.default_rng(1).normal(size=(8, 8))
+    unit = dup_bound(CouplingMatrix(b)).bound
+    coupling = CouplingMatrix(b * scale)
+    result = dup_bound(coupling)
+    assert abs(result.bound / scale - unit) <= 1e-14 * unit
+    assert result.sweeps < dup._MIXING_SWEEP_CAP
+    tol = DEFAULT_TOL * float(np.max(np.abs(coupling.b)))
+    certificate = np.diag(result.nu) - coupling.w
+    assert np.linalg.eigvalsh(certificate)[0] >= -tol
+
+
+def test_bound_near_the_largest_float_is_finite_or_refused():
+    # max x'Wx = 2 (1e200 + 1e200 + 1 + 1), within its tol of 4e200
+    result = dup_bound(CouplingMatrix(np.array([[1e200, 1.0],
+                                                [1.0, 1e200]])))
+    assert abs(result.bound - 4e200) <= 4 * DEFAULT_TOL * 1e200
+    assert result.sweeps < dup._MIXING_SWEEP_CAP
+    # a bound of 1.8e309 is no float
+    with pytest.raises(NumericalBreakdown, match="not finite"):
+        dup_bound(CouplingMatrix(np.full((3, 3), 1e308)))
+
+
 def test_bound_reads_only_the_master_value(monkeypatch):
     couplings = [build_coupling(*_pair(seed=seed)) for seed in (0, 10, 20)]
     expected = [dup_bound(coupling) for coupling in couplings]
